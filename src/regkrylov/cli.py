@@ -4,7 +4,8 @@
 CSV files, diagnostics JSON and a summary JSON.  `regkrylov reproduce`
 regenerates the data series behind the canonical experiment figures.
 `regkrylov generate` exports a test problem to the portable JSON container.
-All outputs are byte-deterministic for a fixed configuration.
+All outputs are byte-deterministic for a fixed configuration on one machine
+with a fixed BLAS thread count.
 """
 
 import json
@@ -224,8 +225,10 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
 
 def run_experiment(cfg, progress=None):
     """Execute a config; returns the summary dict after writing all files."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     prob, decomp = _build_problem(cfg)
+    if cfg.k_max > prob.a.n:
+        raise ConfigError(f"k_max {cfg.k_max} exceeds the problem order {prob.a.n}")
+    os.makedirs(cfg.output_dir, exist_ok=True)
     needs_decomp = (
         "tsvd" in cfg.solvers
         or bool(set(cfg.diagnostics) & {"lowrank", "angles", "filters", "decay"})

@@ -1,7 +1,12 @@
 """Dense symmetric eigensolvers, small SVDs and related primitives.
 
-All decompositions route through one deterministic core: Householder
-reduction to tridiagonal form followed by implicit-shift QL iteration.
+Full eigendecompositions of an operator (`symmetric_eig`, on the dense
+matrix or on the Kronecker factor) and the Gram fallback of
+`spectral_norm` go to LAPACK through numpy.  The small projected problems,
+of order at most about twice the number of Krylov steps, go through the
+package's own core: Householder reduction to tridiagonal form followed by
+implicit-shift QL iteration.  Its rounding is pinned, so the hybrid
+solvers' inner SVDs and the harmonic Ritz values reproduce bit for bit.
 Rectangular SVDs are obtained from the symmetric eigenproblem of the
 augmented matrix [[0, M], [M^T, 0]], which keeps small singular values
 accurate (no Gram-matrix squaring).
@@ -10,11 +15,7 @@ accurate (no Gram-matrix squaring).
 import math
 
 import numpy as np
-
-try:
-    from scipy.linalg.blas import drot as _blas_drot
-except ImportError:  # pragma: no cover
-    _blas_drot = None
+from scipy.linalg.blas import drot as _blas_drot
 
 from .exceptions import ContractViolation, NumericalError, ResourceLimitError
 
@@ -154,49 +155,28 @@ def _householder_tridiag(a, vectors=True):
     return d, e, q
 
 
-def _rotate_rows_blas(zt, i, c, s):
-    # x' = c x + s y, y' = -s x + c y; our update needs (c, -s).
-    _blas_drot(zt[i], zt[i + 1], c, -s, overwrite_x=1, overwrite_y=1)
-
-
-def _rotate_rows_numpy(zt, i, c, s, buf1, buf2):
-    zi = zt[i]
-    zi1 = zt[i + 1]
-    np.multiply(zi, s, out=buf1)
-    np.multiply(zi1, c, out=buf2)
-    buf1 += buf2
-    zi *= c
-    np.multiply(zi1, s, out=buf2)
-    zi -= buf2
-    zi1[:] = buf1
-
-
 def _ql_implicit(d, e, z=None, max_iter=60):
     """Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 
     d (diagonal) is overwritten with the eigenvalues; e (off-diagonal,
-    length n-1) is destroyed.  If z is given its columns accumulate the
+    length n-1) is left alone.  If z is given its columns accumulate the
     rotations, so passing the tridiagonalizing transform yields eigenvectors.
-    Rotations are applied to contiguous rows of the transposed accumulator
-    (BLAS drot when available), which is what makes large cases affordable.
+    The scalar recurrence runs on Python floats; the rotations go to BLAS
+    drot on contiguous rows of the transposed accumulator.  drot's rounding
+    (fused multiply-adds in OpenBLAS) is part of the pinned output: a numpy
+    rotation gives different bits.
     """
     n = d.size
     if n <= 1:
         return
-    zt = buf1 = buf2 = None
-    if z is not None:
-        zt = np.ascontiguousarray(z.T)
-        if _blas_drot is None:
-            buf1 = np.empty(zt.shape[1])
-            buf2 = np.empty(zt.shape[1])
-    ee = np.zeros(n)
-    ee[: n - 1] = e
+    zt = None if z is None else np.ascontiguousarray(z.T)
     # Absolute deflation floor: entries below eps * ||T|| carry no information
     # and would otherwise stall the relative test on strongly graded matrices.
-    tnorm = float(np.max(np.abs(d)))
-    if n > 1:
-        tnorm = max(tnorm, float(np.max(np.abs(e))))
+    tnorm = max(float(np.max(np.abs(d))), float(np.max(np.abs(e))))
     floor = EPS * tnorm
+    d_out = d
+    d = d.tolist()
+    ee = e.tolist() + [0.0]
     for l in range(n):
         iters = 0
         while True:
@@ -238,21 +218,24 @@ def _ql_implicit(d, e, z=None, max_iter=60):
                 d[i + 1] = g + p
                 g = c * r - b
                 if zt is not None:
-                    if _blas_drot is not None:
-                        _rotate_rows_blas(zt, i, c, s)
-                    else:
-                        _rotate_rows_numpy(zt, i, c, s, buf1, buf2)
+                    # x' = c x + s y, y' = -s x + c y; our update needs (c, -s).
+                    _blas_drot(zt[i], zt[i + 1], c, -s, overwrite_x=1, overwrite_y=1)
             if early:
                 continue
             d[l] -= p
             ee[l] = g
             ee[m] = 0.0
+    d_out[:] = d
     if zt is not None:
         z[:] = zt.T
 
 
 def _symmetric_eig_dense(a, vectors=True):
-    """Eigenvalues (and optionally eigenvectors) of a dense symmetric array."""
+    """Eigenvalues (and optionally eigenvectors) of a small dense symmetric array.
+
+    The in-house core, kept for the projected problems whose outputs are
+    pinned bit for bit; operator-sized problems go to LAPACK.
+    """
     d, e, q = _householder_tridiag(np.array(a, dtype=float), vectors=vectors)
     _ql_implicit(d, e, q)
     return d, q
@@ -264,9 +247,9 @@ _RQ_POLISH_LIMIT = 512
 def _rayleigh_polish(a, lams, q):
     """Extended-precision Rayleigh quotients of the computed eigenvectors.
 
-    QL eigenvalues carry ~n*eps*||A|| error; spectral diagnostics that hinge
-    on differences between converged projected values and eigenvalues need
-    them at the rounding level.  Cubic in longdouble, so capped by order.
+    LAPACK eigenvalues carry ~n*eps*||A|| error; spectral diagnostics that
+    hinge on differences between converged projected values and eigenvalues
+    need them at the rounding level.  Cubic in longdouble, so capped by order.
     """
     a_ld = a.astype(np.longdouble)
     q_ld = q.astype(np.longdouble)
@@ -357,9 +340,11 @@ class SpectralDecomposition:
 def symmetric_eig(a, dense_limit=DENSE_EIG_LIMIT):
     """Full spectral decomposition of a SymmetricMatrix.
 
-    Dense operators go through Householder + implicit-shift QL.  Kronecker
-    operators only decompose the Toeplitz factor; the pair products give the
-    full spectrum exactly.
+    Dense operators go to LAPACK (`np.linalg.eigh`), followed by an
+    extended-precision Rayleigh polish of the eigenvalues up to order 512.
+    Kronecker operators only decompose the Toeplitz factor; the pair
+    products give the full spectrum exactly.  The output is byte-identical
+    from run to run on one machine with a fixed BLAS thread count.
     """
     if not isinstance(a, SymmetricMatrix):
         a = SymmetricMatrix(dense=a)
@@ -368,12 +353,12 @@ def symmetric_eig(a, dense_limit=DENSE_EIG_LIMIT):
             raise ResourceLimitError(
                 f"dense eigensolve of order {a.n} exceeds limit {dense_limit}"
             )
-        lams, q = _symmetric_eig_dense(a.dense())
+        lams, q = np.linalg.eigh(a.dense())
         if a.n <= _RQ_POLISH_LIMIT:
             lams = _rayleigh_polish(a.dense(), lams, q)
         order = _eig_order(lams)
         return SpectralDecomposition(lams[order], v=q[:, order])
-    lam_f, vf = _symmetric_eig_dense(a.factor.copy())
+    lam_f, vf = np.linalg.eigh(a.factor)
     if a.m <= _RQ_POLISH_LIMIT:
         lam_f = _rayleigh_polish(a.factor, lam_f, vf)
     m = a.m
@@ -476,8 +461,7 @@ def small_svd(t):
 def _gram_top_eigenvalue(m_mat):
     g = m_mat @ m_mat.T if m_mat.shape[0] <= m_mat.shape[1] else m_mat.T @ m_mat
     g = 0.5 * (g + g.T)
-    d, _ = _symmetric_eig_dense(g, vectors=False)
-    return float(max(d.max(), 0.0))
+    return float(max(np.linalg.eigvalsh(g).max(), 0.0))
 
 
 def spectral_norm(m_mat, dense_limit=DENSE_EIG_LIMIT, coarse_below=None):

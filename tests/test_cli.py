@@ -148,6 +148,17 @@ def test_cli_exit_codes(tmp_path):
     assert result.exit_code == 2
 
 
+def test_k_max_beyond_problem_order_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tmp_path / "out", n=16, k_max=40)))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "k_max 40 exceeds the problem order 16" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)
 def test_reproduce_smoke(tmp_path, figure_id):
     out = tmp_path / figure_id

@@ -1,14 +1,23 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import regkrylov
 from regkrylov import rng
 from regkrylov.exceptions import ContractViolation, ResourceLimitError
 from regkrylov.krylov import START_FILTERED, lanczos
 from regkrylov.linalg import (
+    EPS,
     SymmetricMatrix,
     TridiagonalRect,
     canonical_angles,
     least_squares,
+    _svd_small,
     small_svd,
     spectral_norm,
     symmetric_eig,
@@ -100,7 +109,7 @@ def test_shaw_eigenvalues_match_jacobi_oracle(get_problem):
     assert np.abs(d.eigenvalues - w).max() < 1e-10
 
 
-@pytest.mark.parametrize("n", [4, 17, 60])
+@pytest.mark.parametrize("n", [4, 17, 60, 600])
 def test_reconstruction_and_residual_invariants(n):
     a = random_symmetric(n, 100 + n)
     d = symmetric_eig(SymmetricMatrix(dense=a))
@@ -125,6 +134,35 @@ def test_kronecker_eig_pairs():
         assert res <= a.n * 1e-12 * d.sigmas[0]
     c = d.project(rng.normal(0, a.n))
     assert np.linalg.norm(d.lincomb(c) - rng.normal(0, a.n)) <= 1e-10
+
+
+_REPEAT_SCRIPT = """
+import hashlib
+from regkrylov import add_noise, generate, mr2_trace, symmetric_eig
+prob = generate("shaw", 256)
+d = symmetric_eig(prob.a)
+t = mr2_trace(prob.a, add_noise(prob, 1e-3, 1).b, 30, x_true=prob.x_true)
+h = hashlib.sha256()
+for arr in (d.eigenvalues, d.v_dense(), t.residual_norms, t.solution_norms,
+            t.relative_errors):
+    h.update(arr.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_eig_and_trace_bytes_repeat_across_processes():
+    # Byte-determinism is promised for one machine and a fixed BLAS thread
+    # count; two fresh interpreters must agree bit for bit.
+    src = str(Path(regkrylov.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    digests = [
+        subprocess.run([sys.executable, "-c", _REPEAT_SCRIPT], env=env, check=True,
+                       capture_output=True, text=True).stdout.strip()
+        for _ in range(2)
+    ]
+    assert len(digests[0]) == hashlib.sha256().digest_size * 2
+    assert digests[0] == digests[1]
 
 
 def test_dense_limit_error():
@@ -163,6 +201,19 @@ def test_random_tridiagonal_vs_jacobi_svd_oracle():
     assert np.abs(s - ref).max() < 1e-12
     dense = t.dense()
     assert np.linalg.norm(dense - (u * s) @ v.T) <= (t.k + 1) * 1e-12 * s[0]
+    assert np.all(np.diff(s) <= 0.0)
+
+
+def test_graded_tridiagonal_vs_jacobi_svd_oracle():
+    # graded entries: singular values spread over twelve decades
+    grade = 10.0 ** -np.linspace(0.0, 12.0, 30)
+    t = TridiagonalRect(np.abs(rng.normal(61, 30)) * grade,
+                        np.abs(rng.normal(62, 30)) * grade)
+    dense = t.dense()
+    s, u, v = _svd_small(dense)
+    assert s.shape == (30,) and u.shape == (31, 30) and v.shape == (30, 30)
+    assert np.abs(s - jacobi_svd(dense)).max() <= t.k * EPS * s[0]
+    assert np.linalg.norm(dense - (u * s) @ v.T) <= (t.k + 1) * EPS * s[0]
     assert np.all(np.diff(s) <= 0.0)
 
 

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import diagnostics, problems, solvers
-from .exceptions import ConfigError, NumericalError, RegKrylovError
+from .exceptions import ConfigError, ContractViolation, NumericalError, RegKrylovError
 from .krylov import START_FILTERED, lanczos
 from .linalg import symmetric_eig
 
@@ -110,10 +110,15 @@ def read_trace_csv(path):
 
 
 def _build_problem(cfg):
-    if cfg.problem == "synthetic":
-        spec = problems.SyntheticSpec(**(cfg.synthetic or {"n": cfg.n}))
-        return problems.generate_synthetic(spec)
-    prob = problems.generate(cfg.problem, cfg.n, band=cfg.band, sigma=cfg.sigma)
+    """The configured problem (and its decomposition, when the generator
+    knows it); contract errors from config values become ConfigError."""
+    try:
+        if cfg.problem == "synthetic":
+            spec = problems.SyntheticSpec(**(cfg.synthetic or {"n": cfg.n}))
+            return problems.generate_synthetic(spec)
+        prob = problems.generate(cfg.problem, cfg.n, band=cfg.band, sigma=cfg.sigma)
+    except ContractViolation as exc:
+        raise ConfigError(f"invalid {cfg.problem} problem: {exc}") from exc
     return prob, None
 
 
@@ -592,3 +597,7 @@ def generate_command(problem_name, n, band, sigma, out_path):
         raise click.exceptions.UsageError(str(exc))
     problems.save_problem(prob, out_path)
     click.echo(f"wrote {out_path}")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,14 +15,7 @@ import numpy as np
 
 from .exceptions import ContractViolation, NumericalError
 from .krylov import _reorth_twice
-from .linalg import (
-    EPS,
-    TridiagonalRect,
-    _svd_small,
-    _symmetric_eig_dense,
-    canonical_angles,
-    spectral_norm,
-)
+from .linalg import EPS, TridiagonalRect, canonical_angles, spectral_norm
 
 COUPLING_K_CAP = 12
 
@@ -37,26 +30,26 @@ def harmonic_ritz(tridiag, refine=True):
     These solve (T^T T) y = theta * T_square y with T the rectangular
     tridiagonal and T_square its leading square block; equivalently they are
     the roots of the residual polynomial of the minimum-residual iterate.
-    The positive definite side is factored through the SVD of T rounded to
-    double (no Gram-matrix digit loss), and each root is then
-    Newton-polished in extended precision on the pencil determinant of T
-    itself.  The roots are accurate for the T given; its precision is the
-    limit.  A double Lanczos tridiagonal carries O(eps ||A||) errors that
-    move a small root by about 1e-13 relative, and the filtered expansion
-    amplifies that by the spread of the roots: pass the np.longdouble
-    tridiagonal of `extended_tridiagonal` when the filter factors must
-    reproduce the iterate.
+    The positive definite side is factored through the LAPACK SVD of T
+    rounded to double (no Gram-matrix digit loss), the guesses come from a
+    LAPACK symmetric eigensolve, and all roots are then Newton-polished
+    together in extended precision on the pencil determinant of T itself.
+    The roots are accurate for the T given; its precision is the limit.  A
+    double Lanczos tridiagonal carries O(eps ||A||) errors that move a small
+    root by about 1e-13 relative, and the filtered expansion amplifies that
+    by the spread of the roots: pass the np.longdouble tridiagonal of
+    `extended_tridiagonal` when the filter factors must reproduce the
+    iterate.
     """
     t = tridiag.dense()
     k = t.shape[1]
     t_dbl = t.astype(float)
-    s, _, v = _svd_small(t_dbl)
+    _, s, vt = np.linalg.svd(t_dbl, full_matrices=False)
     if s[-1] <= k * EPS * s[0]:
         raise NumericalError("projected matrix is numerically rank deficient")
     # C = S^{-1} V^T T_sq V S^{-1}; eigenvalues of C are 1/theta
-    c = (v.T @ t_dbl[:k, :] @ v) / np.outer(s, s)
-    c = 0.5 * (c + c.T)
-    mus, _ = _symmetric_eig_dense(c, vectors=False)
+    c = (vt @ t_dbl[:k, :] @ vt.T) / np.outer(s, s)
+    mus = np.linalg.eigvalsh(0.5 * (c + c.T))
     if np.any(np.abs(mus) <= k * EPS * np.abs(mus).max()):
         raise NumericalError("projected square block is numerically singular")
     thetas = 1.0 / mus
@@ -107,26 +100,32 @@ def extended_tridiagonal(a, b, k_max):
     return TridiagonalRect(np.array(alphas, dtype=ld), np.array(betas, dtype=ld))
 
 
-def _solve_extended(a, b):
-    """Pivoted Gaussian elimination; keeps the dtype of its inputs (used in
-    extended precision, where LAPACK is unavailable)."""
+def _solve_stack(a, b):
+    """Solve a[i] x[i] = b[i] for a stack of square systems by pivoted
+    Gaussian elimination in the dtype of the inputs (used in extended
+    precision, where LAPACK is unavailable).  Returns (x, ok): ok[i] is
+    False where a[i] met a zero pivot, and x[i] is then meaningless."""
     a = a.copy()
     b = b.copy()
-    n = a.shape[0]
+    count, n, _ = a.shape
+    stack = np.arange(count)
+    ok = np.ones(count, dtype=bool)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
-            raise NumericalError("singular system in root refinement")
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        fac = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= fac[:, None] * a[col, col:]
-        b[col + 1 :] -= fac[:, None] * b[col]
+        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        ok &= a[stack, piv, col] != 0
+        for m in (a, b):
+            top = m[:, col].copy()
+            m[:, col] = m[stack, piv]
+            m[stack, piv] = top
+        fac = a[:, col + 1 :, col] / np.where(ok, a[:, col, col], 1)[:, None]
+        a[:, col + 1 :, col:] -= fac[:, :, None] * a[:, None, col, col:]
+        b[:, col + 1 :] -= fac[:, :, None] * b[:, None, col]
+    diag = np.where(ok[:, None], a[:, np.arange(n), np.arange(n)], 1)
     x = np.zeros_like(b)
     for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
+        rest = (a[:, None, row, row + 1 :] @ x[:, row + 1 :])[:, 0]
+        x[:, row] = (b[:, row] - rest) / diag[:, row, None]
+    return x, ok
 
 
 def _refine_pencil_roots(t, t_sq, thetas, iterations=4):
@@ -134,33 +133,33 @@ def _refine_pencil_roots(t, t_sq, thetas, iterations=4):
     precision.  The correction is 1 / trace((T^T T - theta T_sq)^{-1} T_sq);
     filter-factor accuracy depends on theta - lambda differences a few ulp
     above double rounding, which plain double iteration cannot deliver.
+    Each step solves for every still-active root at once; a root stops on
+    a singular system, a non-finite or wild step, or a step below 1e-20
+    relative, and keeps its last value.
     """
     ld = np.longdouble
     t_ld = t.astype(ld)
     m_pencil = t_ld.T @ t_ld
     t_sq_ld = t_sq.astype(ld)
-    out = thetas.copy()
-    for i in range(thetas.size):
-        th = ld(thetas[i])
-        start = th
-        for _ in range(iterations):
-            try:
-                w = _solve_extended(m_pencil - th * t_sq_ld, t_sq_ld)
-            except NumericalError:
-                break
-            tr_inv = float(np.trace(w))
-            if tr_inv == 0.0 or not math.isfinite(tr_inv):
-                break
-            delta = 1.0 / tr_inv
-            # guesses are already ~1e-12 relative; refuse wild steps that
-            # would hop to a different root
-            if not math.isfinite(delta) or abs(delta) > 1e-6 * abs(float(start)):
-                break
-            th = th + ld(delta)
-            if abs(delta) <= 1e-20 * abs(float(th)):
-                break
-        out[i] = float(th)
-    return out
+    th = thetas.astype(ld)
+    # guesses are already ~1e-12 relative; refuse wild steps that would hop
+    # to a different root
+    max_step = 1e-6 * np.abs(thetas)
+    active = np.arange(thetas.size)
+    for _ in range(iterations):
+        if active.size == 0:
+            break
+        w, ok = _solve_stack(
+            m_pencil - th[active, None, None] * t_sq_ld,
+            np.broadcast_to(t_sq_ld, (active.size,) + t_sq_ld.shape),
+        )
+        with np.errstate(divide="ignore"):
+            delta = 1.0 / np.trace(w, axis1=1, axis2=2).astype(float)
+        step = ok & (np.abs(delta) <= max_step[active])
+        active, delta = active[step], delta[step]
+        th[active] += delta.astype(ld)
+        active = active[np.abs(delta) > 1e-20 * np.abs(th[active].astype(float))]
+    return th.astype(float)
 
 
 def filter_factors(thetas, eigenvalues):

@@ -187,7 +187,8 @@ def golub_kahan(a, b, k_max, breakdown_tol=None):
         norm_est = max(norm_est, alpha + beta)
         betas.append(beta)
         counts.append(matvecs)
-        if beta <= n * EPS * norm_est:
+        tol = breakdown_tol if breakdown_tol is not None else n * EPS * norm_est
+        if beta <= tol:
             breakdown = True
             breakdown_step = i + 1
             break

@@ -1,15 +1,15 @@
 """Dense symmetric eigensolvers, small SVDs and related primitives.
 
 Full eigendecompositions of an operator (`symmetric_eig`, on the dense
-matrix or on the Kronecker factor) and the Gram fallback of
-`spectral_norm` go to LAPACK through numpy.  The small projected problems,
-of order at most about twice the number of Krylov steps, go through the
-package's own core: Householder reduction to tridiagonal form followed by
+matrix or on the Kronecker factor), the Gram fallback of `spectral_norm`
+and the SVD behind `canonical_angles` go to LAPACK through numpy.  Only
+`small_svd`, `least_squares` and the hybrid solvers' inner SVDs, of order
+at most about twice the number of Krylov steps, go through the package's
+own core: Householder reduction to tridiagonal form followed by
 implicit-shift QL iteration.  Its rounding is pinned, so the hybrid
-solvers' inner SVDs and the harmonic Ritz values reproduce bit for bit.
-Rectangular SVDs are obtained from the symmetric eigenproblem of the
-augmented matrix [[0, M], [M^T, 0]], which keeps small singular values
-accurate (no Gram-matrix squaring).
+iterates reproduce bit for bit.  Rectangular SVDs are obtained from the
+symmetric eigenproblem of the augmented matrix [[0, M], [M^T, 0]], which
+keeps small singular values accurate (no Gram-matrix squaring).
 """
 
 import math
@@ -114,11 +114,11 @@ class SymmetricMatrix:
 # Householder tridiagonalization + implicit-shift QL
 
 
-def _householder_tridiag(a, vectors=True):
+def _householder_tridiag(a):
     """Reduce a symmetric matrix to tridiagonal form.
 
-    Returns (d, e, q) with q @ tri(d, e) @ q.T reproducing the input;
-    q is None when vectors=False.  The input array is destroyed.
+    Returns (d, e, q) with q @ tri(d, e) @ q.T reproducing the input.
+    The input array is destroyed.
     """
     n = a.shape[0]
     reflectors = []
@@ -143,15 +143,12 @@ def _householder_tridiag(a, vectors=True):
         c = float(v @ w)
         w2 = w - c * v
         s -= 2.0 * (np.outer(v, w2) + np.outer(w2, v))
-        if vectors:
-            reflectors.append((k + 1, v))
+        reflectors.append((k + 1, v))
     d = np.diag(a).copy()
     e = np.diag(a, 1).copy() if n > 1 else np.zeros(0)
-    q = None
-    if vectors:
-        q = np.eye(n)
-        for start, v in reversed(reflectors):
-            q[start:, :] -= 2.0 * np.outer(v, v @ q[start:, :])
+    q = np.eye(n)
+    for start, v in reversed(reflectors):
+        q[start:, :] -= 2.0 * np.outer(v, v @ q[start:, :])
     return d, e, q
 
 
@@ -230,13 +227,13 @@ def _ql_implicit(d, e, z=None, max_iter=60):
         z[:] = zt.T
 
 
-def _symmetric_eig_dense(a, vectors=True):
-    """Eigenvalues (and optionally eigenvectors) of a small dense symmetric array.
+def _symmetric_eig_dense(a):
+    """Eigenvalues and eigenvectors of a small dense symmetric array.
 
-    The in-house core, kept for the projected problems whose outputs are
-    pinned bit for bit; operator-sized problems go to LAPACK.
+    The in-house core, kept for the hybrid solvers' inner SVDs, whose
+    outputs are pinned bit for bit; everything else goes to LAPACK.
     """
-    d, e, q = _householder_tridiag(np.array(a, dtype=float), vectors=vectors)
+    d, e, q = _householder_tridiag(np.array(a, dtype=float))
     _ql_implicit(d, e, q)
     return d, q
 
@@ -523,25 +520,6 @@ def spectral_norm(m_mat, dense_limit=DENSE_EIG_LIMIT, coarse_below=None):
 # canonical angles and least squares
 
 
-def _qr_r(a):
-    """R factor of a Householder QR of a tall matrix (returns k-by-k)."""
-    a = np.array(a, dtype=float)
-    n, k = a.shape
-    for j in range(min(n - 1, k)):
-        x = a[j:, j]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += nx if x[0] >= 0.0 else -nx
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        a[j:, j:] -= 2.0 * np.outer(v, v @ a[j:, j:])
-    return np.triu(a[:k, :k])
-
-
 def canonical_angles(x, y):
     """Sines of the canonical angles between two orthonormal bases.
 
@@ -560,8 +538,7 @@ def canonical_angles(x, y):
                 f"{name} basis is not orthonormal (defect {gram_err:.2e})"
             )
     z = y - x @ (x.T @ y)
-    s, _, _ = _svd_small(_qr_r(z))
-    return np.clip(s, 0.0, 1.0)
+    return np.clip(np.linalg.svd(z, compute_uv=False), 0.0, 1.0)
 
 
 def least_squares(m_mat, rhs):

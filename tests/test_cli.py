@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import regkrylov
 from regkrylov import cli, diagnostics, problems
 from regkrylov.exceptions import ConfigError
 
@@ -157,6 +161,32 @@ def test_k_max_beyond_problem_order_is_usage_error(tmp_path):
     assert "k_max 40 exceeds the problem order 16" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_blur_band_not_below_m_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config(tmp_path / "out", problem="blur", n=8, band=8, k_max=4)
+    cfg_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "blur needs 1 <= band < m" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("{not json")
+    src = str(Path(regkrylov.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "regkrylov", "run", "--config", str(cfg_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
+    assert result.returncode == 2
+    assert "config is not valid JSON" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)

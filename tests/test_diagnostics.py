@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -56,6 +57,45 @@ def test_extended_tridiagonal_at_breakdown():
     theta = diagnostics.harmonic_ritz(ext)
     assert theta.dtype == np.float64
     assert np.abs(np.sort(theta) - np.sort(lams)).max() < 1e-10
+
+
+def test_solve_stack_matches_lapack_and_flags_singular_members():
+    a = rng.normal(61, 3 * 16).reshape(3, 4, 4)
+    a[1, :, 2] = 0.0  # elimination keeps this column exactly zero
+    b = rng.normal(62, 3 * 8).reshape(3, 4, 2)
+    ld = np.longdouble
+    x, ok = diagnostics._solve_stack(a.astype(ld), b.astype(ld))
+    assert x.dtype == ld and ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        want = np.linalg.solve(a[i], b[i])
+        assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _pencil_roots_mp(tridiag, digits=60):
+    """Roots of det(T^T T - theta T_sq) from the exact entries of T, by
+    mpmath at the given number of digits, |theta| descending."""
+    t = tridiag.dense()
+    k = tridiag.k
+    with mpmath.workdps(digits):
+        tm = mpmath.matrix(*t.shape)
+        for i, j in np.ndindex(*t.shape):
+            hi = float(t[i, j])  # a long double is hi + lo exactly
+            tm[i, j] = mpmath.mpf(hi) + mpmath.mpf(float(t[i, j] - np.longdouble(hi)))
+        pencil = mpmath.inverse(tm[:k, :]) * (tm.T * tm)
+        roots = [float(mpmath.re(r)) for r in mpmath.eig(pencil, left=False, right=False)]
+    return np.array(sorted(roots, key=lambda r: -abs(r)))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_harmonic_ritz_vs_high_precision_pencil_roots(get_problem, seed):
+    prob = get_problem("shaw", 256)
+    nz = problems.add_noise(prob, 1e-3, seed)
+    tridiag = diagnostics.extended_tridiagonal(prob.a, nz.b, 10)
+    for k in range(8, tridiag.k + 1):
+        head = tridiag.head(k)
+        want = _pencil_roots_mp(head)
+        got = diagnostics.harmonic_ritz(head)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

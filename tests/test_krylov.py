@@ -135,3 +135,17 @@ def test_bidiag_residual_invariant(get_problem):
     assert res <= 1e-10 * norm_a
     assert np.linalg.norm(fact.left.T @ fact.left - np.eye(fact.left.shape[1])) <= 1e-10
     assert np.linalg.norm(fact.right.T @ fact.right - np.eye(fact.k)) <= 1e-10
+
+
+def test_bidiagonalization_beta_test_honors_breakdown_tol():
+    # a start close to the top eigenvector: large alpha, small beta
+    a = SymmetricMatrix(dense=np.diag([10.0, 1.0, 0.5, 0.1]))
+    b = np.array([1.0, 1e-2, 1e-2, 1e-2])
+    plain = golub_kahan(a, b, 4)
+    alpha, beta = plain.alpha[0], plain.beta[0]
+    assert beta < alpha
+    tol = 0.5 * (alpha + beta)
+    fact = golub_kahan(a, b, 4, breakdown_tol=tol)
+    assert fact.breakdown and fact.breakdown_step == 1
+    assert fact.alpha.tolist() == [alpha] and fact.beta.tolist() == [beta]
+    assert fact.matvec_count == 2

@@ -277,6 +277,17 @@ def test_plane_rotation_angle():
     assert abs(canonical_angles(x, y)[0] - np.sin(t)) < 1e-14
 
 
+def test_tiny_rotation_angle_keeps_absolute_accuracy():
+    t = 1e-10
+    q, _ = np.linalg.qr(rng.normal(33, 40).reshape(10, 4))
+    x = q[:, :3]
+    y = x.copy()
+    y[:, 0] = np.cos(t) * q[:, 0] + np.sin(t) * q[:, 3]
+    s = canonical_angles(x, y)
+    assert abs(s[0] - np.sin(t)) <= 1e-15
+    assert np.all(s[1:] <= 1e-15)
+
+
 def test_angles_symmetric_in_arguments():
     qx, _ = np.linalg.qr(rng.normal(31, 40).reshape(10, 4))
     qy, _ = np.linalg.qr(rng.normal(32, 40).reshape(10, 4))

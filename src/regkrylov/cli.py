@@ -20,9 +20,9 @@ import numpy as np
 from . import diagnostics, problems, solvers
 from .exceptions import ConfigError, ContractViolation, NumericalError, RegKrylovError
 from .krylov import START_FILTERED, lanczos
-from .linalg import symmetric_eig
+from .linalg import small_svd, symmetric_eig
 
-SOLVER_NAMES = ("minres", "mr2", "lsqr", "tsvd", "hybrid-minres", "hybrid-mr2")
+SOLVER_NAMES = tuple(solvers.SOLVERS)
 DIAG_NAMES = ("lowrank", "angles", "filters", "decay", "lcurve")
 
 
@@ -114,29 +114,15 @@ def _build_problem(cfg):
     knows it); contract errors from config values become ConfigError."""
     try:
         if cfg.problem == "synthetic":
-            spec = problems.SyntheticSpec(**(cfg.synthetic or {"n": cfg.n}))
+            try:
+                spec = problems.SyntheticSpec(**(cfg.synthetic or {"n": cfg.n}))
+            except TypeError as exc:  # unknown or missing keys
+                raise ConfigError(f"invalid synthetic spec: {exc}") from exc
             return problems.generate_synthetic(spec)
         prob = problems.generate(cfg.problem, cfg.n, band=cfg.band, sigma=cfg.sigma)
     except ContractViolation as exc:
         raise ConfigError(f"invalid {cfg.problem} problem: {exc}") from exc
     return prob, None
-
-
-def _run_solver(name, prob, decomp, b, k_max):
-    a = prob.a
-    if name == "minres":
-        return solvers.minres_trace(a, b, k_max, x_true=prob.x_true)
-    if name == "mr2":
-        return solvers.mr2_trace(a, b, k_max, x_true=prob.x_true)
-    if name == "lsqr":
-        return solvers.lsqr_trace(a, b, k_max, x_true=prob.x_true)
-    if name == "hybrid-minres":
-        return solvers.hybrid_trace("minres", a, b, k_max, x_true=prob.x_true)
-    if name == "hybrid-mr2":
-        return solvers.hybrid_trace("mr2", a, b, k_max, x_true=prob.x_true)
-    if name == "tsvd":
-        return solvers.tsvd_trace(decomp, b, x_true=prob.x_true, k_max=k_max)
-    raise ConfigError(f"unknown solver {name!r}")
 
 
 def _cell_summary(solver, eps, seed, trace, csv_name):
@@ -253,7 +239,7 @@ def run_experiment(cfg, progress=None):
                 noise = problems.add_noise(prob, eps, seed)
             traces = {}
             for solver in cfg.solvers:
-                trace = _run_solver(solver, prob, decomp, noise.b, cfg.k_max)
+                trace = solvers.SOLVERS[solver](prob.a, noise.b, cfg.k_max, prob.x_true, decomp)
                 csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
                 _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
                 manifest.append(csv_name)
@@ -327,60 +313,45 @@ def _gnuplot_script(path, csv_files, title, logscale_y=True):
         fh.write("\n".join(lines) + "\n")
 
 
-def _error_curves(prob, b, k_max, which):
-    out = {}
-    for name in which:
-        if name == "minres":
-            out[name] = solvers.minres_trace(prob.a, b, k_max, x_true=prob.x_true)
-        elif name == "mr2":
-            out[name] = solvers.mr2_trace(prob.a, b, k_max, x_true=prob.x_true)
-        elif name == "lsqr":
-            out[name] = solvers.lsqr_trace(prob.a, b, k_max, x_true=prob.x_true)
-        elif name == "hybrid-minres":
-            out[name] = solvers.hybrid_trace("minres", prob.a, b, k_max, x_true=prob.x_true)
-        elif name == "hybrid-mr2":
-            out[name] = solvers.hybrid_trace("mr2", prob.a, b, k_max, x_true=prob.x_true)
-    return out
+def _write_errors(out_dir, name, k_max, traces):
+    """Relative errors per k, one column per labelled trace; returns the
+    file's plot entry."""
+    _write_series_csv(
+        os.path.join(out_dir, name),
+        ["k"] + [label.replace("-", "_") for label in traces],
+        [list(range(1, k_max + 1))] + [list(t.relative_errors) for t in traces.values()],
+    )
+    return name, [(i + 2, label) for i, label in enumerate(traces)]
+
 
 def _errors_figure(out_dir, tag, prob_names, n, eps, seed, k_max, solver_names):
+    """Error series of each problem; also returns each problem's traces."""
     files = []
+    runs = {}
     for pname in prob_names:
         prob = problems.generate(pname, n)
         noise = problems.add_noise(prob, eps, seed)
-        traces = _error_curves(prob, noise.b, k_max, solver_names)
-        name = f"{tag}_errors_{pname}.csv"
-        cols = [list(range(1, k_max + 1))]
-        header = ["k"]
-        for sname in solver_names:
-            header.append(sname.replace("-", "_"))
-            cols.append(list(traces[sname].relative_errors))
-        _write_series_csv(os.path.join(out_dir, name), header, cols)
-        files.append((name, [(i + 2, s) for i, s in enumerate(solver_names)]))
-    return files
+        traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None)
+                  for s in solver_names}
+        files.append(_write_errors(out_dir, f"{tag}_errors_{pname}.csv", k_max, traces))
+        runs[pname] = (prob, traces)
+    return files, runs
 
 
-def _projected_singulars_figure(out_dir, tag, pname, n, eps, seed, k_max):
-    from .linalg import small_svd
-
-    prob = problems.generate(pname, n)
+def _projected_singulars_figure(out_dir, tag, pname, prob, traces, k_max):
     decomp = symmetric_eig(prob.a)
-    noise = problems.add_noise(prob, eps, seed)
-    tm = solvers.minres_trace(prob.a, noise.b, k_max, x_true=prob.x_true)
-    t2 = solvers.mr2_trace(prob.a, noise.b, k_max, x_true=prob.x_true)
-    s_minres = small_svd(tm.factorization.tridiag)[0]
-    s_mr2 = small_svd(t2.factorization.tridiag)[0]
     name = f"{tag}_projected_singular_values_{pname}.csv"
     _write_series_csv(
         os.path.join(out_dir, name),
         ["j", "minres", "mr2", "operator"],
         [
             list(range(1, k_max + 1)),
-            list(s_minres),
-            list(s_mr2),
+            list(small_svd(traces["minres"].factorization.tridiag)[0]),
+            list(small_svd(traces["mr2"].factorization.tridiag)[0]),
             list(decomp.sigmas[:k_max]),
         ],
     )
-    return name, decomp
+    return name
 
 
 def _lowrank_figure(out_dir, tag, pname, n, eps_list, seed, k_max):
@@ -431,15 +402,9 @@ def _decay_figure(out_dir, tag, pname, n, eps, seed, k_max):
 def _blur_figure(out_dir, tag, band, sigma, m, eps, seed, k_max):
     prob = problems.generate("blur", m, band=band, sigma=sigma)
     noise = problems.add_noise(prob, eps, seed)
-    which = ("minres", "hybrid-minres", "mr2", "hybrid-mr2")
-    traces = _error_curves(prob, noise.b, k_max, which)
-    name = f"{tag}_errors_blur.csv"
-    cols = [list(range(1, k_max + 1))]
-    header = ["k"]
-    for sname in which:
-        header.append(sname.replace("-", "_"))
-        cols.append(list(traces[sname].relative_errors))
-    _write_series_csv(os.path.join(out_dir, name), header, cols)
+    traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None)
+              for s in ("minres", "hybrid-minres", "mr2", "hybrid-mr2")}
+    file_entry = _write_errors(out_dir, f"{tag}_errors_blur.csv", k_max, traces)
     hy = traces["hybrid-mr2"]
     restored_k = diagnostics.semiconvergence_index(hy)
     shape = (m, m)
@@ -449,7 +414,7 @@ def _blur_figure(out_dir, tag, band, sigma, m, eps, seed, k_max):
         os.path.join(out_dir, f"{tag}_restored.pgm"),
         hy.solutions[restored_k - 1].reshape(shape, order="F"),
     )
-    return name, which
+    return file_entry
 
 
 FIGURE_IDS = (
@@ -468,18 +433,18 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None, seed=1):
     eps = 1e-3
     if figure_id in ("fig1", "fig2"):
         pair = ("shaw", "foxgood") if figure_id == "fig1" else ("gravity", "phillips")
-        files = _errors_figure(out_dir, figure_id, pair, n, eps, seed, k_max, ("minres", "mr2"))
-        for pname in pair:
-            name, _ = _projected_singulars_figure(out_dir, figure_id, pname, n, eps, seed, k_max)
+        files, runs = _errors_figure(
+            out_dir, figure_id, pair, n, eps, seed, k_max, ("minres", "mr2")
+        )
+        for pname, (prob, traces) in runs.items():
+            name = _projected_singulars_figure(out_dir, figure_id, pname, prob, traces, k_max)
             files.append((name, [(2, "minres"), (3, "mr2"), (4, "operator")]))
     elif figure_id == "fig3":
         which = ("minres", "mr2", "hybrid-minres", "hybrid-mr2")
-        files = _errors_figure(out_dir, figure_id, ("deriv2",), n, eps, seed, k_max, which)
-        prob = problems.generate("deriv2", n)
-        noise = problems.add_noise(prob, eps, seed)
+        files, runs = _errors_figure(out_dir, figure_id, ("deriv2",), n, eps, seed, k_max, which)
+        _, traces = runs["deriv2"]
         for sname in ("minres", "mr2"):
-            trace = _error_curves(prob, noise.b, k_max, (sname,))[sname]
-            pts = diagnostics.lcurve_points(trace)
+            pts = diagnostics.lcurve_points(traces[sname])
             name = f"fig3_lcurve_{sname}.csv"
             _write_series_csv(
                 os.path.join(out_dir, name),
@@ -493,7 +458,7 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None, seed=1):
             files.append((name, [(3, f"lcurve {sname}")]))
     elif figure_id == "fig4":
         which = ("mr2", "hybrid-mr2", "hybrid-minres")
-        files = _errors_figure(
+        files, _ = _errors_figure(
             out_dir, figure_id, ("shaw", "foxgood", "gravity", "phillips"),
             n, eps, seed, k_max, which,
         )
@@ -511,15 +476,14 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None, seed=1):
         files = []
         for pname in pair:
             prob = problems.generate(pname, n)
-            cols = [list(range(1, k_max + 1))]
-            header = ["k"]
+            columns = {}
             for e in (1e-2, 1e-3, 1e-4):
                 noise = problems.add_noise(prob, e, seed)
-                tr = solvers.mr2_trace(prob.a, noise.b, k_max, x_true=prob.x_true)
-                header.append(f"eps_{e:g}")
-                cols.append(list(tr.relative_errors))
+                columns[f"eps_{e:g}"] = solvers.mr2_trace(
+                    prob.a, noise.b, k_max, x_true=prob.x_true
+                )
             name = f"{figure_id}_errors_{pname}.csv"
-            _write_series_csv(os.path.join(out_dir, name), header, cols)
+            _write_errors(out_dir, name, k_max, columns)
             files.append((name, [(2, "1e-2"), (3, "1e-3"), (4, "1e-4")]))
     elif figure_id == "figpl":
         files = []
@@ -529,8 +493,7 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None, seed=1):
     else:  # fig11 / fig12
         m = (256 if full else 64) if n == 1024 else n
         band, sigma = (3, 0.7) if figure_id == "fig11" else (7, 2.0)
-        name, which = _blur_figure(out_dir, figure_id, band, sigma, m, 5e-3, seed, min(20, m - 2))
-        files = [(name, [(i + 2, s) for i, s in enumerate(which)])]
+        files = [_blur_figure(out_dir, figure_id, band, sigma, m, 5e-3, seed, min(20, m - 2))]
     _gnuplot_script(
         os.path.join(out_dir, f"{figure_id}.gp"), files, f"{figure_id} data series"
     )

@@ -67,6 +67,14 @@ class BidiagFactorization:
         return b
 
 
+def finite_rhs(b):
+    """b as a float array; a NaN or infinite entry is a contract violation."""
+    b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise ContractViolation("right-hand side has NaN or infinite entries")
+    return b
+
+
 def _reorth_twice(w, q_mat):
     for _ in range(2):
         w -= q_mat @ (q_mat.T @ w)
@@ -84,7 +92,7 @@ def lanczos(a, start, b, k_max, policy="full", breakdown_tol=None):
         raise ContractViolation(f"unknown start kind {start!r}")
     if policy not in ("full", "none"):
         raise ContractViolation(f"unknown reorthogonalization policy {policy!r}")
-    b = np.asarray(b, dtype=float)
+    b = finite_rhs(b)
     n = a.n
     if k_max < 1 or k_max > n:
         raise ContractViolation("need 1 <= k_max <= n")
@@ -146,7 +154,7 @@ def lanczos(a, start, b, k_max, policy="full", breakdown_tol=None):
 def golub_kahan(a, b, k_max, breakdown_tol=None):
     """Golub-Kahan bidiagonalization with full reorthogonalization of both
     bases; uses exactly two operator products per step."""
-    b = np.asarray(b, dtype=float)
+    b = finite_rhs(b)
     n = a.n
     if k_max < 1 or k_max > n:
         raise ContractViolation("need 1 <= k_max <= n")

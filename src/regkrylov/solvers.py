@@ -1,9 +1,17 @@
 """Iterate traces for the minimum-residual solvers, TSVD and hybrids.
 
-Each solver returns the full per-iteration history.  Projected least-squares
-problems are re-solved from scratch at every k with Givens rotations; the
-rotation cascades of successive k share an exact prefix, so reported
-residual norms are non-increasing to the last ulp.
+`SOLVERS` maps every solver name to a callable (a, b, k_max, x_true,
+decomp); the CLI, the figure reproduction and the acceptance suite run
+solvers only through it, so a new solver is added there.
+
+Each solver returns the full per-iteration history, assembled on one path.
+The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
+loop, `_krylov_trace`, which forms the projected problem once and differs
+between them only in the solve of the small projected problem at each k:
+Givens least squares (`_givens_ls`), or the inner TSVD family and its
+truncation rule.  Every trace, TSVD's included, is built by `_assemble`.
+The Givens cascades of successive k share an exact prefix, so reported
+residual norms are non-increasing up to rounding.
 """
 
 import math
@@ -11,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import diagnostics
 from .exceptions import ContractViolation
-from .krylov import START_FILTERED, START_RESIDUAL, golub_kahan, lanczos
+from .krylov import (
+    START_FILTERED, START_RESIDUAL, LanczosFactorization, finite_rhs, golub_kahan, lanczos
+)
 from .linalg import _svd_small, least_squares
 
 
@@ -68,8 +79,9 @@ def _givens_ls(m_mat, rhs):
 
     Returns (y, projected residual norm).  Successive k share an identical
     rotation prefix, so the returned residual norms are non-increasing in k
-    to the last ulp.  An exactly singular triangular factor (degenerate
-    input) falls back to the truncated pseudoinverse.
+    up to rounding.  An exactly singular triangular factor (degenerate
+    input) falls back to the truncated pseudoinverse, whose recomputed
+    residual may sit an ulp above the previous k's.
     """
     r = np.array(m_mat, dtype=float)
     b = np.array(rhs, dtype=float)
@@ -95,40 +107,8 @@ def _givens_ls(m_mat, rhs):
     return y, float(np.linalg.norm(b[k:]))
 
 
-def _trace_from_factorization(solver, a, b, fact, x_true, debug):
-    q = fact.basis
-    t_dense = fact.tridiag.dense()
-    n_cols = q.shape[1]
-    k_steps = fact.k
-    nb = float(np.linalg.norm(b))
-    if fact.start == START_RESIDUAL:
-        g = np.zeros(n_cols)
-        g[0] = nb
-        tail2 = np.zeros(n_cols)
-    else:
-        g = q.T @ b
-        # squared norm of b outside the first j basis directions
-        tail2 = np.maximum(nb**2 - np.cumsum(g**2), 0.0)
-    g_exact = q.T @ b  # for the pseudoinverse cross-check
-
-    solutions = []
-    res = []
-    sol = []
-    gaps = [] if debug else None
-    for k in range(1, k_steps + 1):
-        rows = min(k + 1, n_cols)
-        y, proj = _givens_ls(t_dense[:rows, :k], g[:rows])
-        x = q[:, :k] @ y
-        outside2 = tail2[rows - 1] if fact.start == START_FILTERED else 0.0
-        solutions.append(x)
-        res.append(math.hypot(proj, math.sqrt(outside2)))
-        sol.append(float(np.linalg.norm(x)))
-        if debug:
-            y_pi = least_squares(t_dense[:rows, :k], g_exact[:rows])
-            x_pi = q[:, :k] @ y_pi
-            denom = max(float(np.linalg.norm(x)), 1e-300)
-            gaps.append(float(np.linalg.norm(x - x_pi)) / denom)
-
+def _assemble(solver, solutions, res, x_true, fact=None):
+    """The trace of `solutions` with reported residual norms `res`."""
     rel = None
     if x_true is not None:
         nx = float(np.linalg.norm(x_true))
@@ -137,60 +117,75 @@ def _trace_from_factorization(solver, a, b, fact, x_true, debug):
         solver=solver,
         solutions=solutions,
         residual_norms=np.asarray(res),
-        solution_norms=np.asarray(sol),
+        solution_norms=np.asarray([float(np.linalg.norm(x)) for x in solutions]),
         relative_errors=rel,
-        matvecs=fact.matvec_counts.copy(),
+        matvecs=(
+            np.zeros(len(solutions), dtype=int) if fact is None else fact.matvec_counts.copy()
+        ),
         factorization=fact,
-        breakdown=fact.breakdown,
-        pseudoinverse_gaps=np.asarray(gaps) if debug else None,
+        breakdown=fact is not None and fact.breakdown,
     )
+
+
+def _krylov_trace(solver, fact, b, x_true, solve, debug=False):
+    """Iterates x_k = V_k y_k of a Lanczos or Golub-Kahan factorization.
+
+    The projected problem at step k takes the rows of T that the left basis
+    spans (at a breakdown the basis has one column fewer than T has rows)
+    and g, the coordinates of b in that basis.  solve(T_k, g_k) returns y_k
+    and its projected residual norm; tail2, the squared part of b outside
+    the basis, adds to that norm in quadrature.  `debug` records each
+    iterate's relative gap to the pseudoinverse solution with g = Q^T b.
+    """
+    if isinstance(fact, LanczosFactorization):
+        t, left, basis = fact.tridiag.dense(), fact.basis, fact.basis
+    else:
+        t, left, basis = fact.dense(), fact.left, fact.right
+    t = t[: left.shape[1]]
+    nb = float(np.linalg.norm(b))
+    if getattr(fact, "start", None) == START_FILTERED:
+        g = left.T @ b
+        tail2 = np.maximum(nb**2 - np.cumsum(g**2), 0.0)
+    else:  # the left basis starts at b / ||b||
+        g = np.zeros(t.shape[0])
+        g[0] = nb
+        tail2 = np.zeros(t.shape[0])
+    g_exact = left.T @ b if debug else None
+    solutions = []
+    res = []
+    gaps = []
+    for k in range(1, fact.k + 1):
+        rows = min(k + 1, t.shape[0])
+        y, proj = solve(t[:rows, :k], g[:rows])
+        x = basis[:, :k] @ y
+        solutions.append(x)
+        res.append(math.hypot(proj, math.sqrt(tail2[rows - 1])))
+        if debug:
+            x_pi = basis[:, :k] @ least_squares(t[:rows, :k], g_exact[:rows])
+            gaps.append(float(np.linalg.norm(x - x_pi)) / max(float(np.linalg.norm(x)), 1e-300))
+    trace = _assemble(solver, solutions, res, x_true, fact)
+    if debug:
+        trace.pseudoinverse_gaps = np.asarray(gaps)
+    return trace
 
 
 def minres_trace(a, b, k_max, x_true=None, debug=False):
     """Minimum-residual iterates over the Krylov spaces K_k(A, b)."""
     fact = lanczos(a, START_RESIDUAL, b, k_max)
-    return _trace_from_factorization("minres", a, b, fact, x_true, debug)
+    return _krylov_trace("minres", fact, b, x_true, _givens_ls, debug)
 
 
 def mr2_trace(a, b, k_max, x_true=None, debug=False):
     """Minimum-residual iterates over K_k(A, A b), which excludes the noisy
     right-hand side from the search space."""
     fact = lanczos(a, START_FILTERED, b, k_max)
-    return _trace_from_factorization("mr2", a, b, fact, x_true, debug)
+    return _krylov_trace("mr2", fact, b, x_true, _givens_ls, debug)
 
 
 def lsqr_trace(a, b, k_max, x_true=None):
     """Least-squares iterates over the Golub-Kahan subspaces (two operator
     products per step)."""
-    fact = golub_kahan(a, b, k_max)
-    b_dense = fact.dense()
-    nb = float(np.linalg.norm(b))
-    solutions = []
-    res = []
-    sol = []
-    for k in range(1, fact.k + 1):
-        rows = min(k + 1, fact.left.shape[1])
-        rhs = np.zeros(rows)
-        rhs[0] = nb
-        y, proj = _givens_ls(b_dense[:rows, :k], rhs)
-        x = fact.right[:, :k] @ y
-        solutions.append(x)
-        res.append(proj)
-        sol.append(float(np.linalg.norm(x)))
-    rel = None
-    if x_true is not None:
-        nx = float(np.linalg.norm(x_true))
-        rel = np.array([np.linalg.norm(x - x_true) / nx for x in solutions])
-    return IterateTrace(
-        solver="lsqr",
-        solutions=solutions,
-        residual_norms=np.asarray(res),
-        solution_norms=np.asarray(sol),
-        relative_errors=rel,
-        matvecs=fact.matvec_counts.copy(),
-        factorization=fact,
-        breakdown=fact.breakdown,
-    )
+    return _krylov_trace("lsqr", golub_kahan(a, b, k_max), b, x_true, _givens_ls)
 
 
 def tsvd_trace(decomp, b, x_true=None, k_max=None):
@@ -198,7 +193,7 @@ def tsvd_trace(decomp, b, x_true=None, k_max=None):
 
     Stops before the first exactly-zero eigenvalue.
     """
-    b = np.asarray(b, dtype=float)
+    b = finite_rhs(b)
     n = decomp.n
     k_max = n if k_max is None else min(k_max, n)
     c = decomp.project(b)
@@ -206,7 +201,6 @@ def tsvd_trace(decomp, b, x_true=None, k_max=None):
     x = np.zeros(n)
     solutions = []
     res = []
-    sol = []
     used2 = 0.0
     for k in range(1, k_max + 1):
         lam = decomp.eigenvalues[k - 1]
@@ -216,19 +210,7 @@ def tsvd_trace(decomp, b, x_true=None, k_max=None):
         used2 += float(c[k - 1] ** 2)
         solutions.append(x)
         res.append(math.sqrt(max(total2 - used2, 0.0)))
-        sol.append(float(np.linalg.norm(x)))
-    rel = None
-    if x_true is not None:
-        nx = float(np.linalg.norm(x_true))
-        rel = np.array([np.linalg.norm(s - x_true) / nx for s in solutions])
-    return IterateTrace(
-        solver="tsvd",
-        solutions=solutions,
-        residual_norms=np.asarray(res),
-        solution_norms=np.asarray(sol),
-        relative_errors=rel,
-        matvecs=np.zeros(len(solutions), dtype=int),
-    )
+    return _assemble("tsvd", solutions, res, x_true)
 
 
 def _projected_tsvd_family(t_block, rhs):
@@ -263,73 +245,52 @@ def hybrid_trace(base, a, b, k_max, rule=None, x_true=None):
     the projected-problem L-curve, falling back to no truncation when no
     corner exists).
     """
-    from .diagnostics import LCurvePoint, lcurve_corner
-
     if base not in ("minres", "mr2"):
         raise ContractViolation(f"unknown hybrid base {base!r}")
     rule = rule or HybridRule()
     rule.validate(k_max)
-    start = START_RESIDUAL if base == "minres" else START_FILTERED
-    fact = lanczos(a, start, b, k_max)
-    q = fact.basis
-    t_dense = fact.tridiag.dense()
-    n_cols = q.shape[1]
-    nb = float(np.linalg.norm(b))
-    if start == START_RESIDUAL:
-        g = np.zeros(n_cols)
-        g[0] = nb
-        tail2 = np.zeros(n_cols)
-    else:
-        g = q.T @ b
-        tail2 = np.maximum(nb**2 - np.cumsum(g**2), 0.0)
-
-    solutions = []
-    res = []
-    sol = []
     chosen = []
-    for k in range(1, fact.k + 1):
-        rows = min(k + 1, n_cols)
-        rhs = g[:rows]
-        outside2 = tail2[rows - 1] if start == START_FILTERED else 0.0
-        ys, proj_res = _projected_tsvd_family(t_dense[:rows, :k], rhs)
-        true_res = [math.hypot(pr, math.sqrt(outside2)) for pr in proj_res]
+
+    def solve(t_block, rhs):
+        ys, proj_res = _projected_tsvd_family(t_block, rhs)
+        k = t_block.shape[1]
         if rule.mode == "fixed":
             p = min(rule.p, k)
         else:
             # L-curve of the projected problem itself; no corner means the
             # family is truncation-neutral and the full solve is kept
             pts = [
-                LCurvePoint(
+                diagnostics.LCurvePoint(
                     log_residual=math.log(max(proj_res[i], 1e-300)),
-                    log_solution_norm=math.log(
-                        max(float(np.linalg.norm(ys[i])), 1e-300)
-                    ),
+                    log_solution_norm=math.log(max(float(np.linalg.norm(ys[i])), 1e-300)),
                     k=i + 1,
                 )
                 for i in range(k)
             ]
-            p = lcurve_corner(pts)
+            p = diagnostics.lcurve_corner(pts)
             if p is None:
                 p = k
-        y = ys[p - 1]
-        x = q[:, :k] @ y
-        solutions.append(x)
-        res.append(true_res[p - 1])
-        sol.append(float(np.linalg.norm(x)))
         chosen.append(p)
+        return ys[p - 1], proj_res[p - 1]
 
-    rel = None
-    if x_true is not None:
-        nx = float(np.linalg.norm(x_true))
-        rel = np.array([np.linalg.norm(x - x_true) / nx for x in solutions])
-    return IterateTrace(
-        solver=f"hybrid-{base}",
-        solutions=solutions,
-        residual_norms=np.asarray(res),
-        solution_norms=np.asarray(sol),
-        relative_errors=rel,
-        matvecs=fact.matvec_counts.copy(),
-        factorization=fact,
-        breakdown=fact.breakdown,
-        inner_truncations=np.asarray(chosen),
-    )
+    start = START_RESIDUAL if base == "minres" else START_FILTERED
+    trace = _krylov_trace(f"hybrid-{base}", lanczos(a, start, b, k_max), b, x_true, solve)
+    trace.inner_truncations = np.asarray(chosen)
+    return trace
+
+
+def _hybrid(base):
+    return lambda a, b, k_max, x_true, decomp: hybrid_trace(base, a, b, k_max, x_true=x_true)
+
+
+# Every solver by name, as a callable (a, b, k_max, x_true, decomp).  The
+# entries look the public functions up when called and never hold them, so
+# a wrapper installed on a module attribute sees every call.
+SOLVERS = {
+    "minres": lambda a, b, k_max, x_true, decomp: minres_trace(a, b, k_max, x_true=x_true),
+    "mr2": lambda a, b, k_max, x_true, decomp: mr2_trace(a, b, k_max, x_true=x_true),
+    "lsqr": lambda a, b, k_max, x_true, decomp: lsqr_trace(a, b, k_max, x_true=x_true),
+    "tsvd": lambda a, b, k_max, x_true, decomp: tsvd_trace(decomp, b, x_true, k_max),
+    "hybrid-minres": _hybrid("minres"),
+    "hybrid-mr2": _hybrid("mr2"),
+}

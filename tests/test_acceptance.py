@@ -41,19 +41,9 @@ def _trace(kind, prob, decomp, eps, seed, k_max):
     key = (kind, prob.name, prob.n, eps, seed, k_max)
     if key not in _trace_cache:
         nz = problems.add_noise(prob, eps, seed)
-        if kind == "minres":
-            t = solvers.minres_trace(prob.a, nz.b, k_max, x_true=prob.x_true)
-        elif kind == "mr2":
-            t = solvers.mr2_trace(prob.a, nz.b, k_max, x_true=prob.x_true)
-        elif kind == "lsqr":
-            t = solvers.lsqr_trace(prob.a, nz.b, k_max, x_true=prob.x_true)
-        elif kind == "hybrid-mr2":
-            t = solvers.hybrid_trace("mr2", prob.a, nz.b, k_max, x_true=prob.x_true)
-        elif kind == "tsvd":
-            t = solvers.tsvd_trace(decomp, nz.b, x_true=prob.x_true, k_max=min(80, prob.n))
-        else:
-            raise ValueError(kind)
-        _trace_cache[key] = t
+        if kind == "tsvd":
+            k_max = min(80, prob.n)
+        _trace_cache[key] = solvers.SOLVERS[kind](prob.a, nz.b, k_max, prob.x_true, decomp)
     return _trace_cache[key]
 
 

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import regkrylov
-from regkrylov import cli, diagnostics, problems
+from regkrylov import cli, diagnostics, problems, solvers
 from regkrylov.exceptions import ConfigError
 
 
@@ -173,6 +173,55 @@ def test_blur_band_not_below_m_is_usage_error(tmp_path):
     assert "blur needs 1 <= band < m" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_synthetic_key_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config(
+        tmp_path / "out", problem="synthetic", n=8, k_max=4, synthetic={"n": 8, "bogus": 1}
+    )
+    cfg_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid synthetic spec" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
+    """The benchmark tracer wraps these module attributes; every call must
+    go through them, or a refactor silently hides a layer from it."""
+    counts = {}
+
+    def count(owner, attr):
+        fn = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            counts[attr] = counts.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "hybrid_trace",
+                 "lanczos", "golub_kahan", "_svd_small"):
+        count(solvers, attr)
+    count(diagnostics, "lcurve_corner")
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", n=32, k_max=6, noise_levels=[1e-3, 1e-2], seeds=[1, 2],
+                     solvers=list(cli.SOLVER_NAMES))
+    )
+    summary = cli.run_experiment(cfg)
+    cells = 4
+    for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "golub_kahan"):
+        assert counts[attr] == cells, attr
+    assert counts["hybrid_trace"] == 2 * cells
+    assert counts["lanczos"] == 4 * cells
+    # one inner SVD and one projected L-curve corner per hybrid outer step;
+    # one corner per trace for the summary and one for the lcurve diagnostic
+    hybrid_steps = sum(c["iterations"] for c in summary["cells"] if c["solver"].startswith("hybrid"))
+    assert counts["_svd_small"] == hybrid_steps
+    assert counts["lcurve_corner"] == 2 * len(summary["cells"]) + hybrid_steps
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -5,6 +5,7 @@ from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
 from regkrylov.linalg import SymmetricMatrix, symmetric_eig
 from regkrylov.solvers import (
+    SOLVERS,
     HybridRule,
     hybrid_trace,
     lsqr_trace,
@@ -150,3 +151,13 @@ def test_trace_best_and_metadata(get_problem):
     assert bare.relative_errors is None
     with pytest.raises(ContractViolation):
         bare.best()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", list(SOLVERS))
+def test_non_finite_rhs_is_refused(get_problem, get_decomp, name, bad):
+    prob = get_problem("shaw", 32)
+    b = prob.b_hat.copy()
+    b[5] = bad
+    with pytest.raises(ContractViolation, match="NaN or infinite"):
+        SOLVERS[name](prob.a, b, 8, prob.x_true, get_decomp("shaw", 32))

@@ -24,7 +24,7 @@ COUPLING_K_CAP = 12
 # harmonic Ritz values and filter factors
 
 
-def harmonic_ritz(tridiag, refine=True):
+def harmonic_ritz(tridiag):
     """Harmonic Ritz values of the projected problem, |theta| descending.
 
     These solve (T^T T) y = theta * T_square y with T the rectangular
@@ -52,9 +52,7 @@ def harmonic_ritz(tridiag, refine=True):
     mus = np.linalg.eigvalsh(0.5 * (c + c.T))
     if np.any(np.abs(mus) <= k * EPS * np.abs(mus).max()):
         raise NumericalError("projected square block is numerically singular")
-    thetas = 1.0 / mus
-    if refine:
-        thetas = _refine_pencil_roots(t, t[:k, :], thetas)
+    thetas = _refine_pencil_roots(t, t[:k, :], 1.0 / mus)
     return thetas[np.argsort(-np.abs(thetas), kind="stable")]
 
 

@@ -1,23 +1,20 @@
 """Dense symmetric eigensolvers, small SVDs and related primitives.
 
-Full eigendecompositions of an operator (`symmetric_eig`, on the dense
-matrix or on the Kronecker factor), the Gram fallback of `spectral_norm`
-and the SVD behind `canonical_angles` go to LAPACK through numpy.  Only
-`small_svd`, `least_squares` and the hybrid solvers' inner SVDs, of order
-at most about twice the number of Krylov steps, go through the package's
-own core: Householder reduction to tridiagonal form followed by
-implicit-shift QL iteration.  Its rounding is pinned, so the hybrid
-iterates reproduce bit for bit.  Rectangular SVDs are obtained from the
-symmetric eigenproblem of the augmented matrix [[0, M], [M^T, 0]], which
-keeps small singular values accurate (no Gram-matrix squaring).
+Every factorization goes to LAPACK through numpy: the full
+eigendecomposition of an operator (`symmetric_eig`, on the dense matrix or
+on the Kronecker factor), the Gram fallback of `spectral_norm`, the SVD
+behind `canonical_angles`, and the small SVDs of `small_svd`,
+`least_squares` and the hybrid solvers' inner truncation (projected
+matrices of at most k_max + 1 rows).  Rectangular SVDs are computed
+directly, without squaring into a Gram matrix, which keeps small singular
+values accurate to eps times the largest.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg.blas import drot as _blas_drot
 
-from .exceptions import ContractViolation, NumericalError, ResourceLimitError
+from .exceptions import ContractViolation, ResourceLimitError
 
 EPS = float(np.finfo(np.float64).eps)
 DENSE_EIG_LIMIT = 4096
@@ -111,137 +108,13 @@ class SymmetricMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Householder tridiagonalization + implicit-shift QL
-
-
-def _householder_tridiag(a):
-    """Reduce a symmetric matrix to tridiagonal form.
-
-    Returns (d, e, q) with q @ tri(d, e) @ q.T reproducing the input.
-    The input array is destroyed.
-    """
-    n = a.shape[0]
-    reflectors = []
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        alpha = -nx if x[0] >= 0.0 else nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            continue
-        v /= nv
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        a[k + 2:, k] = 0.0
-        a[k, k + 2:] = 0.0
-        s = a[k + 1:, k + 1:]
-        w = s @ v
-        c = float(v @ w)
-        w2 = w - c * v
-        s -= 2.0 * (np.outer(v, w2) + np.outer(w2, v))
-        reflectors.append((k + 1, v))
-    d = np.diag(a).copy()
-    e = np.diag(a, 1).copy() if n > 1 else np.zeros(0)
-    q = np.eye(n)
-    for start, v in reversed(reflectors):
-        q[start:, :] -= 2.0 * np.outer(v, v @ q[start:, :])
-    return d, e, q
-
-
-def _ql_implicit(d, e, z=None, max_iter=60):
-    """Implicit-shift QL iteration on a symmetric tridiagonal matrix.
-
-    d (diagonal) is overwritten with the eigenvalues; e (off-diagonal,
-    length n-1) is left alone.  If z is given its columns accumulate the
-    rotations, so passing the tridiagonalizing transform yields eigenvectors.
-    The scalar recurrence runs on Python floats; the rotations go to BLAS
-    drot on contiguous rows of the transposed accumulator.  drot's rounding
-    (fused multiply-adds in OpenBLAS) is part of the pinned output: a numpy
-    rotation gives different bits.
-    """
-    n = d.size
-    if n <= 1:
-        return
-    zt = None if z is None else np.ascontiguousarray(z.T)
-    # Absolute deflation floor: entries below eps * ||T|| carry no information
-    # and would otherwise stall the relative test on strongly graded matrices.
-    tnorm = max(float(np.max(np.abs(d))), float(np.max(np.abs(e))))
-    floor = EPS * tnorm
-    d_out = d
-    d = d.tolist()
-    ee = e.tolist() + [0.0]
-    for l in range(n):
-        iters = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= EPS * dd or abs(ee[m]) <= floor:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iters == max_iter:
-                raise NumericalError(
-                    f"QL iteration failed to converge for eigenvalue index {l}"
-                )
-            iters += 1
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + ee[l] / (g + (r if g >= 0.0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            early = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = math.hypot(f, g)
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    early = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if zt is not None:
-                    # x' = c x + s y, y' = -s x + c y; our update needs (c, -s).
-                    _blas_drot(zt[i], zt[i + 1], c, -s, overwrite_x=1, overwrite_y=1)
-            if early:
-                continue
-            d[l] -= p
-            ee[l] = g
-            ee[m] = 0.0
-    d_out[:] = d
-    if zt is not None:
-        z[:] = zt.T
-
-
-def _symmetric_eig_dense(a):
-    """Eigenvalues and eigenvectors of a small dense symmetric array.
-
-    The in-house core, kept for the hybrid solvers' inner SVDs, whose
-    outputs are pinned bit for bit; everything else goes to LAPACK.
-    """
-    d, e, q = _householder_tridiag(np.array(a, dtype=float))
-    _ql_implicit(d, e, q)
-    return d, q
+# spectral decomposition
 
 
 _RQ_POLISH_LIMIT = 512
 
 
-def _rayleigh_polish(a, lams, q):
+def _rayleigh_polish(a, q):
     """Extended-precision Rayleigh quotients of the computed eigenvectors.
 
     LAPACK eigenvalues carry ~n*eps*||A|| error; spectral diagnostics that
@@ -260,10 +133,6 @@ def _eig_order(lams):
     """Sort order: |eigenvalue| descending, positive sign first, then position."""
     n = lams.size
     return np.lexsort((np.arange(n), (lams < 0).astype(int), -np.abs(lams)))
-
-
-# ---------------------------------------------------------------------------
-# spectral decomposition
 
 
 class SpectralDecomposition:
@@ -352,12 +221,12 @@ def symmetric_eig(a, dense_limit=DENSE_EIG_LIMIT):
             )
         lams, q = np.linalg.eigh(a.dense())
         if a.n <= _RQ_POLISH_LIMIT:
-            lams = _rayleigh_polish(a.dense(), lams, q)
+            lams = _rayleigh_polish(a.dense(), q)
         order = _eig_order(lams)
         return SpectralDecomposition(lams[order], v=q[:, order])
     lam_f, vf = np.linalg.eigh(a.factor)
     if a.m <= _RQ_POLISH_LIMIT:
-        lam_f = _rayleigh_polish(a.factor, lam_f, vf)
+        lam_f = _rayleigh_polish(a.factor, vf)
     m = a.m
     pair_lam = (lam_f[:, None] * lam_f[None, :]).ravel()
     li, ri = np.divmod(np.arange(m * m), m)
@@ -411,37 +280,20 @@ class TridiagonalRect:
 
 
 def _svd_small(m_mat):
-    """Thin SVD of a small dense matrix via the augmented eigenproblem.
+    """Thin SVD of a small dense matrix by LAPACK (`np.linalg.svd`).
 
-    Returns (s, u, v) with s of length min(shape), non-increasing, and
-    m_mat ~= u @ diag(s) @ v.T.  Accuracy of every singular value is
-    ~eps * s[0] (absolute), which Gram-matrix approaches cannot deliver.
+    Returns (s, u, v) with s of length min(shape), non-increasing, u and v
+    with orthonormal columns (also for zero singular values), and
+    m_mat ~= u @ diag(s) @ v.T.  Every singular value is accurate to about
+    eps * s[0] absolute; no Gram matrix is formed.  Extended-precision
+    input is rounded to double.
     """
-    m_mat = np.asarray(m_mat, dtype=float)
-    p, q = m_mat.shape
-    r = min(p, q)
-    aug = np.zeros((p + q, p + q))
-    aug[:p, p:] = m_mat
-    aug[p:, :p] = m_mat.T
-    lams, z = _symmetric_eig_dense(aug)
-    idx = np.argsort(-lams, kind="stable")[:r]
-    s = np.clip(lams[idx], 0.0, None)
-    u = z[:p, idx] * math.sqrt(2.0)
-    v = z[p:, idx] * math.sqrt(2.0)
-    # Degenerate pairs (only possible at the round-off floor) may have
-    # unbalanced halves; renormalize where meaningful.
-    for j in range(r):
-        nu = float(np.linalg.norm(u[:, j]))
-        nv = float(np.linalg.norm(v[:, j]))
-        if nu > 1e-3:
-            u[:, j] /= nu
-        if nv > 1e-3:
-            v[:, j] /= nv
-    return s, u, v
+    u, s, vt = np.linalg.svd(np.asarray(m_mat, dtype=float), full_matrices=False)
+    return s, u, vt.T
 
 
 def small_svd(t):
-    """SVD of a TridiagonalRect (or small dense array).
+    """SVD of a TridiagonalRect (or small dense array), as `_svd_small`.
 
     Returns (s, u, v): singular values non-increasing, u of shape
     (rows, k) and v of shape (k, k).

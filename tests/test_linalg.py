@@ -150,19 +150,27 @@ print(h.hexdigest())
 """
 
 
-def test_eig_and_trace_bytes_repeat_across_processes():
-    # Byte-determinism is promised for one machine and a fixed BLAS thread
-    # count; two fresh interpreters must agree bit for bit.
+def _fresh_interpreter(script):
+    """Stdout of `script` run by a new interpreter on this package."""
     src = str(Path(regkrylov.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
-    digests = [
-        subprocess.run([sys.executable, "-c", _REPEAT_SCRIPT], env=env, check=True,
-                       capture_output=True, text=True).stdout.strip()
-        for _ in range(2)
-    ]
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_eig_and_trace_bytes_repeat_across_processes():
+    # Byte-determinism is promised for one machine and a fixed BLAS thread
+    # count; two fresh interpreters must agree bit for bit.
+    digests = [_fresh_interpreter(_REPEAT_SCRIPT) for _ in range(2)]
     assert len(digests[0]) == hashlib.sha256().digest_size * 2
     assert digests[0] == digests[1]
+
+
+def test_import_does_not_load_scipy():
+    # every factorization is numpy's LAPACK; scipy is a benchmark-only extra
+    script = "import sys, regkrylov; print('scipy' in sys.modules)"
+    assert _fresh_interpreter(script) == "False"
 
 
 def test_dense_limit_error():
@@ -189,9 +197,21 @@ def test_tridiagonal_keeps_longdouble_entries():
     assert np.array_equal(t.dense(), TridiagonalRect([1.0, 2.0], [0.5, 0.5]).dense())
 
 
-def test_zero_column():
-    s, _, _ = small_svd(np.zeros((2, 1)))
-    assert s[0] == 0.0
+@pytest.mark.parametrize("m_mat", [
+    np.zeros((2, 1)),
+    np.array([[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]]),
+    np.outer([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0]),
+    # breakdown (last beta zero) with a singular square block
+    TridiagonalRect([0.0, 0.0, 0.0], [1.0, 1.0, 0.0]),
+], ids=["zero", "zero-column", "rank-one", "breakdown"])
+def test_zero_column(m_mat):
+    # the factors stay orthonormal where singular values vanish
+    s, u, v = small_svd(m_mat)
+    dense = m_mat.dense() if isinstance(m_mat, TridiagonalRect) else m_mat
+    assert s.size == min(dense.shape) and s[-1] <= 10 * EPS * s[0]
+    assert np.linalg.norm(u.T @ u - np.eye(s.size)) <= 10 * EPS
+    assert np.linalg.norm(v.T @ v - np.eye(s.size)) <= 10 * EPS
+    assert np.linalg.norm(dense - (u * s) @ v.T) <= 10 * EPS * s[0]
 
 
 def test_random_tridiagonal_vs_jacobi_svd_oracle():

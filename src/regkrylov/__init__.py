@@ -33,6 +33,7 @@ from .krylov import BidiagFactorization, LanczosFactorization, golub_kahan, lanc
 from .solvers import (
     HybridRule,
     IterateTrace,
+    LanczosCache,
     hybrid_trace,
     lsqr_trace,
     minres_trace,

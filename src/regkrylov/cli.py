@@ -220,6 +220,11 @@ def run_experiment(cfg, progress=None):
     if cfg.k_max > prob.a.n:
         raise ConfigError(f"k_max {cfg.k_max} exceeds the problem order {prob.a.n}")
     os.makedirs(cfg.output_dir, exist_ok=True)
+    # summary.json marks a complete run: a rerun that stops partway must
+    # not leave the previous run's summary beside its new files
+    summary_path = os.path.join(cfg.output_dir, "summary.json")
+    if os.path.exists(summary_path):
+        os.remove(summary_path)
     needs_decomp = (
         "tsvd" in cfg.solvers
         or bool(set(cfg.diagnostics) & {"lowrank", "angles", "filters", "decay"})
@@ -238,8 +243,11 @@ def run_experiment(cfg, progress=None):
             else:
                 noise = problems.add_noise(prob, eps, seed)
             traces = {}
+            cache = solvers.LanczosCache(prob.a, noise.b, cfg.k_max)
             for solver in cfg.solvers:
-                trace = solvers.SOLVERS[solver](prob.a, noise.b, cfg.k_max, prob.x_true, decomp)
+                trace = solvers.SOLVERS[solver](
+                    prob.a, noise.b, cfg.k_max, prob.x_true, decomp, cache
+                )
                 csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
                 _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
                 manifest.append(csv_name)
@@ -260,7 +268,7 @@ def run_experiment(cfg, progress=None):
         "diagnostics_files": diag_files,
         "manifest": manifest,
     }
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
+    with open(summary_path, "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=1))
     return summary
 
@@ -331,7 +339,8 @@ def _errors_figure(out_dir, tag, prob_names, n, eps, seed, k_max, solver_names):
     for pname in prob_names:
         prob = problems.generate(pname, n)
         noise = problems.add_noise(prob, eps, seed)
-        traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None)
+        cache = solvers.LanczosCache(prob.a, noise.b, k_max)
+        traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None, cache)
                   for s in solver_names}
         files.append(_write_errors(out_dir, f"{tag}_errors_{pname}.csv", k_max, traces))
         runs[pname] = (prob, traces)
@@ -402,7 +411,8 @@ def _decay_figure(out_dir, tag, pname, n, eps, seed, k_max):
 def _blur_figure(out_dir, tag, band, sigma, m, eps, seed, k_max):
     prob = problems.generate("blur", m, band=band, sigma=sigma)
     noise = problems.add_noise(prob, eps, seed)
-    traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None)
+    cache = solvers.LanczosCache(prob.a, noise.b, k_max)
+    traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None, cache)
               for s in ("minres", "hybrid-minres", "mr2", "hybrid-mr2")}
     file_entry = _write_errors(out_dir, f"{tag}_errors_blur.csv", k_max, traces)
     hy = traces["hybrid-mr2"]

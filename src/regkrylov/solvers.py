@@ -1,8 +1,15 @@
 """Iterate traces for the minimum-residual solvers, TSVD and hybrids.
 
 `SOLVERS` maps every solver name to a callable (a, b, k_max, x_true,
-decomp); the CLI, the figure reproduction and the acceptance suite run
-solvers only through it, so a new solver is added there.
+decomp, cache=None); the CLI, the figure reproduction and the acceptance
+suite run solvers only through it, so a new solver is added there.
+
+A `LanczosCache` of one (A, b, k_max) holds one Lanczos factorization per
+start kind, built the first time a solver asks for it.  minres and
+hybrid-minres project onto the same K_k(A, b), and mr2 and hybrid-mr2 onto
+the same K_k(A, A b), so a cell that runs both solvers of a pair builds
+that factorization once and shares it, read-only.  Each trace still
+reports its own matvec counts: what that solver alone would spend.
 
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
@@ -72,6 +79,39 @@ class HybridRule:
                 raise ContractViolation(
                     f"fixed truncation p={self.p} exceeds the subspace size {k_max}"
                 )
+
+
+class LanczosCache:
+    """The Lanczos factorizations of one (A, b, k_max), one per start kind.
+
+    Each is built on first use, through the module binding `lanczos`, and
+    its arrays are made read-only before it is shared.  Asking for another
+    operator, right-hand side or k_max is a contract violation, so a
+    factorization never serves a system it was not built for.
+    """
+
+    def __init__(self, a, b, k_max):
+        self.a = a
+        self.b = finite_rhs(b).copy()
+        self.b.flags.writeable = False
+        self.k_max = k_max
+        self._facts = {}
+
+    def factorization(self, a, start, b, k_max):
+        if a is not self.a or k_max != self.k_max or not np.array_equal(b, self.b):
+            raise ContractViolation("the Lanczos cache belongs to another (A, b, k_max)")
+        if start not in self._facts:
+            fact = lanczos(a, start, self.b, k_max)
+            for arr in (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta):
+                arr.flags.writeable = False
+            self._facts[start] = fact
+        return self._facts[start]
+
+
+def _lanczos(a, start, b, k_max, cache):
+    """The factorization of (A, b, k_max) from `start`, shared through
+    `cache` when one is given."""
+    return (cache or LanczosCache(a, b, k_max)).factorization(a, start, b, k_max)
 
 
 def _givens_ls(m_mat, rhs):
@@ -169,16 +209,16 @@ def _krylov_trace(solver, fact, b, x_true, solve, debug=False):
     return trace
 
 
-def minres_trace(a, b, k_max, x_true=None, debug=False):
+def minres_trace(a, b, k_max, x_true=None, debug=False, cache=None):
     """Minimum-residual iterates over the Krylov spaces K_k(A, b)."""
-    fact = lanczos(a, START_RESIDUAL, b, k_max)
+    fact = _lanczos(a, START_RESIDUAL, b, k_max, cache)
     return _krylov_trace("minres", fact, b, x_true, _givens_ls, debug)
 
 
-def mr2_trace(a, b, k_max, x_true=None, debug=False):
+def mr2_trace(a, b, k_max, x_true=None, debug=False, cache=None):
     """Minimum-residual iterates over K_k(A, A b), which excludes the noisy
     right-hand side from the search space."""
-    fact = lanczos(a, START_FILTERED, b, k_max)
+    fact = _lanczos(a, START_FILTERED, b, k_max, cache)
     return _krylov_trace("mr2", fact, b, x_true, _givens_ls, debug)
 
 
@@ -237,13 +277,14 @@ def _projected_tsvd_family(t_block, rhs):
     return ys, residuals
 
 
-def hybrid_trace(base, a, b, k_max, rule=None, x_true=None):
+def hybrid_trace(base, a, b, k_max, rule=None, x_true=None, cache=None):
     """Outer Krylov projection with inner TSVD regularization.
 
     At outer step k the projected tridiagonal is truncated to `p` dominant
     singular directions; p comes from the rule (fixed level or the corner of
     the projected-problem L-curve, falling back to no truncation when no
-    corner exists).
+    corner exists).  The outer factorization is the one minres (or mr2)
+    uses, shared through `cache` when one is given.
     """
     if base not in ("minres", "mr2"):
         raise ContractViolation(f"unknown hybrid base {base!r}")
@@ -274,23 +315,36 @@ def hybrid_trace(base, a, b, k_max, rule=None, x_true=None):
         return ys[p - 1], proj_res[p - 1]
 
     start = START_RESIDUAL if base == "minres" else START_FILTERED
-    trace = _krylov_trace(f"hybrid-{base}", lanczos(a, start, b, k_max), b, x_true, solve)
+    fact = _lanczos(a, start, b, k_max, cache)
+    trace = _krylov_trace(f"hybrid-{base}", fact, b, x_true, solve)
     trace.inner_truncations = np.asarray(chosen)
     return trace
 
 
 def _hybrid(base):
-    return lambda a, b, k_max, x_true, decomp: hybrid_trace(base, a, b, k_max, x_true=x_true)
+    return lambda a, b, k_max, x_true, decomp, cache=None: hybrid_trace(
+        base, a, b, k_max, x_true=x_true, cache=cache
+    )
 
 
-# Every solver by name, as a callable (a, b, k_max, x_true, decomp).  The
-# entries look the public functions up when called and never hold them, so
-# a wrapper installed on a module attribute sees every call.
+# Every solver by name, as a callable (a, b, k_max, x_true, decomp,
+# cache=None); the Lanczos solvers share their factorizations through the
+# `LanczosCache` of (a, b, k_max) when given one.  The entries look the
+# public functions up when called and never hold them, so a wrapper
+# installed on a module attribute sees every call.
 SOLVERS = {
-    "minres": lambda a, b, k_max, x_true, decomp: minres_trace(a, b, k_max, x_true=x_true),
-    "mr2": lambda a, b, k_max, x_true, decomp: mr2_trace(a, b, k_max, x_true=x_true),
-    "lsqr": lambda a, b, k_max, x_true, decomp: lsqr_trace(a, b, k_max, x_true=x_true),
-    "tsvd": lambda a, b, k_max, x_true, decomp: tsvd_trace(decomp, b, x_true, k_max),
+    "minres": lambda a, b, k_max, x_true, decomp, cache=None: minres_trace(
+        a, b, k_max, x_true=x_true, cache=cache
+    ),
+    "mr2": lambda a, b, k_max, x_true, decomp, cache=None: mr2_trace(
+        a, b, k_max, x_true=x_true, cache=cache
+    ),
+    "lsqr": lambda a, b, k_max, x_true, decomp, cache=None: lsqr_trace(
+        a, b, k_max, x_true=x_true
+    ),
+    "tsvd": lambda a, b, k_max, x_true, decomp, cache=None: tsvd_trace(
+        decomp, b, x_true, k_max
+    ),
     "hybrid-minres": _hybrid("minres"),
     "hybrid-mr2": _hybrid("mr2"),
 }

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import regkrylov
 from regkrylov import cli, diagnostics, problems, solvers
-from regkrylov.exceptions import ConfigError
+from regkrylov.exceptions import ConfigError, NumericalError
 
 
 def small_config(out_dir, **overrides):
@@ -216,12 +216,76 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
     for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "golub_kahan"):
         assert counts[attr] == cells, attr
     assert counts["hybrid_trace"] == 2 * cells
-    assert counts["lanczos"] == 4 * cells
+    # one factorization per start kind per cell, shared with the hybrid
+    assert counts["lanczos"] == 2 * cells
     # one inner SVD and one projected L-curve corner per hybrid outer step;
     # one corner per trace for the summary and one for the lcurve diagnostic
     hybrid_steps = sum(c["iterations"] for c in summary["cells"] if c["solver"].startswith("hybrid"))
     assert counts["_svd_small"] == hybrid_steps
     assert counts["lcurve_corner"] == 2 * len(summary["cells"]) + hybrid_steps
+
+
+def test_shared_factorizations_change_no_output(tmp_path, monkeypatch):
+    """One cell with every solver and diagnostic writes the same bytes as
+    when each solver builds its own Lanczos factorization, whatever the
+    solver order."""
+    out = tmp_path / "out"
+    doc = small_config(out, n=64, k_max=12, solvers=list(cli.SOLVER_NAMES),
+                       diagnostics=list(cli.DIAG_NAMES))
+    shared = cli.run_experiment(cli.ExperimentConfig.from_dict(doc))
+    shared_bytes = read_all_bytes(out)
+
+    own = solvers.LanczosCache
+
+    class Unshared(own):
+        def factorization(self, a, start, b, k_max):
+            return own(a, b, k_max).factorization(a, start, b, k_max)
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "LanczosCache", Unshared)
+        alone = cli.run_experiment(cli.ExperimentConfig.from_dict(doc))
+    assert read_all_bytes(out) == shared_bytes
+    assert alone["cells"] == shared["cells"]
+    by_solver = {c["solver"]: c for c in shared["cells"]}
+    for base in ("minres", "mr2"):
+        assert by_solver[f"hybrid-{base}"]["matvec_count"] == by_solver[base]["matvec_count"]
+
+    names = list(cli.SOLVER_NAMES)
+    names.remove("hybrid-mr2")
+    names.insert(names.index("mr2"), "hybrid-mr2")
+    reordered = cli.run_experiment(cli.ExperimentConfig.from_dict({**doc, "solvers": names}))
+    reordered_bytes = read_all_bytes(out)
+    assert reordered_bytes.keys() == shared_bytes.keys()
+    for name in shared_bytes:
+        if name != "summary.json":
+            assert reordered_bytes[name] == shared_bytes[name], name
+    assert sorted(reordered["cells"], key=lambda c: c["solver"]) == sorted(
+        shared["cells"], key=lambda c: c["solver"]
+    )
+
+
+def test_failed_rerun_leaves_no_stale_summary(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(out, seeds=[1, 2])))
+    runner = CliRunner()
+    assert runner.invoke(cli.main, ["run", "--config", str(cfg_path)]).exit_code == 0
+    assert (out / "summary.json").exists()
+
+    mr2_trace = solvers.mr2_trace
+    calls = []
+
+    def fails_on_second_cell(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("injected failure")
+        return mr2_trace(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "mr2_trace", fails_on_second_cell)
+    result = runner.invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 3
+    assert "injected failure" in result.output
+    assert not (out / "summary.json").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -7,6 +7,7 @@ from regkrylov.linalg import SymmetricMatrix, symmetric_eig
 from regkrylov.solvers import (
     SOLVERS,
     HybridRule,
+    LanczosCache,
     hybrid_trace,
     lsqr_trace,
     minres_trace,
@@ -161,3 +162,47 @@ def test_non_finite_rhs_is_refused(get_problem, get_decomp, name, bad):
     b[5] = bad
     with pytest.raises(ContractViolation, match="NaN or infinite"):
         SOLVERS[name](prob.a, b, 8, prob.x_true, get_decomp("shaw", 32))
+
+
+def _shaw_system(n=48, seed=1):
+    prob = problems.generate("shaw", n)
+    return prob, problems.add_noise(prob, 1e-3, seed).b
+
+
+def test_lanczos_cache_shares_one_read_only_factorization_per_start():
+    prob, b = _shaw_system()
+    cache = LanczosCache(prob.a, b, 10)
+    names = ("hybrid-mr2", "minres", "mr2", "hybrid-minres")
+    shared = {name: SOLVERS[name](prob.a, b, 10, prob.x_true, None, cache) for name in names}
+    assert shared["hybrid-minres"].factorization is shared["minres"].factorization
+    assert shared["hybrid-mr2"].factorization is shared["mr2"].factorization
+    assert shared["minres"].factorization is not shared["mr2"].factorization
+    fact = shared["mr2"].factorization
+    for arr in (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for name in names:
+        alone = SOLVERS[name](prob.a, b, 10, prob.x_true, None)
+        assert np.array_equal(shared[name].matvecs, alone.matvecs), name
+        assert np.array_equal(shared[name].relative_errors, alone.relative_errors), name
+        assert np.array_equal(shared[name].residual_norms, alone.residual_norms), name
+
+
+def test_lanczos_cache_refuses_another_system():
+    prob, b = _shaw_system()
+    cache = LanczosCache(prob.a, b, 10)
+    minres_trace(prob.a, b, 10, cache=cache)
+    _, other_b = _shaw_system(seed=2)
+    for call in (
+        lambda: minres_trace(prob.a, other_b, 10, cache=cache),
+        lambda: mr2_trace(prob.a, other_b, 10, cache=cache),
+        lambda: hybrid_trace("minres", prob.a, b, 9, cache=cache),
+        lambda: minres_trace(problems.generate("shaw", 48).a, b, 10, cache=cache),
+    ):
+        with pytest.raises(ContractViolation):
+            call()
+    edited = b.copy()
+    cache = LanczosCache(prob.a, edited, 10)
+    edited[0] += 1e-9
+    with pytest.raises(ContractViolation):
+        mr2_trace(prob.a, edited, 10, cache=cache)

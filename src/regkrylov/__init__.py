@@ -31,7 +31,6 @@ from .problems import (
 )
 from .krylov import BidiagFactorization, LanczosFactorization, golub_kahan, lanczos
 from .solvers import (
-    HybridRule,
     IterateTrace,
     LanczosCache,
     hybrid_trace,
@@ -46,7 +45,6 @@ from .diagnostics import (
     LCurvePoint,
     angle_sine,
     coefficient_profile,
-    extended_tridiagonal,
     filter_factors,
     filtered_solution,
     harmonic_ritz,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, problems, solvers
 from .exceptions import ConfigError, ContractViolation, NumericalError, RegKrylovError
-from .krylov import START_FILTERED, lanczos
+from .krylov import START_FILTERED, START_RESIDUAL, lanczos
 from .linalg import small_svd, symmetric_eig
 
 SOLVER_NAMES = tuple(solvers.SOLVERS)
@@ -84,15 +84,16 @@ def _float_repr(x):
 
 
 def _write_trace_csv(path, trace):
-    lines = ["k,residual_norm,solution_norm,relative_error"]
-    for i in range(trace.iterations):
-        rel = "" if trace.relative_errors is None else _float_repr(trace.relative_errors[i])
-        lines.append(
-            f"{i + 1},{_float_repr(trace.residual_norms[i])},"
-            f"{_float_repr(trace.solution_norms[i])},{rel}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_series_csv(
+        path,
+        ["k", "residual_norm", "solution_norm", "relative_error"],
+        [
+            list(range(1, trace.iterations + 1)),
+            trace.residual_norms,
+            trace.solution_norms,
+            [] if trace.relative_errors is None else trace.relative_errors,
+        ],
+    )
 
 
 def read_trace_csv(path):
@@ -151,21 +152,20 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
             report.notes.append("lowrank/decay need an mr2 factorization at dense scale")
         else:
             fact = mr2_like.factorization
-            sig1 = decomp.sigmas[0] if decomp is not None else fact.norm_estimate
-            floor = diagnostics.roundoff_floor(prob.a.n, sig1)
+            floor = diagnostics.roundoff_floor(prob.a.n, decomp.sigmas[0])
             gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
             report.lowrank_error = [float(g) for g in gam]
-            if decomp is not None:
-                report.sigma_next = [float(s) for s in decomp.sigmas[1 : len(gam) + 1]]
+            report.sigma_next = [float(s) for s in decomp.sigmas[1 : len(gam) + 1]]
             if "decay" in toggles:
-                sig = decomp.sigmas if decomp is not None else None
-                rows, violations = diagnostics.lanczos_decay_table(fact, gam, sig, floor=floor)
+                rows, violations = diagnostics.lanczos_decay_table(
+                    fact, gam, decomp.sigmas, floor=floor
+                )
                 report.decay_rows = [
                     [r.k, r.offdiag_next, r.diag_next, r.lowrank_error, r.sigma_next]
                     for r in rows
                 ]
                 report.decay_violations = len(violations)
-    if "angles" in toggles and decomp is not None:
+    if "angles" in toggles:
         direct = []
         formula = []
         fact = mr2_like.factorization if mr2_like is not None else None
@@ -178,22 +178,28 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
                 direct.append(diagnostics.angle_sine(decomp, k, mode="direct", fact=fact))
         report.angle_direct = direct
         report.angle_formula = formula
-    if "filters" in toggles and decomp is not None and traces.get("minres") is not None:
-        steps = min(10, traces["minres"].factorization.k)
-        tridiag = diagnostics.extended_tridiagonal(prob.a, noise.b, steps)
-        ritz = []
-        rows = []
-        for k in range(1, tridiag.k + 1):
-            try:
-                theta = diagnostics.harmonic_ritz(tridiag.head(k))
-            except NumericalError:
-                break
-            ritz.append([float(t) for t in theta])
-            rows.append(
-                [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
-            )
-        report.harmonic_ritz_values = ritz
-        report.filter_factor_rows = rows
+    if "filters" in toggles:
+        if traces.get("minres") is None:
+            report.notes.append("filters need a minres trace")
+        else:
+            # the minres projection again, in extended precision, so that the
+            # filter factors reproduce the iterate beyond double rounding
+            steps = min(10, traces["minres"].factorization.k)
+            extended = prob.a.astype(np.longdouble)
+            tridiag = lanczos(extended, START_RESIDUAL, noise.b, steps).tridiag
+            ritz = []
+            rows = []
+            for k in range(1, tridiag.k + 1):
+                try:
+                    theta = diagnostics.harmonic_ritz(tridiag.head(k))
+                except NumericalError:
+                    break
+                ritz.append([float(t) for t in theta])
+                rows.append(
+                    [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
+                )
+            report.harmonic_ritz_values = ritz
+            report.filter_factor_rows = rows
     if decomp is not None:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
         report.picard_clean = [float(x) for x in profile.clean]
@@ -489,8 +495,8 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None, seed=1):
             columns = {}
             for e in (1e-2, 1e-3, 1e-4):
                 noise = problems.add_noise(prob, e, seed)
-                columns[f"eps_{e:g}"] = solvers.mr2_trace(
-                    prob.a, noise.b, k_max, x_true=prob.x_true
+                columns[f"eps_{e:g}"] = solvers.SOLVERS["mr2"](
+                    prob.a, noise.b, k_max, prob.x_true, None
                 )
             name = f"{figure_id}_errors_{pname}.csv"
             _write_errors(out_dir, name, k_max, columns)

@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ContractViolation, NumericalError
-from .krylov import _reorth_twice
-from .linalg import EPS, TridiagonalRect, canonical_angles, spectral_norm
+from .linalg import EPS, canonical_angles, spectral_norm
 
-COUPLING_K_CAP = 12
+COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
+PENCIL_NEWTON_STEPS = 4  # extended-precision polish of each pencil root
+DECAY_TOL = 1e-10  # slack of the Lanczos entry bounds, relative to sigma_1
+LCURVE_FLAT_ASPECT = 0.02  # log-axis extent ratio below which a curve is flat
 
 
 # ---------------------------------------------------------------------------
@@ -38,8 +40,8 @@ def harmonic_ritz(tridiag):
     double Lanczos tridiagonal carries O(eps ||A||) errors that move a small
     root by about 1e-13 relative, and the filtered expansion amplifies that
     by the spread of the roots: pass the np.longdouble tridiagonal of
-    `extended_tridiagonal` when the filter factors must reproduce the
-    iterate.
+    `lanczos(a.astype(np.longdouble), START_RESIDUAL, b, k)` when the
+    filter factors must reproduce the iterate.
     """
     t = tridiag.dense()
     k = t.shape[1]
@@ -54,48 +56,6 @@ def harmonic_ritz(tridiag):
         raise NumericalError("projected square block is numerically singular")
     thetas = _refine_pencil_roots(t, t[:k, :], 1.0 / mus)
     return thetas[np.argsort(-np.abs(thetas), kind="stable")]
-
-
-def extended_tridiagonal(a, b, k_max):
-    """Tridiagonal of up to k_max Lanczos steps on K_k(A, b), in np.longdouble.
-
-    The projection of the stored (A, b) that `minres_trace` computes in
-    double, here with extended-precision vectors, products and full
-    reorthogonalization, so that alpha and beta carry extended rounding
-    errors instead of eps * ||A||.  Breakdown ends the process as in
-    `lanczos`.  Feed `harmonic_ritz` with its heads.
-    """
-    ld = np.longdouble
-    n = a.n
-    if not 1 <= k_max <= n:
-        raise ContractViolation("need 1 <= k_max <= n")
-    q = np.asarray(b, dtype=ld)
-    nq = np.sqrt(q @ q)
-    if nq == 0:
-        raise ContractViolation("starting vector is zero")
-    basis = np.empty((n, k_max + 1), dtype=ld)
-    basis[:, 0] = q / nq
-    matvec = a.extended_matvec()
-    alphas = []
-    betas = []
-    norm_est = 0.0
-    prev_beta = ld(0)
-    for i in range(k_max):
-        w = matvec(basis[:, i])
-        alpha = basis[:, i] @ w
-        w -= alpha * basis[:, i]
-        if i > 0:
-            w -= prev_beta * basis[:, i - 1]
-        w = _reorth_twice(w, basis[:, : i + 1])
-        beta = np.sqrt(w @ w)
-        alphas.append(alpha)
-        betas.append(beta)
-        norm_est = max(norm_est, float(abs(alpha) + beta + prev_beta))
-        if beta <= n * EPS * norm_est:
-            break
-        basis[:, i + 1] = w / beta
-        prev_beta = beta
-    return TridiagonalRect(np.array(alphas, dtype=ld), np.array(betas, dtype=ld))
 
 
 def _solve_stack(a, b):
@@ -126,7 +86,7 @@ def _solve_stack(a, b):
     return x, ok
 
 
-def _refine_pencil_roots(t, t_sq, thetas, iterations=4):
+def _refine_pencil_roots(t, t_sq, thetas):
     """Newton-polish pencil roots det(T^T T - theta T_sq) = 0 in extended
     precision.  The correction is 1 / trace((T^T T - theta T_sq)^{-1} T_sq);
     filter-factor accuracy depends on theta - lambda differences a few ulp
@@ -144,7 +104,7 @@ def _refine_pencil_roots(t, t_sq, thetas, iterations=4):
     # to a different root
     max_step = 1e-6 * np.abs(thetas)
     active = np.arange(thetas.size)
-    for _ in range(iterations):
+    for _ in range(PENCIL_NEWTON_STEPS):
         if active.size == 0:
             break
         w, ok = _solve_stack(
@@ -196,16 +156,16 @@ def roundoff_floor(n, sigma1):
     return 10.0 * n * EPS * sigma1
 
 
-def lowrank_error_sequence(a, fact, k_count=None, floor=None):
+def lowrank_error_sequence(a, fact, floor=None):
     """Spectral-norm error of the successive rank-k approximations built
-    from the Lanczos factorization: ||A (I - Q_k Q_k^T)|| for k = 1..k_count.
+    from the Lanczos factorization: ||A (I - Q_k Q_k^T)|| for every k the
+    basis spans.
 
     Values at or below `floor` are round-off and are reported without the
     expensive certification pass.
     """
     q = fact.basis
-    usable = min(fact.k, q.shape[1])
-    k_count = usable if k_count is None else min(k_count, usable)
+    k_count = min(fact.k, q.shape[1])
     a_dense = a.dense()
     w = a.matmat(q[:, :k_count])
     out = np.empty(k_count)
@@ -219,7 +179,7 @@ def lowrank_error_sequence(a, fact, k_count=None, floor=None):
 # Krylov subspace vs dominant eigenspace
 
 
-def tail_coupling(decomp, b, k, cap=COUPLING_K_CAP):
+def tail_coupling(decomp, b, k):
     """Coupling matrix of the trailing eigendirections into K_k(A, Ab).
 
     Entry (j, i) holds lambda_{k+j} v_{k+j}^T b * L_i(lambda_{k+j}) /
@@ -227,9 +187,9 @@ def tail_coupling(decomp, b, k, cap=COUPLING_K_CAP):
     leading eigenvalues, evaluated in product form.  The spectral norm of
     this matrix determines the largest principal angle.
     """
-    if k > cap:
+    if k > COUPLING_K_CAP:
         raise ContractViolation(
-            f"coupling matrix requested for k={k} above the cap {cap}; "
+            f"coupling matrix requested for k={k} above the cap {COUPLING_K_CAP}; "
             "Lagrange products are not reliable this deep"
         )
     lams = decomp.eigenvalues
@@ -262,7 +222,7 @@ def tail_coupling(decomp, b, k, cap=COUPLING_K_CAP):
     return delta
 
 
-def angle_sine(decomp, k, mode="direct", fact=None, b=None, coupling=None, cap=COUPLING_K_CAP):
+def angle_sine(decomp, k, mode="direct", fact=None, b=None, coupling=None):
     """Sine of the largest principal angle between the k-dimensional dominant
     eigenspace and the k-dimensional Krylov subspace K_k(A, Ab).
 
@@ -281,7 +241,7 @@ def angle_sine(decomp, k, mode="direct", fact=None, b=None, coupling=None, cap=C
         if coupling is None:
             if b is None:
                 raise ContractViolation("formula mode needs b or a coupling matrix")
-            coupling = tail_coupling(decomp, b, k, cap=cap)
+            coupling = tail_coupling(decomp, b, k)
         d = spectral_norm(coupling)
         return float(d / math.hypot(1.0, d))
     raise ContractViolation(f"unknown mode {mode!r}")
@@ -331,20 +291,20 @@ class DecayRow:
     sigma_next: float  # sigma_{k+1}
 
 
-def lanczos_decay_table(fact, lowrank_errors, sigmas=None, floor=None, tol=None):
+def lanczos_decay_table(fact, lowrank_errors, sigmas=None, floor=None):
     """Row-by-row comparison of the Lanczos entries against the rank-k error.
 
     Returns (rows, violations): above the round-off floor every row must
     satisfy beta_{k+1} <= lowrank_error_k + tol and |alpha_{k+2}| <=
-    lowrank_error_k + tol; rows violating either land in `violations`.
+    lowrank_error_k + tol, with tol = DECAY_TOL * sigma_1; rows violating
+    either land in `violations`.
     """
     alpha = fact.tridiag.alpha
     beta = fact.tridiag.beta
     sig1 = float(sigmas[0]) if sigmas is not None else fact.norm_estimate
     if floor is None:
         floor = roundoff_floor(fact.basis.shape[0], sig1)
-    if tol is None:
-        tol = 1e-10 * sig1
+    tol = DECAY_TOL * sig1
     rows = []
     violations = []
     count = min(len(lowrank_errors), fact.k - 2)
@@ -386,7 +346,7 @@ def lcurve_points(trace):
     return pts
 
 
-def lcurve_corner(points, flat_aspect=0.02):
+def lcurve_corner(points):
     """Iteration index at the corner of a discrete L-curve, or None.
 
     Points whose residual is not below every earlier kept residual are
@@ -394,7 +354,7 @@ def lcurve_corner(points, flat_aspect=0.02):
     circumscribed-circle curvature of consecutive triples (clockwise
     positive for the usual orientation).  Corner-free data returns None
     explicitly: collinear points, and curves that are numerically collinear
-    because one log-axis extent is below `flat_aspect` times the other,
+    because one log-axis extent is below LCURVE_FLAT_ASPECT times the other,
     have no corner to find.
     """
     if len(points) < 3:
@@ -416,7 +376,7 @@ def lcurve_corner(points, flat_aspect=0.02):
     ys = [p.log_solution_norm for p in kept]
     rx = max(xs) - min(xs)
     ry = max(ys) - min(ys)
-    if ry <= flat_aspect * rx or rx <= flat_aspect * ry:
+    if ry <= LCURVE_FLAT_ASPECT * rx or rx <= LCURVE_FLAT_ASPECT * ry:
         return None
     best_k = None
     best_curv = 0.0

@@ -2,8 +2,15 @@
 
 Both builders touch the operator through matrix-vector products only and
 count every product, which is what the solver efficiency comparisons rest
-on.  Full reorthogonalization (classical Gram-Schmidt applied twice against
-all previous basis vectors) is the default and emulates exact arithmetic.
+on.  Every build reorthogonalizes fully (classical Gram-Schmidt applied
+twice against all previous basis vectors), which emulates exact
+arithmetic, and stops at a breakdown: a new off-diagonal at or below
+n * eps times the running estimate of ||A||.
+
+`lanczos` works in the precision of the operator's storage: on
+`a.astype(np.longdouble)` its vectors, products and entries are extended
+precision, which is how the filter-factor diagnostics get a tridiagonal
+whose errors are below double rounding.
 """
 
 from dataclasses import dataclass
@@ -29,7 +36,6 @@ class LanczosFactorization:
     start: str
     basis: np.ndarray
     tridiag: TridiagonalRect
-    policy: str
     breakdown: bool
     breakdown_step: int | None
     matvec_count: int
@@ -81,28 +87,27 @@ def _reorth_twice(w, q_mat):
     return w
 
 
-def lanczos(a, start, b, k_max, policy="full", breakdown_tol=None):
+def lanczos(a, start, b, k_max):
     """Run up to k_max symmetric Lanczos steps from b or A b.
 
-    Breakdown (new off-diagonal at or below n*eps*||A||-scale) returns the
-    truncated factorization with a flag rather than raising; the subspace is
-    then exactly invariant to working precision.
+    The start vector, the basis and the tridiagonal take the dtype of the
+    operator's storage.  Breakdown returns the truncated factorization
+    with a flag rather than raising; the subspace is then exactly
+    invariant to working precision.
     """
     if start not in (START_RESIDUAL, START_FILTERED):
         raise ContractViolation(f"unknown start kind {start!r}")
-    if policy not in ("full", "none"):
-        raise ContractViolation(f"unknown reorthogonalization policy {policy!r}")
     b = finite_rhs(b)
     n = a.n
     if k_max < 1 or k_max > n:
         raise ContractViolation("need 1 <= k_max <= n")
     matvecs = 0
     if start == START_RESIDUAL:
-        q1 = b.copy()
+        q1 = b.astype(a.dtype)
     else:
         q1 = a.matvec(b)
         matvecs += 1
-    nq = float(np.linalg.norm(q1))
+    nq = np.linalg.norm(q1)
     if nq == 0.0:
         raise ContractViolation("starting vector is zero")
     q1 /= nq
@@ -119,19 +124,17 @@ def lanczos(a, start, b, k_max, policy="full", breakdown_tol=None):
         q_mat = np.column_stack(cols)
         w = a.matvec(cols[-1])
         matvecs += 1
-        alpha = float(cols[-1] @ w)
+        alpha = cols[-1] @ w
         w = w - alpha * cols[-1]
         if i > 0:
             w -= prev_beta * cols[-2]
-        if policy == "full":
-            w = _reorth_twice(w, q_mat)
-        beta = float(np.linalg.norm(w))
-        norm_est = max(norm_est, abs(alpha) + beta + prev_beta)
-        tol = breakdown_tol if breakdown_tol is not None else n * EPS * norm_est
+        w = _reorth_twice(w, q_mat)
+        beta = np.linalg.norm(w)
+        norm_est = max(norm_est, float(abs(alpha) + beta + prev_beta))
         alphas.append(alpha)
         betas.append(beta)
         counts.append(matvecs)
-        if beta <= tol:
+        if beta <= n * EPS * norm_est:
             breakdown = True
             breakdown_step = i + 1
             break
@@ -142,7 +145,6 @@ def lanczos(a, start, b, k_max, policy="full", breakdown_tol=None):
         start=start,
         basis=np.column_stack(cols),
         tridiag=TridiagonalRect(alphas, betas),
-        policy=policy,
         breakdown=breakdown,
         breakdown_step=breakdown_step,
         matvec_count=matvecs,
@@ -151,7 +153,7 @@ def lanczos(a, start, b, k_max, policy="full", breakdown_tol=None):
     )
 
 
-def golub_kahan(a, b, k_max, breakdown_tol=None):
+def golub_kahan(a, b, k_max):
     """Golub-Kahan bidiagonalization with full reorthogonalization of both
     bases; uses exactly two operator products per step."""
     b = finite_rhs(b)
@@ -179,8 +181,7 @@ def golub_kahan(a, b, k_max, breakdown_tol=None):
             v = _reorth_twice(v, np.column_stack(v_cols))
         alpha = float(np.linalg.norm(v))
         norm_est = max(norm_est, alpha + (betas[-1] if betas else 0.0))
-        tol = breakdown_tol if breakdown_tol is not None else n * EPS * max(norm_est, 1e-300)
-        if alpha <= tol:
+        if alpha <= n * EPS * max(norm_est, 1e-300):
             breakdown = True
             breakdown_step = i + 1
             break
@@ -195,8 +196,7 @@ def golub_kahan(a, b, k_max, breakdown_tol=None):
         norm_est = max(norm_est, alpha + beta)
         betas.append(beta)
         counts.append(matvecs)
-        tol = breakdown_tol if breakdown_tol is not None else n * EPS * norm_est
-        if beta <= tol:
+        if beta <= n * EPS * norm_est:
             breakdown = True
             breakdown_step = i + 1
             break

@@ -10,6 +10,7 @@ directly, without squaring into a Gram matrix, which keeps small singular
 values accurate to eps times the largest.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -65,36 +66,41 @@ class SymmetricMatrix:
     def factor(self):
         return self._factor
 
+    @property
+    def dtype(self):
+        return (self._factor if self._dense is None else self._dense).dtype
+
+    def astype(self, dtype):
+        """This operator with its storage cast to `dtype` once.
+
+        np.longdouble gives extended-precision products: the stored double
+        entries are exact in that type, so only its rounding enters.  The
+        copy holds the cast storage (twice the memory of double for
+        np.longdouble).
+        """
+        out = copy.copy(self)
+        if self._dense is not None:
+            out._dense = self._dense.astype(dtype)
+        else:
+            out._factor = self._factor.astype(dtype)
+        return out
+
     def matvec(self, x):
-        x = np.asarray(x, dtype=float)
+        """A x, computed in the storage dtype."""
+        x = np.asarray(x, dtype=self.dtype)
         if x.shape != (self.n,):
             raise ContractViolation(f"expected vector of length {self.n}")
         if self._dense is not None:
-            return self._dense @ x
+            return np.dot(self._dense, x)
         t = self._factor
         xm = x.reshape(self.m, self.m, order="F")
         return (t @ xm @ t).ravel(order="F")
 
     def matmat(self, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
         if self._dense is not None:
             return self._dense @ x
         return np.column_stack([self.matvec(x[:, j]) for j in range(x.shape[1])])
-
-    def extended_matvec(self):
-        """The product x -> A x with np.longdouble vectors and arithmetic.
-
-        The stored double entries are exact in extended precision, so only
-        the extended rounding enters.  The returned function holds an
-        extended copy of the storage (twice the memory of the double one).
-        """
-        ld = np.longdouble
-        if self._dense is not None:
-            a_ld = self._dense.astype(ld)
-            return lambda x: np.dot(a_ld, x)
-        t = self._factor.astype(ld)
-        m = self.m
-        return lambda x: (t @ x.reshape(m, m, order="F") @ t).ravel(order="F")
 
     def dense(self):
         if self._dense is not None:
@@ -313,7 +319,7 @@ def _gram_top_eigenvalue(m_mat):
     return float(max(np.linalg.eigvalsh(g).max(), 0.0))
 
 
-def spectral_norm(m_mat, dense_limit=DENSE_EIG_LIMIT, coarse_below=None):
+def spectral_norm(m_mat, coarse_below=None):
     """Largest singular value of a dense matrix to ~1e-10 relative.
 
     Power iteration on M^T M with a deterministic start; when the convergence
@@ -363,7 +369,7 @@ def spectral_norm(m_mat, dense_limit=DENSE_EIG_LIMIT, coarse_below=None):
         return sigma
     if coarse_below is not None and sigma <= coarse_below:
         return sigma
-    if max(m_mat.shape) <= dense_limit:
+    if max(m_mat.shape) <= DENSE_EIG_LIMIT:
         return math.sqrt(_gram_top_eigenvalue(m_mat))
     return sigma
 

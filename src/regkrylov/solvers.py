@@ -15,10 +15,11 @@ Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
 loop, `_krylov_trace`, which forms the projected problem once and differs
 between them only in the solve of the small projected problem at each k:
-Givens least squares (`_givens_ls`), or the inner TSVD family and its
-truncation rule.  Every trace, TSVD's included, is built by `_assemble`.
-The Givens cascades of successive k share an exact prefix, so reported
-residual norms are non-increasing up to rounding.
+Givens least squares (`_givens_ls`), or the inner TSVD family truncated
+at the corner of its own L-curve (`_lcurve_truncation`).  Every trace,
+TSVD's included, is built by `_assemble`.  The Givens cascades of
+successive k share an exact prefix, so reported residual norms are
+non-increasing up to rounding.
 """
 
 import math
@@ -46,8 +47,6 @@ class IterateTrace:
     matvecs: np.ndarray
     factorization: object = None
     breakdown: bool = False
-    pseudoinverse_gaps: np.ndarray | None = None
-    inner_truncations: np.ndarray | None = None
 
     @property
     def iterations(self):
@@ -59,26 +58,6 @@ class IterateTrace:
             raise ContractViolation("trace has no relative errors")
         i = int(np.argmin(self.relative_errors))
         return i + 1, float(self.relative_errors[i])
-
-
-@dataclass(frozen=True)
-class HybridRule:
-    """Inner regularization of the projected problem: TSVD truncated either
-    at a fixed level or at the corner of the projected L-curve."""
-
-    mode: str = "lcurve"  # lcurve | fixed
-    p: int | None = None
-
-    def validate(self, k_max):
-        if self.mode not in ("lcurve", "fixed"):
-            raise ContractViolation(f"unknown hybrid mode {self.mode!r}")
-        if self.mode == "fixed":
-            if self.p is None or self.p < 1:
-                raise ContractViolation("fixed hybrid rule needs p >= 1")
-            if self.p > k_max:
-                raise ContractViolation(
-                    f"fixed truncation p={self.p} exceeds the subspace size {k_max}"
-                )
 
 
 class LanczosCache:
@@ -167,15 +146,14 @@ def _assemble(solver, solutions, res, x_true, fact=None):
     )
 
 
-def _krylov_trace(solver, fact, b, x_true, solve, debug=False):
+def _krylov_trace(solver, fact, b, x_true, solve):
     """Iterates x_k = V_k y_k of a Lanczos or Golub-Kahan factorization.
 
     The projected problem at step k takes the rows of T that the left basis
     spans (at a breakdown the basis has one column fewer than T has rows)
     and g, the coordinates of b in that basis.  solve(T_k, g_k) returns y_k
     and its projected residual norm; tail2, the squared part of b outside
-    the basis, adds to that norm in quadrature.  `debug` records each
-    iterate's relative gap to the pseudoinverse solution with g = Q^T b.
+    the basis, adds to that norm in quadrature.
     """
     if isinstance(fact, LanczosFactorization):
         t, left, basis = fact.tridiag.dense(), fact.basis, fact.basis
@@ -190,36 +168,27 @@ def _krylov_trace(solver, fact, b, x_true, solve, debug=False):
         g = np.zeros(t.shape[0])
         g[0] = nb
         tail2 = np.zeros(t.shape[0])
-    g_exact = left.T @ b if debug else None
     solutions = []
     res = []
-    gaps = []
     for k in range(1, fact.k + 1):
         rows = min(k + 1, t.shape[0])
         y, proj = solve(t[:rows, :k], g[:rows])
-        x = basis[:, :k] @ y
-        solutions.append(x)
+        solutions.append(basis[:, :k] @ y)
         res.append(math.hypot(proj, math.sqrt(tail2[rows - 1])))
-        if debug:
-            x_pi = basis[:, :k] @ least_squares(t[:rows, :k], g_exact[:rows])
-            gaps.append(float(np.linalg.norm(x - x_pi)) / max(float(np.linalg.norm(x)), 1e-300))
-    trace = _assemble(solver, solutions, res, x_true, fact)
-    if debug:
-        trace.pseudoinverse_gaps = np.asarray(gaps)
-    return trace
+    return _assemble(solver, solutions, res, x_true, fact)
 
 
-def minres_trace(a, b, k_max, x_true=None, debug=False, cache=None):
+def minres_trace(a, b, k_max, x_true=None, cache=None):
     """Minimum-residual iterates over the Krylov spaces K_k(A, b)."""
     fact = _lanczos(a, START_RESIDUAL, b, k_max, cache)
-    return _krylov_trace("minres", fact, b, x_true, _givens_ls, debug)
+    return _krylov_trace("minres", fact, b, x_true, _givens_ls)
 
 
-def mr2_trace(a, b, k_max, x_true=None, debug=False, cache=None):
+def mr2_trace(a, b, k_max, x_true=None, cache=None):
     """Minimum-residual iterates over K_k(A, A b), which excludes the noisy
     right-hand side from the search space."""
     fact = _lanczos(a, START_FILTERED, b, k_max, cache)
-    return _krylov_trace("mr2", fact, b, x_true, _givens_ls, debug)
+    return _krylov_trace("mr2", fact, b, x_true, _givens_ls)
 
 
 def lsqr_trace(a, b, k_max, x_true=None):
@@ -277,48 +246,37 @@ def _projected_tsvd_family(t_block, rhs):
     return ys, residuals
 
 
-def hybrid_trace(base, a, b, k_max, rule=None, x_true=None, cache=None):
+def _lcurve_truncation(t_block, rhs):
+    """The member of the projected TSVD family at the corner of its own
+    L-curve, and its projected residual; with no corner the family is
+    truncation-neutral and the full solve is kept."""
+    ys, proj_res = _projected_tsvd_family(t_block, rhs)
+    k = t_block.shape[1]
+    pts = [
+        diagnostics.LCurvePoint(
+            log_residual=math.log(max(proj_res[i], 1e-300)),
+            log_solution_norm=math.log(max(float(np.linalg.norm(ys[i])), 1e-300)),
+            k=i + 1,
+        )
+        for i in range(k)
+    ]
+    p = diagnostics.lcurve_corner(pts) or k
+    return ys[p - 1], proj_res[p - 1]
+
+
+def hybrid_trace(base, a, b, k_max, x_true=None, cache=None):
     """Outer Krylov projection with inner TSVD regularization.
 
-    At outer step k the projected tridiagonal is truncated to `p` dominant
-    singular directions; p comes from the rule (fixed level or the corner of
-    the projected-problem L-curve, falling back to no truncation when no
-    corner exists).  The outer factorization is the one minres (or mr2)
-    uses, shared through `cache` when one is given.
+    At outer step k the projected tridiagonal is truncated to the dominant
+    singular directions up to the corner of the projected-problem L-curve
+    (no truncation when no corner exists).  The outer factorization is the
+    one minres (or mr2) uses, shared through `cache` when one is given.
     """
     if base not in ("minres", "mr2"):
         raise ContractViolation(f"unknown hybrid base {base!r}")
-    rule = rule or HybridRule()
-    rule.validate(k_max)
-    chosen = []
-
-    def solve(t_block, rhs):
-        ys, proj_res = _projected_tsvd_family(t_block, rhs)
-        k = t_block.shape[1]
-        if rule.mode == "fixed":
-            p = min(rule.p, k)
-        else:
-            # L-curve of the projected problem itself; no corner means the
-            # family is truncation-neutral and the full solve is kept
-            pts = [
-                diagnostics.LCurvePoint(
-                    log_residual=math.log(max(proj_res[i], 1e-300)),
-                    log_solution_norm=math.log(max(float(np.linalg.norm(ys[i])), 1e-300)),
-                    k=i + 1,
-                )
-                for i in range(k)
-            ]
-            p = diagnostics.lcurve_corner(pts)
-            if p is None:
-                p = k
-        chosen.append(p)
-        return ys[p - 1], proj_res[p - 1]
-
     start = START_RESIDUAL if base == "minres" else START_FILTERED
     fact = _lanczos(a, start, b, k_max, cache)
-    trace = _krylov_trace(f"hybrid-{base}", fact, b, x_true, solve)
-    trace.inner_truncations = np.asarray(chosen)
-    return trace
+    return _krylov_trace(f"hybrid-{base}", fact, b, x_true, _lcurve_truncation)
 
 
 def _hybrid(base):

@@ -1,12 +1,20 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from regkrylov import problems
 from regkrylov.linalg import symmetric_eig
+
+# for tests of the np.longdouble paths, which only differ from double where
+# the platform's long double is wider
+needs_extended_precision = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 on this platform",
+)
 
 _PROBLEMS = {}
 _DECOMPS = {}

@@ -8,12 +8,12 @@ independent oracle and fails if the miss is not reproduced.
 """
 
 import numpy as np
-import pytest
 
 from regkrylov import cli, diagnostics, problems, rng, solvers
-from regkrylov.krylov import START_FILTERED, lanczos
+from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
 from regkrylov.linalg import SymmetricMatrix
 
+from conftest import needs_extended_precision
 from oracles import (
     arnoldi_basis,
     arnoldi_minimizers,
@@ -24,7 +24,6 @@ from oracles import (
 SEVERE_MODERATE = ("shaw", "foxgood", "gravity", "phillips")
 ORDERING_PROBLEMS = {"shaw": 1024, "foxgood": 1024, "gravity": 1024,
                      "phillips": 1024, "deriv2": 1024, "blur": 64}
-EXTENDED_PRECISION = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 _trace_cache = {}
 
@@ -76,9 +75,7 @@ def test_criterion_01_lanczos_entry_bounds(get_problem, get_decomp):
     rows_checked = 0
     for name in SEVERE_MODERATE:
         _, decomp, fact, gam, floor = _decay_sweep(get_problem, get_decomp, name)
-        rows, bad = diagnostics.lanczos_decay_table(
-            fact, gam, decomp.sigmas, floor=floor, tol=1e-10 * decomp.sigmas[0]
-        )
+        rows, bad = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas, floor=floor)
         rows_checked += len(rows)
         violations.extend((name, r.k) for r in bad)
     _verdict(
@@ -113,8 +110,7 @@ def test_criterion_02_rank_error_optimality(get_problem, get_decomp):
     )
 
 
-@pytest.mark.skipif(not EXTENDED_PRECISION,
-                    reason="np.longdouble is no wider than float64 on this platform")
+@needs_extended_precision
 def test_criterion_03_filter_reconstruction(get_problem, get_decomp):
     """Filtered spectral expansion reproduces the k-step iterate, k <= 8.
 
@@ -126,7 +122,7 @@ def test_criterion_03_filter_reconstruction(get_problem, get_decomp):
     decomp = get_decomp("shaw", 128)
     nz = problems.add_noise(prob, 1e-3, seed=0)
     tr = solvers.minres_trace(prob.a, nz.b, 8, x_true=prob.x_true)
-    tridiag = diagnostics.extended_tridiagonal(prob.a, nz.b, 8)
+    tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, nz.b, 8).tridiag
     worst = 0.0
     for k in range(1, 9):
         theta = diagnostics.harmonic_ritz(tridiag.head(k))

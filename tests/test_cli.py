@@ -11,6 +11,7 @@ from click.testing import CliRunner
 import regkrylov
 from regkrylov import cli, diagnostics, problems, solvers
 from regkrylov.exceptions import ConfigError, NumericalError
+from regkrylov.krylov import START_RESIDUAL, lanczos
 
 
 def small_config(out_dir, **overrides):
@@ -78,10 +79,22 @@ def test_filters_diagnostic_uses_extended_projection(tmp_path):
     summary = cli.run_experiment(cfg)
     doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
     prob = problems.generate("shaw", 96)
-    tridiag = diagnostics.extended_tridiagonal(prob.a, problems.add_noise(prob, 1e-3, 1).b, 10)
+    b = problems.add_noise(prob, 1e-3, 1).b
+    tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, b, 10).tridiag
+    assert tridiag.alpha.dtype == np.longdouble
     assert len(doc["harmonic_ritz_values"]) == len(doc["filter_factor_rows"]) == 10
     for k, got in enumerate(doc["harmonic_ritz_values"], start=1):
         assert got == diagnostics.harmonic_ritz(tridiag.head(k)).tolist()
+
+
+def test_filters_without_minres_leave_a_note(tmp_path):
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", solvers=["mr2"], diagnostics=["filters"])
+    )
+    summary = cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
+    assert "harmonic_ritz_values" not in doc
+    assert doc["notes"] == ["filters need a minres trace"]
 
 
 def test_clean_noise_level_exact_recovery(tmp_path):
@@ -209,14 +222,15 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
     count(diagnostics, "lcurve_corner")
     cfg = cli.ExperimentConfig.from_dict(
         small_config(tmp_path / "out", n=32, k_max=6, noise_levels=[1e-3, 1e-2], seeds=[1, 2],
-                     solvers=list(cli.SOLVER_NAMES))
+                     solvers=list(cli.SOLVER_NAMES), diagnostics=list(cli.DIAG_NAMES))
     )
     summary = cli.run_experiment(cfg)
     cells = 4
     for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "golub_kahan"):
         assert counts[attr] == cells, attr
     assert counts["hybrid_trace"] == 2 * cells
-    # one factorization per start kind per cell, shared with the hybrid
+    # one factorization per start kind per cell, shared with the hybrid; the
+    # filters diagnostic's extended-precision projection is not among them
     assert counts["lanczos"] == 2 * cells
     # one inner SVD and one projected L-curve corner per hybrid outer step;
     # one corner per trace for the summary and one for the lcurve diagnostic

@@ -41,7 +41,7 @@ def test_extended_tridiagonal_rounds_to_double_lanczos(get_problem):
     prob = get_problem("shaw", 64)
     nz = problems.add_noise(prob, 1e-3, seed=0)
     fact = lanczos(prob.a, START_RESIDUAL, nz.b, 8)
-    ext = diagnostics.extended_tridiagonal(prob.a, nz.b, 8)
+    ext = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, nz.b, 8).tridiag
     assert ext.alpha.dtype == np.longdouble and ext.k == fact.k
     scale = 1e-13 * fact.norm_estimate
     assert np.abs(ext.alpha - fact.tridiag.alpha).max() <= scale
@@ -52,7 +52,9 @@ def test_extended_tridiagonal_at_breakdown():
     lams = np.array([3.0, 2.2, 1.5, -1.0, 0.5])
     q, _ = np.linalg.qr(rng.normal(4, 25).reshape(5, 5))
     a = SymmetricMatrix(dense=(q * lams) @ q.T)
-    ext = diagnostics.extended_tridiagonal(a, rng.normal(5, 5), 5)
+    fact = lanczos(a.astype(np.longdouble), START_RESIDUAL, rng.normal(5, 5), 5)
+    assert fact.breakdown and fact.basis.dtype == np.longdouble
+    ext = fact.tridiag
     assert ext.k == 5
     theta = diagnostics.harmonic_ritz(ext)
     assert theta.dtype == np.float64
@@ -90,7 +92,7 @@ def _pencil_roots_mp(tridiag, digits=60):
 def test_harmonic_ritz_vs_high_precision_pencil_roots(get_problem, seed):
     prob = get_problem("shaw", 256)
     nz = problems.add_noise(prob, 1e-3, seed)
-    tridiag = diagnostics.extended_tridiagonal(prob.a, nz.b, 10)
+    tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, nz.b, 10).tridiag
     for k in range(8, tridiag.k + 1):
         head = tridiag.head(k)
         want = _pencil_roots_mp(head)

@@ -93,20 +93,6 @@ def test_positive_scaling(get_problem):
     assert np.abs(f2.basis - f1.basis).max() <= 1e-13
 
 
-def test_reorthogonalization_none_drifts(get_problem):
-    prob = get_problem("shaw", 96)
-    b = prob.b_hat
-    full = lanczos(prob.a, START_FILTERED, b, 30, policy="full")
-    loose = lanczos(prob.a, START_FILTERED, b, 30, policy="none")
-
-    def orth_defect(fact):
-        q = fact.basis
-        return np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
-
-    assert orth_defect(full) <= 1e-10
-    assert orth_defect(loose) > orth_defect(full)
-
-
 # ---------------------------------------------------------------------------
 # Golub-Kahan
 
@@ -135,17 +121,3 @@ def test_bidiag_residual_invariant(get_problem):
     assert res <= 1e-10 * norm_a
     assert np.linalg.norm(fact.left.T @ fact.left - np.eye(fact.left.shape[1])) <= 1e-10
     assert np.linalg.norm(fact.right.T @ fact.right - np.eye(fact.k)) <= 1e-10
-
-
-def test_bidiagonalization_beta_test_honors_breakdown_tol():
-    # a start close to the top eigenvector: large alpha, small beta
-    a = SymmetricMatrix(dense=np.diag([10.0, 1.0, 0.5, 0.1]))
-    b = np.array([1.0, 1e-2, 1e-2, 1e-2])
-    plain = golub_kahan(a, b, 4)
-    alpha, beta = plain.alpha[0], plain.beta[0]
-    assert beta < alpha
-    tol = 0.5 * (alpha + beta)
-    fact = golub_kahan(a, b, 4, breakdown_tol=tol)
-    assert fact.breakdown and fact.breakdown_step == 1
-    assert fact.alpha.tolist() == [alpha] and fact.beta.tolist() == [beta]
-    assert fact.matvec_count == 2

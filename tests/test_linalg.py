@@ -23,6 +23,7 @@ from regkrylov.linalg import (
     symmetric_eig,
 )
 
+from conftest import needs_extended_precision
 from oracles import jacobi_eigh, jacobi_svd
 
 
@@ -56,20 +57,24 @@ def test_kronecker_matvec_matches_densified():
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-                    reason="np.longdouble is no wider than float64 on this platform")
+@needs_extended_precision
 @pytest.mark.parametrize("a", [
     SymmetricMatrix(dense=np.ones((4, 4))),
     SymmetricMatrix(toeplitz_first_col=np.ones(2)),
 ])
 def test_extended_matvec_keeps_extended_digits(a):
     # 1 + 2**-60 rounds to 1 in double but is exact in extended precision
-    x = np.zeros(4, dtype=np.longdouble)
+    ld = np.longdouble
+    x = np.zeros(4, dtype=ld)
     x[0] = 1.0
-    x[1] = np.longdouble(2.0) ** -60
-    got = a.extended_matvec()(x)
-    assert got.dtype == np.longdouble
-    assert np.all(got == 1 + np.longdouble(2.0) ** -60)
+    x[1] = ld(2.0) ** -60
+    extended = a.astype(ld)
+    assert extended.dtype == ld and extended.n == a.n
+    got = extended.matvec(x)
+    assert got.dtype == ld
+    assert np.all(got == 1 + ld(2.0) ** -60)
+    # the cast is a copy: the double operator still rounds to double
+    assert a.dtype == np.float64 and np.all(a.matvec(x) == 1.0)
 
 
 def test_kronecker_dense_limit():

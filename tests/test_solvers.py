@@ -3,11 +3,12 @@ import pytest
 
 from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
-from regkrylov.linalg import SymmetricMatrix, symmetric_eig
+from regkrylov.linalg import SymmetricMatrix, least_squares, symmetric_eig
 from regkrylov.solvers import (
     SOLVERS,
-    HybridRule,
     LanczosCache,
+    _givens_ls,
+    _projected_tsvd_family,
     hybrid_trace,
     lsqr_trace,
     minres_trace,
@@ -97,12 +98,19 @@ def test_residual_norms_non_increasing(get_problem):
 
 
 def test_pseudoinverse_identity_in_debug_mode(get_problem):
+    # each iterate is V_k T_k^+ Q^T b, from the trace's own factorization
     prob = get_problem("shaw", 128)
     nz = problems.add_noise(prob, 1e-3, seed=1)
     for builder in (minres_trace, mr2_trace):
-        tr = builder(prob.a, nz.b, 8, x_true=prob.x_true, debug=True)
-        assert tr.pseudoinverse_gaps is not None
-        assert tr.pseudoinverse_gaps.max() <= 1e-10, builder.__name__
+        tr = builder(prob.a, nz.b, 8, x_true=prob.x_true)
+        q = tr.factorization.basis
+        t = tr.factorization.tridiag.dense()
+        g = q.T @ nz.b
+        for k, x in enumerate(tr.solutions, start=1):
+            rows = min(k + 1, q.shape[1])
+            x_pi = q[:, :k] @ least_squares(t[:rows, :k], g[:rows])
+            gap = np.linalg.norm(x - x_pi) / np.linalg.norm(x)
+            assert gap <= 1e-10, (builder.__name__, k)
 
 
 def test_mr2_matches_brute_force_minimizer():
@@ -119,24 +127,21 @@ def test_mr2_matches_brute_force_minimizer():
 
 
 def test_hybrid_fixed_full_rank_equals_base(get_problem):
+    # the untruncated member of the hybrid's inner TSVD family is the base
+    # solver's Givens least-squares solve of each projected problem
     prob = get_problem("shaw", 128)
     nz = problems.add_noise(prob, 1e-3, seed=0)
-    base = mr2_trace(prob.a, nz.b, 10, x_true=prob.x_true)
-    hyb = hybrid_trace("mr2", prob.a, nz.b, 10, rule=HybridRule(mode="fixed", p=10),
-                       x_true=prob.x_true)
-    for k in range(10):
-        assert np.linalg.norm(hyb.solutions[k] - base.solutions[k]) <= 1e-10 * (
-            1.0 + np.linalg.norm(base.solutions[k])
-        )
+    fact = mr2_trace(prob.a, nz.b, 10).factorization
+    t = fact.tridiag.dense()
+    g = fact.basis.T @ nz.b
+    for k in range(1, 11):
+        block, rhs = t[: k + 1, :k], g[: k + 1]
+        want, _ = _givens_ls(block, rhs)
+        got = _projected_tsvd_family(block, rhs)[0][-1]
+        assert np.linalg.norm(got - want) <= 1e-10 * (1.0 + np.linalg.norm(want))
 
 
 def test_hybrid_rule_validation():
-    with pytest.raises(ContractViolation):
-        HybridRule(mode="fixed", p=12).validate(10)
-    with pytest.raises(ContractViolation):
-        HybridRule(mode="fixed", p=0).validate(10)
-    with pytest.raises(ContractViolation):
-        HybridRule(mode="nope").validate(10)
     with pytest.raises(ContractViolation):
         hybrid_trace("cg", SymmetricMatrix(dense=np.eye(3)), np.ones(3), 2)
 

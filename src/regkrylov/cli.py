@@ -12,13 +12,16 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import click
 import numpy as np
 
 from . import diagnostics, problems, solvers
-from .exceptions import ConfigError, ContractViolation, NumericalError, RegKrylovError
+from .exceptions import (
+    ConfigError, ContractViolation, NumericalError, RegKrylovError, ResourceLimitError,
+)
 from .krylov import START_FILTERED, START_RESIDUAL, lanczos
 from .linalg import small_svd, symmetric_eig
 
@@ -71,16 +74,34 @@ class ExperimentConfig:
         for d in self.diagnostics:
             if d not in DIAG_NAMES:
                 raise ConfigError(f"unknown diagnostics toggle {d!r}")
+        # a cell keys its traces by solver and names its files by solver,
+        # noise level (as %g) and seed: a repeated entry would repeat a cell
+        for key, values in (("solvers", self.solvers), ("seeds", self.seeds),
+                            ("noise_levels", [f"{e:g}" for e in self.noise_levels])):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate entries in {key}")
 
     def to_dict(self):
         doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
         return doc
 
 
-def _float_repr(x):
+def _csv_field(x):
+    """Shortest round-trip text of a number; None and NaN are empty."""
+    if isinstance(x, (int, np.integer)):
+        return repr(int(x))
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return ""
     return repr(float(x))
+
+
+def _write_series_csv(path, header, columns):
+    """One column per series; a shorter series leaves its last rows empty."""
+    lines = [",".join(header)]
+    for i in range(max(len(c) for c in columns)):
+        lines.append(",".join(_csv_field(c[i]) if i < len(c) else "" for c in columns))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_trace_csv(path, trace):
@@ -99,31 +120,62 @@ def _write_trace_csv(path, trace):
 def read_trace_csv(path):
     """Parse a trace CSV back into per-iteration float arrays."""
     with open(path) as fh:
-        rows = fh.read().strip().split("\n")[1:]
-    out = {"k": [], "residual_norm": [], "solution_norm": [], "relative_error": []}
-    for row in rows:
-        k, r, s, e = row.split(",")
-        out["k"].append(int(k))
-        out["residual_norm"].append(float(r))
-        out["solution_norm"].append(float(s))
-        out["relative_error"].append(float(e) if e else math.nan)
-    return {key: np.asarray(val) for key, val in out.items()}
+        header, *rows = fh.read().strip().split("\n")
+    cells = [row.split(",") for row in rows]
+    out = {name: np.asarray([float(c[j]) if c[j] else math.nan for c in cells])
+           for j, name in enumerate(header.split(","))}
+    out["k"] = out["k"].astype(int)
+    return out
 
 
-def _build_problem(cfg):
-    """The configured problem (and its decomposition, when the generator
-    knows it); contract errors from config values become ConfigError."""
+def _build_problem(name, n, band=3, sigma=0.7, synthetic=None):
+    """The named problem (and its decomposition, when the generator knows
+    it); contract errors from config values become ConfigError."""
     try:
-        if cfg.problem == "synthetic":
+        if name == "synthetic":
             try:
-                spec = problems.SyntheticSpec(**(cfg.synthetic or {"n": cfg.n}))
+                spec = problems.SyntheticSpec(**(synthetic or {"n": n}))
             except TypeError as exc:  # unknown or missing keys
                 raise ConfigError(f"invalid synthetic spec: {exc}") from exc
             return problems.generate_synthetic(spec)
-        prob = problems.generate(cfg.problem, cfg.n, band=cfg.band, sigma=cfg.sigma)
+        prob = problems.generate(name, n, band=band, sigma=sigma)
     except ContractViolation as exc:
-        raise ConfigError(f"invalid {cfg.problem} problem: {exc}") from exc
+        raise ConfigError(f"invalid {name} problem: {exc}") from exc
     return prob, None
+
+
+def _decompose(a):
+    """The eigendecomposition of a; an operator beyond the dense limit is
+    a ConfigError."""
+    try:
+        return symmetric_eig(a)
+    except ResourceLimitError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _run_cell(prob, decomp, eps, seed, k_max, names):
+    """One (noise level, seed) cell: the noise, the cell's LanczosCache and
+    the traces of the named solvers, by name in the given order."""
+    if eps == 0.0:
+        noise = problems.NoiseRealization(
+            e=np.zeros(prob.a.n), eps=0.0, seed=seed, b=prob.b_hat.copy()
+        )
+    else:
+        noise = problems.add_noise(prob, eps, seed)
+    cache = solvers.LanczosCache(prob.a, noise.b, k_max)
+    traces = {
+        name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
+        for name in names
+    }
+    return noise, cache, traces
+
+
+def _lowrank_series(prob, decomp, fact):
+    """The rank-k errors of A against fact's basis down to the round-off
+    floor, the magnitudes of the next eigenvalues, and that floor."""
+    floor = diagnostics.roundoff_floor(prob.a.n, decomp.sigmas[0])
+    gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
+    return gam, decomp.sigmas[1 : len(gam) + 1], floor
 
 
 def _cell_summary(solver, eps, seed, trace, csv_name):
@@ -147,15 +199,14 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
     report = diagnostics.DiagnosticsReport()
     toggles = set(cfg.diagnostics)
     mr2_like = traces.get("mr2") or traces.get("hybrid-mr2")
+    fact = mr2_like.factorization if mr2_like is not None else None
     if "lowrank" in toggles or "decay" in toggles:
-        if mr2_like is None or prob.a.n > 4096:
+        if fact is None or prob.a.n > 4096:
             report.notes.append("lowrank/decay need an mr2 factorization at dense scale")
         else:
-            fact = mr2_like.factorization
-            floor = diagnostics.roundoff_floor(prob.a.n, decomp.sigmas[0])
-            gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
+            gam, sigma_next, floor = _lowrank_series(prob, decomp, fact)
             report.lowrank_error = [float(g) for g in gam]
-            report.sigma_next = [float(s) for s in decomp.sigmas[1 : len(gam) + 1]]
+            report.sigma_next = [float(s) for s in sigma_next]
             if "decay" in toggles:
                 rows, violations = diagnostics.lanczos_decay_table(
                     fact, gam, decomp.sigmas, floor=floor
@@ -168,7 +219,6 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
     if "angles" in toggles:
         direct = []
         formula = []
-        fact = mr2_like.factorization if mr2_like is not None else None
         for k in range(1, min(cfg.k_max, diagnostics.COUPLING_K_CAP) + 1):
             try:
                 formula.append(diagnostics.angle_sine(decomp, k, mode="formula", b=noise.b))
@@ -220,47 +270,31 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
     return report
 
 
-def run_experiment(cfg, progress=None):
+def run_experiment(cfg):
     """Execute a config; returns the summary dict after writing all files."""
-    prob, decomp = _build_problem(cfg)
+    prob, decomp = _build_problem(cfg.problem, cfg.n, cfg.band, cfg.sigma, cfg.synthetic)
     if cfg.k_max > prob.a.n:
         raise ConfigError(f"k_max {cfg.k_max} exceeds the problem order {prob.a.n}")
+    # tsvd and every diagnostic but lcurve read the eigendecomposition
+    if decomp is None and ("tsvd" in cfg.solvers or set(cfg.diagnostics) - {"lcurve"}):
+        decomp = _decompose(prob.a)
     os.makedirs(cfg.output_dir, exist_ok=True)
     # summary.json marks a complete run: a rerun that stops partway must
     # not leave the previous run's summary beside its new files
     summary_path = os.path.join(cfg.output_dir, "summary.json")
     if os.path.exists(summary_path):
         os.remove(summary_path)
-    needs_decomp = (
-        "tsvd" in cfg.solvers
-        or bool(set(cfg.diagnostics) & {"lowrank", "angles", "filters", "decay"})
-    )
-    if decomp is None and needs_decomp:
-        decomp = symmetric_eig(prob.a)
     cells = []
     manifest = []
     diag_files = []
     for eps in cfg.noise_levels:
         for seed in cfg.seeds:
-            if eps == 0.0:
-                noise = problems.NoiseRealization(
-                    e=np.zeros(prob.a.n), eps=0.0, seed=seed, b=prob.b_hat.copy()
-                )
-            else:
-                noise = problems.add_noise(prob, eps, seed)
-            traces = {}
-            cache = solvers.LanczosCache(prob.a, noise.b, cfg.k_max)
-            for solver in cfg.solvers:
-                trace = solvers.SOLVERS[solver](
-                    prob.a, noise.b, cfg.k_max, prob.x_true, decomp, cache
-                )
+            noise, _, traces = _run_cell(prob, decomp, eps, seed, cfg.k_max, cfg.solvers)
+            for solver, trace in traces.items():
                 csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
                 _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
                 manifest.append(csv_name)
                 cells.append(_cell_summary(solver, eps, seed, trace, csv_name))
-                traces[solver] = trace
-                if progress:
-                    progress(solver, eps, seed)
             if cfg.diagnostics:
                 report = _cell_diagnostics(cfg, prob, decomp, noise, traces)
                 diag_name = f"diagnostics_{eps:g}_{seed}.json"
@@ -283,23 +317,6 @@ def run_experiment(cfg, progress=None):
 # figure reproduction
 
 
-def _write_series_csv(path, header, columns):
-    length = max(len(c) for c in columns)
-    lines = [",".join(header)]
-    for i in range(length):
-        row = []
-        for col in columns:
-            if i >= len(col):
-                row.append("")
-            elif isinstance(col[i], (int, np.integer)):
-                row.append(repr(int(col[i])))
-            else:
-                row.append(_float_repr(col[i]))
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_pgm(path, image):
     lo = float(image.min())
     hi = float(image.max())
@@ -310,209 +327,166 @@ def _write_pgm(path, image):
         fh.write(pixels.tobytes())
 
 
-def _gnuplot_script(path, csv_files, title, logscale_y=True):
-    lines = [
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set key outside",
-    ]
-    if logscale_y:
-        lines.append("set logscale y")
-    plots = []
-    for csv_file, cols in csv_files:
-        for idx, name in cols:
-            plots.append(f"'{csv_file}' using 1:{idx} with linespoints title '{name}'")
-    lines.append("plot " + ", \\\n     ".join(plots))
+def _gnuplot_script(path, files, title):
+    plots = [f"'{csv_file}' using 1:{idx} with linespoints title '{name}'"
+             for csv_file, cols in files for idx, name in cols]
+    lines = ["set datafile separator ','", f"set title '{title}'", "set key outside",
+             "set logscale y", "plot " + ", \\\n     ".join(plots)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_errors(out_dir, name, k_max, traces):
-    """Relative errors per k, one column per labelled trace; returns the
-    file's plot entry."""
+# Series writers.  Each writes the files of one problem of a figure and
+# returns them as (file name, [(column, plot title), ...]) in file order;
+# a file without columns is not plotted.  A panel holds one problem of the
+# figure and its cells: noise level -> (noise, LanczosCache, traces by solver).
+_Panel = namedtuple("_Panel", "pname prob decomp k_max cells")
+
+
+def _filtered(panel, eps):
+    """The cell's Lanczos factorization of K_k(A, Ab)."""
+    noise, cache, _ = panel.cells[eps]
+    return cache.factorization(panel.prob.a, START_FILTERED, noise.b, panel.k_max)
+
+
+def _errors(out_dir, tag, panel):
+    """Relative errors per k: one column per solver, or per noise level
+    where the figure runs one solver at several."""
+    by_eps = len(panel.cells) > 1
+    cols = [
+        (f"eps_{eps:g}", f"{eps:.0e}".replace("e-0", "e-"), trace) if by_eps
+        else (name.replace("-", "_"), name, trace)
+        for eps, (_, _, traces) in panel.cells.items() for name, trace in traces.items()
+    ]
+    name = f"{tag}_errors_{panel.pname}.csv"
     _write_series_csv(
         os.path.join(out_dir, name),
-        ["k"] + [label.replace("-", "_") for label in traces],
-        [list(range(1, k_max + 1))] + [list(t.relative_errors) for t in traces.values()],
+        ["k"] + [head for head, _, _ in cols],
+        [list(range(1, panel.k_max + 1))] + [list(t.relative_errors) for _, _, t in cols],
     )
-    return name, [(i + 2, label) for i, label in enumerate(traces)]
+    return [(name, [(i + 2, title) for i, (_, title, _) in enumerate(cols)])]
 
 
-def _errors_figure(out_dir, tag, prob_names, n, eps, seed, k_max, solver_names):
-    """Error series of each problem; also returns each problem's traces."""
-    files = []
-    runs = {}
-    for pname in prob_names:
-        prob = problems.generate(pname, n)
-        noise = problems.add_noise(prob, eps, seed)
-        cache = solvers.LanczosCache(prob.a, noise.b, k_max)
-        traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None, cache)
-                  for s in solver_names}
-        files.append(_write_errors(out_dir, f"{tag}_errors_{pname}.csv", k_max, traces))
-        runs[pname] = (prob, traces)
-    return files, runs
-
-
-def _projected_singulars_figure(out_dir, tag, pname, prob, traces, k_max):
-    decomp = symmetric_eig(prob.a)
-    name = f"{tag}_projected_singular_values_{pname}.csv"
+def _singular_values(out_dir, tag, panel):
+    [(_, _, traces)] = panel.cells.values()
+    name = f"{tag}_projected_singular_values_{panel.pname}.csv"
     _write_series_csv(
         os.path.join(out_dir, name),
         ["j", "minres", "mr2", "operator"],
-        [
-            list(range(1, k_max + 1)),
-            list(small_svd(traces["minres"].factorization.tridiag)[0]),
-            list(small_svd(traces["mr2"].factorization.tridiag)[0]),
-            list(decomp.sigmas[:k_max]),
-        ],
+        [list(range(1, panel.k_max + 1))]
+        + [list(small_svd(traces[s].factorization.tridiag)[0]) for s in ("minres", "mr2")]
+        + [list(panel.decomp.sigmas[: panel.k_max])],
     )
-    return name
+    return [(name, [(2, "minres"), (3, "mr2"), (4, "operator")])]
 
 
-def _lowrank_figure(out_dir, tag, pname, n, eps_list, seed, k_max):
-    prob = problems.generate(pname, n)
-    decomp = symmetric_eig(prob.a)
+def _lcurves(out_dir, tag, panel):
+    [(_, _, traces)] = panel.cells.values()
     files = []
-    for eps in eps_list:
-        noise = problems.add_noise(prob, eps, seed)
-        fact = lanczos(prob.a, START_FILTERED, noise.b, k_max)
-        floor = diagnostics.roundoff_floor(prob.a.n, decomp.sigmas[0])
-        gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
-        name = f"{tag}_lowrank_{pname}_{eps:g}.csv"
+    for sname in ("minres", "mr2"):
+        pts = diagnostics.lcurve_points(traces[sname])
+        name = f"{tag}_lcurve_{sname}.csv"
+        fields = ["k", "log_residual", "log_solution_norm"]
+        _write_series_csv(os.path.join(out_dir, name), fields,
+                          [[getattr(p, f) for p in pts] for f in fields])
+        files.append((name, [(3, f"lcurve {sname}")]))
+    return files
+
+
+def _rank_k_errors(out_dir, tag, panel):
+    files = []
+    for eps in panel.cells:
+        gam, sigma_next, _ = _lowrank_series(panel.prob, panel.decomp, _filtered(panel, eps))
+        name = f"{tag}_lowrank_{panel.pname}_{eps:g}.csv"
         _write_series_csv(
             os.path.join(out_dir, name),
             ["k", "lowrank_error", "next_eigenvalue_magnitude"],
-            [
-                list(range(1, len(gam) + 1)),
-                list(gam),
-                list(decomp.sigmas[1 : len(gam) + 1]),
-            ],
+            [list(range(1, len(gam) + 1)), list(gam), list(sigma_next)],
         )
         files.append((name, [(2, "rank-k error"), (3, "|next eigenvalue|")]))
     return files
 
 
-def _decay_figure(out_dir, tag, pname, n, eps, seed, k_max):
-    prob = problems.generate(pname, n)
-    decomp = symmetric_eig(prob.a)
-    noise = problems.add_noise(prob, eps, seed)
-    fact = lanczos(prob.a, START_FILTERED, noise.b, k_max)
-    name = f"{tag}_decay_{pname}.csv"
-    alpha = fact.tridiag.alpha
-    beta = fact.tridiag.beta
+def _decay(out_dir, tag, panel):
+    [eps] = panel.cells
+    fact = _filtered(panel, eps)
+    alpha, beta = fact.tridiag.alpha, fact.tridiag.beta
     ks = list(range(2, fact.k))
+    name = f"{tag}_decay_{panel.pname}.csv"
     _write_series_csv(
         os.path.join(out_dir, name),
         ["k", "offdiag", "diag_next", "sigma"],
-        [
-            ks,
-            [beta[k - 2] for k in ks],
-            [abs(alpha[k - 1]) for k in ks],
-            [decomp.sigmas[k - 1] for k in ks],
-        ],
+        [ks, [beta[k - 2] for k in ks], [abs(alpha[k - 1]) for k in ks],
+         [panel.decomp.sigmas[k - 1] for k in ks]],
     )
-    return name
+    return [(name, [(2, "offdiag"), (3, "next diag"), (4, "sigma")])]
 
 
-def _blur_figure(out_dir, tag, band, sigma, m, eps, seed, k_max):
-    prob = problems.generate("blur", m, band=band, sigma=sigma)
-    noise = problems.add_noise(prob, eps, seed)
-    cache = solvers.LanczosCache(prob.a, noise.b, k_max)
-    traces = {s: solvers.SOLVERS[s](prob.a, noise.b, k_max, prob.x_true, None, cache)
-              for s in ("minres", "hybrid-minres", "mr2", "hybrid-mr2")}
-    file_entry = _write_errors(out_dir, f"{tag}_errors_blur.csv", k_max, traces)
+def _images(out_dir, tag, panel):
+    """The true image, the noisy data and hybrid-mr2's best iterate."""
+    [(noise, _, traces)] = panel.cells.values()
     hy = traces["hybrid-mr2"]
-    restored_k = diagnostics.semiconvergence_index(hy)
-    shape = (m, m)
-    _write_pgm(os.path.join(out_dir, f"{tag}_original.pgm"), prob.x_true.reshape(shape, order="F"))
-    _write_pgm(os.path.join(out_dir, f"{tag}_blurred_noisy.pgm"), noise.b.reshape(shape, order="F"))
-    _write_pgm(
-        os.path.join(out_dir, f"{tag}_restored.pgm"),
-        hy.solutions[restored_k - 1].reshape(shape, order="F"),
-    )
-    return file_entry
+    restored = hy.solutions[diagnostics.semiconvergence_index(hy) - 1]
+    m = panel.prob.a.m
+    names = [f"{tag}_{stem}.pgm" for stem in ("original", "blurred_noisy", "restored")]
+    for name, image in zip(names, (panel.prob.x_true, noise.b, restored)):
+        _write_pgm(os.path.join(out_dir, name), image.reshape((m, m), order="F"))
+    return [(name, []) for name in names]
 
 
-FIGURE_IDS = (
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "figpl", "fig11", "fig12",
-)
+_SPECTRAL_WRITERS = {_singular_values, _rank_k_errors, _decay}
+
+# figure id -> (problems with their noise levels, solvers, series writers in
+# file order, k_max cap, blur (band, sigma) or None)
+_Figure = namedtuple("_Figure", "problems solvers writers k_cap blur", defaults=(30, None))
+_EPS = (1e-3,)
+_FOUR = tuple((p, _EPS) for p in ("shaw", "foxgood", "gravity", "phillips"))
+_SWEEP = (1e-2, 1e-3, 1e-4)
+_MR = ("minres", "mr2")
+FIGURES = {
+    "fig1": _Figure(_FOUR[:2], _MR, (_errors, _singular_values)),
+    "fig2": _Figure(_FOUR[2:], _MR, (_errors, _singular_values)),
+    "fig3": _Figure((("deriv2", _EPS),), _MR + ("hybrid-minres", "hybrid-mr2"),
+                    (_errors, _lcurves)),
+    "fig4": _Figure(_FOUR, ("mr2", "hybrid-mr2", "hybrid-minres"), (_errors,)),
+    "fig5": _Figure((("shaw", (1e-2, 1e-3)), ("foxgood", (1e-3, 1e-4))), (), (_rank_k_errors,)),
+    "fig6": _Figure((("shaw", _SWEEP), ("foxgood", _SWEEP)), ("mr2",), (_errors,)),
+    "fig7": _Figure((("gravity", (1e-2, 1e-3)), ("phillips", (1e-3, 1e-4))), (),
+                    (_rank_k_errors,)),
+    "fig8": _Figure((("gravity", _SWEEP), ("phillips", _SWEEP)), ("mr2",), (_errors,)),
+    "figpl": _Figure(_FOUR, (), (_decay,), 60),
+    "fig11": _Figure((("blur", (5e-3,)),), ("minres", "hybrid-minres", "mr2", "hybrid-mr2"),
+                     (_errors, _images), 20, (3, 0.7)),
+    "fig12": _Figure((("blur", (5e-3,)),), ("minres", "hybrid-minres", "mr2", "hybrid-mr2"),
+                     (_errors, _images), 20, (7, 2.0)),
+}
+FIGURE_IDS = tuple(FIGURES)
 
 
-def reproduce_figure(figure_id, out_dir, full=False, n=None, seed=1):
-    """Emit the data series (CSV + gnuplot script) for a canonical figure."""
-    if figure_id not in FIGURE_IDS:
+def reproduce_figure(figure_id, out_dir, full=False, n=None):
+    """Emit the data series (CSV + gnuplot script) for a canonical figure.
+
+    Every cell is computed before the output directory is made, so a
+    configuration error writes nothing."""
+    if figure_id not in FIGURES:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
-    os.makedirs(out_dir, exist_ok=True)
+    fig = FIGURES[figure_id]
     n = n or 1024
-    k_max = min(30, n - 2)
-    eps = 1e-3
-    if figure_id in ("fig1", "fig2"):
-        pair = ("shaw", "foxgood") if figure_id == "fig1" else ("gravity", "phillips")
-        files, runs = _errors_figure(
-            out_dir, figure_id, pair, n, eps, seed, k_max, ("minres", "mr2")
-        )
-        for pname, (prob, traces) in runs.items():
-            name = _projected_singulars_figure(out_dir, figure_id, pname, prob, traces, k_max)
-            files.append((name, [(2, "minres"), (3, "mr2"), (4, "operator")]))
-    elif figure_id == "fig3":
-        which = ("minres", "mr2", "hybrid-minres", "hybrid-mr2")
-        files, runs = _errors_figure(out_dir, figure_id, ("deriv2",), n, eps, seed, k_max, which)
-        _, traces = runs["deriv2"]
-        for sname in ("minres", "mr2"):
-            pts = diagnostics.lcurve_points(traces[sname])
-            name = f"fig3_lcurve_{sname}.csv"
-            _write_series_csv(
-                os.path.join(out_dir, name),
-                ["k", "log_residual", "log_solution_norm"],
-                [
-                    [p.k for p in pts],
-                    [p.log_residual for p in pts],
-                    [p.log_solution_norm for p in pts],
-                ],
-            )
-            files.append((name, [(3, f"lcurve {sname}")]))
-    elif figure_id == "fig4":
-        which = ("mr2", "hybrid-mr2", "hybrid-minres")
-        files, _ = _errors_figure(
-            out_dir, figure_id, ("shaw", "foxgood", "gravity", "phillips"),
-            n, eps, seed, k_max, which,
-        )
-    elif figure_id in ("fig5", "fig7"):
-        spec = (
-            [("shaw", (1e-2, 1e-3)), ("foxgood", (1e-3, 1e-4))]
-            if figure_id == "fig5"
-            else [("gravity", (1e-2, 1e-3)), ("phillips", (1e-3, 1e-4))]
-        )
-        files = []
-        for pname, eps_list in spec:
-            files.extend(_lowrank_figure(out_dir, figure_id, pname, n, eps_list, seed, k_max))
-    elif figure_id in ("fig6", "fig8"):
-        pair = ("shaw", "foxgood") if figure_id == "fig6" else ("gravity", "phillips")
-        files = []
-        for pname in pair:
-            prob = problems.generate(pname, n)
-            columns = {}
-            for e in (1e-2, 1e-3, 1e-4):
-                noise = problems.add_noise(prob, e, seed)
-                columns[f"eps_{e:g}"] = solvers.SOLVERS["mr2"](
-                    prob.a, noise.b, k_max, prob.x_true, None
-                )
-            name = f"{figure_id}_errors_{pname}.csv"
-            _write_errors(out_dir, name, k_max, columns)
-            files.append((name, [(2, "1e-2"), (3, "1e-3"), (4, "1e-4")]))
-    elif figure_id == "figpl":
-        files = []
-        for pname in ("shaw", "foxgood", "gravity", "phillips"):
-            name = _decay_figure(out_dir, figure_id, pname, n, eps, seed, min(60, n - 2))
-            files.append((name, [(2, "offdiag"), (3, "next diag"), (4, "sigma")]))
-    else:  # fig11 / fig12
-        m = (256 if full else 64) if n == 1024 else n
-        band, sigma = (3, 0.7) if figure_id == "fig11" else (7, 2.0)
-        files = [_blur_figure(out_dir, figure_id, band, sigma, m, 5e-3, seed, min(20, m - 2))]
-    _gnuplot_script(
-        os.path.join(out_dir, f"{figure_id}.gp"), files, f"{figure_id} data series"
-    )
+    if fig.blur:  # n is the image side m; the default n means 64, or 256 with --full
+        n = (256 if full else 64) if n == 1024 else n
+    k_max = min(fig.k_cap, n - 2)
+    if k_max < 1:
+        raise ConfigError(f"problem size {n} is too small: {figure_id} needs at least 3")
+    panels = []
+    for pname, eps_list in fig.problems:
+        prob, _ = _build_problem(pname, n, *(fig.blur or ()))
+        decomp = _decompose(prob.a) if _SPECTRAL_WRITERS & set(fig.writers) else None
+        cells = {eps: _run_cell(prob, decomp, eps, 1, k_max, fig.solvers) for eps in eps_list}
+        panels.append(_Panel(pname, prob, decomp, k_max, cells))
+    os.makedirs(out_dir, exist_ok=True)
+    files = [entry for write in fig.writers for panel in panels
+             for entry in write(out_dir, figure_id, panel)]
+    _gnuplot_script(os.path.join(out_dir, f"{figure_id}.gp"), files, f"{figure_id} data series")
     return [f for f, _ in files] + [f"{figure_id}.gp"]
 
 
@@ -525,6 +499,17 @@ def main():
     """Krylov regularization experiments on symmetric ill-posed problems."""
 
 
+def _exit_on_error(action, *args, **kwargs):
+    """action(*args, **kwargs); a ConfigError exits 2, a NumericalError 3."""
+    try:
+        return action(*args, **kwargs)
+    except ConfigError as exc:
+        raise click.exceptions.UsageError(str(exc))
+    except NumericalError as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(3)
+
+
 @main.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 def run_command(config_path):
@@ -534,15 +519,8 @@ def run_command(config_path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.exceptions.UsageError(f"config is not valid JSON: {exc}")
-    try:
-        cfg = ExperimentConfig.from_dict(doc)
-        summary = run_experiment(cfg)
-    except ConfigError as exc:
-        raise click.exceptions.UsageError(str(exc))
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
-    click.echo(f"wrote {len(summary['manifest']) + 1} files to {cfg.output_dir}")
+    summary = _exit_on_error(lambda: run_experiment(ExperimentConfig.from_dict(doc)))
+    click.echo(f"wrote {len(summary['manifest']) + 1} files to {summary['config']['output_dir']}")
 
 
 @main.command("reproduce")
@@ -552,13 +530,7 @@ def run_command(config_path):
 @click.option("--n", default=None, type=int, help="override problem size (smoke runs)")
 def reproduce_command(figure_id, full, out_dir, n):
     """Emit the data series for one canonical figure."""
-    try:
-        written = reproduce_figure(figure_id, out_dir, full=full, n=n)
-    except ConfigError as exc:
-        raise click.exceptions.UsageError(str(exc))
-    except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(3)
+    written = _exit_on_error(reproduce_figure, figure_id, out_dir, full=full, n=n)
     click.echo(f"wrote {len(written)} files to {out_dir}")
 
 

@@ -198,18 +198,8 @@ class SpectralDecomposition:
             return self._v[:, :count].copy()
         return np.column_stack([self.column(i) for i in range(count)])
 
-    def v_dense(self):
-        if self._v is not None:
-            return self._v
-        if self.n > DENSE_EIG_LIMIT:
-            raise ResourceLimitError(
-                f"materializing a {self.n}x{self.n} eigenvector basis exceeds "
-                f"the dense limit {DENSE_EIG_LIMIT}"
-            )
-        return self.columns(self.n)
 
-
-def symmetric_eig(a, dense_limit=DENSE_EIG_LIMIT):
+def symmetric_eig(a):
     """Full spectral decomposition of a SymmetricMatrix.
 
     Dense operators go to LAPACK (`np.linalg.eigh`), followed by an
@@ -221,9 +211,9 @@ def symmetric_eig(a, dense_limit=DENSE_EIG_LIMIT):
     if not isinstance(a, SymmetricMatrix):
         a = SymmetricMatrix(dense=a)
     if not a.is_kronecker:
-        if a.n > dense_limit:
+        if a.n > DENSE_EIG_LIMIT:
             raise ResourceLimitError(
-                f"dense eigensolve of order {a.n} exceeds limit {dense_limit}"
+                f"dense eigensolve of order {a.n} exceeds limit {DENSE_EIG_LIMIT}"
             )
         lams, q = np.linalg.eigh(a.dense())
         if a.n <= _RQ_POLISH_LIMIT:
@@ -273,10 +263,6 @@ class TridiagonalRect:
         t[idx + 1, idx] = self.beta
         t[idx[:-1], idx[:-1] + 1] = self.beta[:-1]
         return t
-
-    def square(self):
-        """Leading k-by-k (symmetric) block."""
-        return self.dense()[: self.k, :]
 
     def head(self, k):
         """The factorization truncated to its first k columns."""

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import regkrylov
-from regkrylov import cli, diagnostics, problems, solvers
+from regkrylov import cli, diagnostics, linalg, problems, solvers
 from regkrylov.exceptions import ConfigError, NumericalError
 from regkrylov.krylov import START_RESIDUAL, lanczos
 
@@ -133,6 +134,10 @@ def test_config_validation_errors():
         {"seeds": []},
         {"k_max": 0},
         {"diagnostics": ["spectra"]},
+        {"solvers": ["minres", "minres"]},
+        {"seeds": [1, 1]},
+        {"noise_levels": [1e-3, 1e-3]},
+        {"noise_levels": [1e-3, 0.0010000001]},  # the same file names
     ):
         doc = dict(base)
         doc.update(severed)
@@ -200,6 +205,33 @@ def test_unknown_synthetic_key_is_usage_error(tmp_path):
     assert "invalid synthetic spec" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_dense_limit_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 16)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tmp_path / "out", n=17, solvers=["tsvd"])))
+    runner = CliRunner()
+    result = runner.invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2
+    assert "dense eigensolve of order 17 exceeds limit 16" in result.output
+    assert not (tmp_path / "out").exists()
+    result = runner.invoke(cli.main, ["reproduce", "fig1", "--n", "17", "--out",
+                                      str(tmp_path / "fig")])
+    assert result.exit_code == 2
+    assert "exceeds limit 16" in result.output
+    assert not (tmp_path / "fig").exists()
+
+
+@pytest.mark.parametrize("args", [["fig1", "--n", "1"], ["fig1", "--n", "2"],
+                                  ["fig12", "--n", "7"]])
+def test_reproduce_too_small_is_usage_error(tmp_path, args):
+    out = tmp_path / "fig"
+    result = CliRunner().invoke(cli.main, ["reproduce", *args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
@@ -325,10 +357,39 @@ def test_reproduce_smoke(tmp_path, figure_id):
         path = out / name
         assert path.exists() and path.stat().st_size > 0
     assert any(name.endswith(".gp") for name in written)
+    widths = {}
     for name in written:
         if name.endswith(".csv"):
             header = (out / name).read_text().splitlines()[0]
             assert "," in header
+            widths[name] = len(header.split(","))
+    plots = re.findall(r"'([^']+)' using 1:(\d+) ", (out / f"{figure_id}.gp").read_text())
+    assert plots
+    for name, column in plots:
+        assert widths[name] >= int(column), (name, column)
+
+
+def test_figures_run_the_same_cells_as_run(tmp_path):
+    """fig4's mr2 errors and fig5's rank-k errors are the run cells' bytes."""
+    figures = tmp_path / "figures"
+    for figure_id in ("fig4", "fig5"):
+        cli.reproduce_figure(figure_id, str(figures), n=48)
+    out = tmp_path / "run"
+    cli.run_experiment(cli.ExperimentConfig.from_dict(
+        small_config(out, n=48, k_max=30, solvers=["mr2"], diagnostics=["lowrank"])
+    ))
+
+    def column(path, header):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        idx = rows[0].index(header)
+        return [row[idx] for row in rows[1:] if row[idx]]
+
+    assert column(out / "trace_mr2_0.001_1.csv", "relative_error") == column(
+        figures / "fig4_errors_shaw.csv", "mr2"
+    )
+    lowrank = json.loads((out / "diagnostics_0.001_1.json").read_text())["lowrank_error"]
+    series = column(figures / "fig5_lowrank_shaw_0.001.csv", "lowrank_error")
+    assert lowrank and [float(x) for x in series] == lowrank
 
 
 def test_reproduce_blur_writes_images(tmp_path):

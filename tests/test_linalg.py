@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import regkrylov
-from regkrylov import rng
+from regkrylov import linalg, rng
 from regkrylov.exceptions import ContractViolation, ResourceLimitError
 from regkrylov.krylov import START_FILTERED, lanczos
 from regkrylov.linalg import (
@@ -90,7 +90,7 @@ def test_kronecker_dense_limit():
 def test_identity_eigenvalues():
     d = symmetric_eig(SymmetricMatrix(dense=np.eye(3)))
     assert np.allclose(d.eigenvalues, 1.0)
-    v = d.v_dense()
+    v = d.columns(d.n)
     assert np.linalg.norm(v.T @ v - np.eye(3)) < 1e-12
 
 
@@ -118,7 +118,7 @@ def test_shaw_eigenvalues_match_jacobi_oracle(get_problem):
 def test_reconstruction_and_residual_invariants(n):
     a = random_symmetric(n, 100 + n)
     d = symmetric_eig(SymmetricMatrix(dense=a))
-    v = d.v_dense()
+    v = d.columns(d.n)
     norm_a = np.linalg.norm(a)
     assert np.linalg.norm(a - (v * d.eigenvalues) @ v.T) <= n**2 * 1e-12 * norm_a
     assert np.linalg.norm(v.T @ v - np.eye(n)) <= n * 1e-12
@@ -148,7 +148,7 @@ prob = generate("shaw", 256)
 d = symmetric_eig(prob.a)
 t = mr2_trace(prob.a, add_noise(prob, 1e-3, 1).b, 30, x_true=prob.x_true)
 h = hashlib.sha256()
-for arr in (d.eigenvalues, d.v_dense(), t.residual_norms, t.solution_norms,
+for arr in (d.eigenvalues, d.columns(d.n), t.residual_norms, t.solution_norms,
             t.relative_errors):
     h.update(arr.tobytes())
 print(h.hexdigest())
@@ -178,10 +178,11 @@ def test_import_does_not_load_scipy():
     assert _fresh_interpreter(script) == "False"
 
 
-def test_dense_limit_error():
+def test_dense_limit_error(monkeypatch):
     a = SymmetricMatrix(dense=np.eye(8))
+    monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 4)
     with pytest.raises(ResourceLimitError):
-        symmetric_eig(a, dense_limit=4)
+        symmetric_eig(a)
 
 
 # ---------------------------------------------------------------------------

@@ -171,11 +171,10 @@ def _run_cell(prob, decomp, eps, seed, k_max, names):
 
 
 def _lowrank_series(prob, decomp, fact):
-    """The rank-k errors of A against fact's basis down to the round-off
-    floor, the magnitudes of the next eigenvalues, and that floor."""
-    floor = diagnostics.roundoff_floor(prob.a.n, decomp.sigmas[0])
-    gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
-    return gam, decomp.sigmas[1 : len(gam) + 1], floor
+    """The rank-k errors of A against fact's basis and the magnitudes of
+    the next eigenvalues."""
+    gam = diagnostics.lowrank_error_sequence(prob.a, fact)
+    return gam, decomp.sigmas[1 : len(gam) + 1]
 
 
 def _cell_summary(solver, eps, seed, trace, csv_name):
@@ -201,16 +200,14 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
     mr2_like = traces.get("mr2") or traces.get("hybrid-mr2")
     fact = mr2_like.factorization if mr2_like is not None else None
     if "lowrank" in toggles or "decay" in toggles:
-        if fact is None or prob.a.n > 4096:
-            report.notes.append("lowrank/decay need an mr2 factorization at dense scale")
+        if fact is None:
+            report.notes.append("lowrank/decay need an mr2 factorization")
         else:
-            gam, sigma_next, floor = _lowrank_series(prob, decomp, fact)
+            gam, sigma_next = _lowrank_series(prob, decomp, fact)
             report.lowrank_error = [float(g) for g in gam]
             report.sigma_next = [float(s) for s in sigma_next]
             if "decay" in toggles:
-                rows, violations = diagnostics.lanczos_decay_table(
-                    fact, gam, decomp.sigmas, floor=floor
-                )
+                rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
                 report.decay_rows = [
                     [r.k, r.offdiag_next, r.diag_next, r.lowrank_error, r.sigma_next]
                     for r in rows
@@ -396,7 +393,7 @@ def _lcurves(out_dir, tag, panel):
 def _rank_k_errors(out_dir, tag, panel):
     files = []
     for eps in panel.cells:
-        gam, sigma_next, _ = _lowrank_series(panel.prob, panel.decomp, _filtered(panel, eps))
+        gam, sigma_next = _lowrank_series(panel.prob, panel.decomp, _filtered(panel, eps))
         name = f"{tag}_lowrank_{panel.pname}_{eps:g}.csv"
         _write_series_csv(
             os.path.join(out_dir, name),
@@ -471,9 +468,8 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None):
     if figure_id not in FIGURES:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
     fig = FIGURES[figure_id]
-    n = n or 1024
-    if fig.blur:  # n is the image side m; the default n means 64, or 256 with --full
-        n = (256 if full else 64) if n == 1024 else n
+    if n is None:  # for blur, n is the image side m: 64, or 256 with --full
+        n = (256 if full else 64) if fig.blur else 1024
     k_max = min(fig.k_cap, n - 2)
     if k_max < 1:
         raise ConfigError(f"problem size {n} is too small: {figure_id} needs at least 3")

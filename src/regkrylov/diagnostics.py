@@ -13,12 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rng
 from .exceptions import ContractViolation, NumericalError
+from .krylov import _reorth_twice
 from .linalg import EPS, canonical_angles, spectral_norm
 
 COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
 PENCIL_NEWTON_STEPS = 4  # extended-precision polish of each pencil root
 DECAY_TOL = 1e-10  # slack of the Lanczos entry bounds, relative to sigma_1
+LOWRANK_RITZ_TOL = 1e-13  # relative stop of the rank-k error's inner loop
+LOWRANK_START_SEED = 0x10F4A2  # its deterministic start vector
 LCURVE_FLAT_ASPECT = 0.02  # log-axis extent ratio below which a curve is flat
 
 
@@ -156,23 +160,66 @@ def roundoff_floor(n, sigma1):
     return 10.0 * n * EPS * sigma1
 
 
-def lowrank_error_sequence(a, fact, floor=None):
+def lowrank_error_sequence(a, fact):
     """Spectral-norm error of the successive rank-k approximations built
     from the Lanczos factorization: ||A (I - Q_k Q_k^T)|| for every k the
     basis spans.
 
-    Values at or below `floor` are round-off and are reported without the
-    expensive certification pass.
+    Matrix-free (`_deflated_norm`), so dense and Kronecker operators take
+    the same path; every k starts from the same pseudo-random vector.
     """
     q = fact.basis
-    k_count = min(fact.k, q.shape[1])
-    a_dense = a.dense()
-    w = a.matmat(q[:, :k_count])
-    out = np.empty(k_count)
-    for k in range(1, k_count + 1):
-        m_k = a_dense - w[:, :k] @ q[:, :k].T
-        out[k - 1] = spectral_norm(m_k, coarse_below=floor)
-    return out
+    start = rng.normal(LOWRANK_START_SEED, q.shape[0])
+    return np.array([_deflated_norm(a, q[:, :k], start, fact.norm_estimate)
+                     for k in range(1, min(fact.k, q.shape[1]) + 1)])
+
+
+def _stored(rows, i, vec):
+    """rows with vec stored as row i, doubling its height when full."""
+    if i == rows.shape[0]:
+        rows = np.concatenate([rows, np.empty_like(rows)])
+    rows[i] = vec
+    return rows
+
+
+def _deflated_norm(a, q_k, start, norm_a):
+    """||A (I - Q_k Q_k^T)|| for orthonormal Q_k, given norm_a ~ ||A||.
+
+    Golub-Kahan on B = A (I - P), P = Q_k Q_k^T, from `start` projected off
+    Q_k: u = A v, then v = (I - P) A u, each reorthogonalized twice against
+    the previous vectors (and Q_k); nothing is squared.  After j steps
+    B V_j = U_j B_j, and the top singular triplet (s, x, y) of the upper
+    bidiagonal B_j leaves the Ritz residual beta_j |x_j|.  The loop stops
+    once that is at most LOWRANK_RITZ_TOL * s or eps * norm_a (a product's
+    rounding; an absolute 1e-13 * norm_a would stop early near the round-off
+    floor), at a zero alpha, or when the complement of Q_k is exhausted.
+    """
+    n, k = q_k.shape
+    if k == n:
+        return 0.0
+    v_rows = np.concatenate([q_k.T, np.empty((k + 8, n))])  # Q_k^T, then the v's
+    u_rows = np.empty((8, n))
+    v = _reorth_twice(start.copy(), q_k)
+    v /= np.linalg.norm(v)
+    alphas = []
+    betas = []
+    for j in range(n - k):
+        v_rows = _stored(v_rows, k + j, v)
+        u = a.matvec(v)
+        if j:
+            u -= betas[-1] * u_rows[j - 1]
+            u = _reorth_twice(u, u_rows[:j].T)
+        alphas.append(float(np.linalg.norm(u)))
+        x, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        if alphas[-1] == 0.0:
+            break
+        u_rows = _stored(u_rows, j, u / alphas[-1])
+        v = _reorth_twice(a.matvec(u_rows[j]) - alphas[-1] * v, v_rows[: k + j + 1].T)
+        betas.append(float(np.linalg.norm(v)))
+        if betas[-1] * abs(x[-1, 0]) <= max(LOWRANK_RITZ_TOL * s[0], EPS * norm_a):
+            break
+        v /= betas[-1]
+    return float(s[0])
 
 
 # ---------------------------------------------------------------------------

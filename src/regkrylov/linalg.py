@@ -2,8 +2,9 @@
 
 Every factorization goes to LAPACK through numpy: the full
 eigendecomposition of an operator (`symmetric_eig`, on the dense matrix or
-on the Kronecker factor), the Gram fallback of `spectral_norm`, the SVD
-behind `canonical_angles`, and the small SVDs of `small_svd`,
+on the Kronecker factor), the Gram eigensolve of `spectral_norm` (the norm
+of a small dense matrix, such as the angle diagnostic's coupling matrix),
+the SVD behind `canonical_angles`, and the small SVDs of `small_svd`,
 `least_squares` and the hybrid solvers' inner truncation (projected
 matrices of at most k_max + 1 rows).  Rectangular SVDs are computed
 directly, without squaring into a Gram matrix, which keeps small singular
@@ -95,12 +96,6 @@ class SymmetricMatrix:
         t = self._factor
         xm = x.reshape(self.m, self.m, order="F")
         return (t @ xm @ t).ravel(order="F")
-
-    def matmat(self, x):
-        x = np.asarray(x, dtype=self.dtype)
-        if self._dense is not None:
-            return self._dense @ x
-        return np.column_stack([self.matvec(x[:, j]) for j in range(x.shape[1])])
 
     def dense(self):
         if self._dense is not None:
@@ -305,59 +300,18 @@ def _gram_top_eigenvalue(m_mat):
     return float(max(np.linalg.eigvalsh(g).max(), 0.0))
 
 
-def spectral_norm(m_mat, coarse_below=None):
-    """Largest singular value of a dense matrix to ~1e-10 relative.
+def spectral_norm(m_mat):
+    """Largest singular value of a small dense matrix.
 
-    Power iteration on M^T M with a deterministic start; when the convergence
-    ratio cannot certify the tolerance, falls back to a dense symmetric
-    eigensolve of the smaller Gram matrix (squaring is harmless for the
-    largest singular value).  If coarse_below is given, a stagnated power
-    estimate at or below that level is returned as is; callers use this for
-    quantities already known to sit at the round-off floor.
+    The square root of the top eigenvalue of the smaller Gram matrix, by
+    LAPACK; squaring is harmless for the largest singular value.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.ndim == 1:
         m_mat = m_mat[None, :]
     if m_mat.size == 0 or not np.any(m_mat):
         return 0.0
-    n = m_mat.shape[1]
-    v = 1.0 + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    prev = -1.0
-    prev_delta = np.inf
-    stagnant = 0
-    ratio = 1.0
-    for _ in range(300):
-        w = m_mat @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return 0.0
-        v = m_mat.T @ w
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            return sigma
-        v /= nv
-        delta = abs(sigma - prev)
-        if prev >= 0.0 and prev_delta > 0.0:
-            ratio = delta / prev_delta
-        if delta <= 1e-13 * max(sigma, 1e-300):
-            stagnant += 1
-            if stagnant >= 3:
-                break
-        else:
-            stagnant = 0
-        prev = sigma
-        prev_delta = delta if delta > 0.0 else prev_delta
-    else:
-        ratio = 1.0  # cap reached without certified stagnation
-    if stagnant >= 3 and ratio <= 0.99:
-        return sigma
-    if coarse_below is not None and sigma <= coarse_below:
-        return sigma
-    if max(m_mat.shape) <= DENSE_EIG_LIMIT:
-        return math.sqrt(_gram_top_eigenvalue(m_mat))
-    return sigma
+    return math.sqrt(_gram_top_eigenvalue(m_mat))
 
 
 # ---------------------------------------------------------------------------

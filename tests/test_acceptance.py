@@ -64,7 +64,7 @@ def _decay_sweep(get_problem, get_decomp, name):
         nz = problems.add_noise(prob, 1e-3, seed=0)
         fact = lanczos(prob.a, START_FILTERED, nz.b, 50)
         floor = diagnostics.roundoff_floor(256, decomp.sigmas[0])
-        gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
+        gam = diagnostics.lowrank_error_sequence(prob.a, fact)
         _sweeps[name] = (prob, decomp, fact, gam, floor)
     return _sweeps[name]
 
@@ -365,7 +365,7 @@ def test_criterion_09_roundoff_floor(get_problem):
 
     sig1 = spectral_norm(prob.a.dense())
     floor = diagnostics.roundoff_floor(1024, sig1)
-    gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
+    gam = diagnostics.lowrank_error_sequence(prob.a, fact)
 
     def first_at_floor(seq):
         for i, v in enumerate(seq):

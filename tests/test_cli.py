@@ -98,6 +98,29 @@ def test_filters_without_minres_leave_a_note(tmp_path):
     assert doc["notes"] == ["filters need a minres trace"]
 
 
+def test_lowrank_and_decay_run_above_the_dense_limit(tmp_path):
+    # m = 65 gives order 4225, above what SymmetricMatrix.dense() allows
+    cfg = cli.ExperimentConfig.from_dict(small_config(
+        tmp_path / "out", problem="blur", n=65, noise_levels=[5e-3], solvers=["mr2"],
+        k_max=3, diagnostics=["lowrank", "decay"],
+    ))
+    summary = cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
+    assert len(doc["lowrank_error"]) == 3 and len(doc["decay_rows"]) == 1
+    assert doc["decay_violations"] == 0
+    assert doc["notes"] == []
+
+
+def test_lowrank_without_mr2_leaves_a_note(tmp_path):
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", solvers=["minres"], diagnostics=["lowrank", "decay"])
+    )
+    summary = cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
+    assert "lowrank_error" not in doc and "decay_rows" not in doc
+    assert doc["notes"] == ["lowrank/decay need an mr2 factorization"]
+
+
 def test_clean_noise_level_exact_recovery(tmp_path):
     doc = {
         "problem": "synthetic",
@@ -232,6 +255,26 @@ def test_reproduce_too_small_is_usage_error(tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("figure_id,n,full,size", [
+    ("fig11", 1024, False, 1024), ("fig12", 1024, True, 1024), ("fig11", 32, True, 32),
+    ("fig11", None, False, 64), ("fig12", None, True, 256), ("fig1", None, False, 1024),
+])
+def test_reproduce_problem_size(tmp_path, monkeypatch, figure_id, n, full, size):
+    """An explicit n is the size built, also for blur, where n = 1024 is
+    not the default; only a missing n takes the figure's default."""
+    built = []
+
+    def refuse(name, n, *args):
+        built.append(n)
+        raise ConfigError("stop before building")
+
+    monkeypatch.setattr(cli, "_build_problem", refuse)
+    with pytest.raises(ConfigError):
+        cli.reproduce_figure(figure_id, str(tmp_path / "fig"), full=full, n=n)
+    assert built == [size]
+    assert not (tmp_path / "fig").exists()
 
 
 def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regkrylov import diagnostics, problems, rng, solvers
 from regkrylov.diagnostics import LCurvePoint
@@ -152,14 +154,90 @@ def test_residual_polynomial_reproduces_minres_residual(get_problem, get_decomp,
 # rank-k approximation error
 
 
-def test_lowrank_error_vanishes_at_exact_capture():
+def _exact_capture_case():
+    """A rank-3 matrix: K_3 captures its range and Lanczos breaks down."""
     lams = np.array([0.9, 0.5, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0])
     q, _ = np.linalg.qr(rng.normal(9, 64).reshape(8, 8))
-    a = SymmetricMatrix(dense=(q * lams) @ q.T)
-    fact = lanczos(a, START_FILTERED, rng.normal(10, 8), 6)
+    return SymmetricMatrix(dense=(q * lams) @ q.T), rng.normal(10, 8), 6
+
+
+def test_lowrank_error_vanishes_at_exact_capture():
+    a, b, k_max = _exact_capture_case()
+    fact = lanczos(a, START_FILTERED, b, k_max)
     assert fact.breakdown and fact.k == 3
     gam = diagnostics.lowrank_error_sequence(a, fact)
-    assert gam[-1] <= 1e-12 * lams[0]
+    assert gam[-1] <= 1e-12 * 0.9
+
+
+def _dense_lowrank_errors(a, fact):
+    """The dense form: ||A - (A Q_k) Q_k^T||_2 for every k the basis spans."""
+    a_mat = a.dense()
+    q = fact.basis
+    return np.array([
+        np.linalg.norm(a_mat - (a_mat @ q[:, :k]) @ q[:, :k].T, 2)
+        for k in range(1, min(fact.k, q.shape[1]) + 1)
+    ])
+
+
+def _generated_case(name, n, **kw):
+    prob = problems.generate(name, n, **kw)
+    return prob.a, problems.add_noise(prob, 1e-3, seed=4).b, min(prob.n - 1, 20)
+
+
+def _synthetic_case(decay, alpha, sign_pattern):
+    spec = problems.SyntheticSpec(n=40, decay=decay, alpha=alpha, beta=1.0,
+                                  sign_pattern=sign_pattern, basis="random", seed=5)
+    prob, _ = problems.generate_synthetic(spec)
+    return prob.a, problems.add_noise(prob, 1e-3, seed=6).b, 20
+
+
+LOWRANK_ORACLE_CASES = {
+    "exact-capture": _exact_capture_case,
+    "shaw-48": lambda: _generated_case("shaw", 48),
+    "phillips-48": lambda: _generated_case("phillips", 48),
+    "deriv2-32": lambda: _generated_case("deriv2", 32),
+    "synthetic-severe-alternating": lambda: _synthetic_case("severe", 0.5, "alternating"),
+    "synthetic-mild-random": lambda: _synthetic_case("mild", 0.8, "random"),
+    "blur-5": lambda: _generated_case("blur", 5, band=2, sigma=1.0),
+    "blur-12": lambda: _generated_case("blur", 12),
+    "blur-16": lambda: _generated_case("blur", 16, band=5, sigma=1.5),
+}
+
+
+@pytest.mark.parametrize("case", LOWRANK_ORACLE_CASES)
+@pytest.mark.parametrize("start", [START_RESIDUAL, START_FILTERED])
+def test_lowrank_error_matches_dense_form(case, start):
+    a, b, k_max = LOWRANK_ORACLE_CASES[case]()
+    fact = lanczos(a, start, b, k_max)
+    got = diagnostics.lowrank_error_sequence(a, fact)
+    want = _dense_lowrank_errors(a, fact)
+    sig1 = np.linalg.norm(a.dense(), 2)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * sig1, case
+
+
+@st.composite
+def _small_symmetric_systems(draw):
+    """G D G^T of order n <= 10 and rank r <= n, with a right-hand side."""
+    n = draw(st.integers(2, 10))
+    r = draw(st.integers(1, n))
+    entries = st.floats(-3.0, 3.0)
+    g = np.array(draw(st.lists(entries, min_size=n * r, max_size=n * r))).reshape(n, r)
+    d = draw(st.lists(st.sampled_from([-2.0, -1.0, 1.0, 3.0]), min_size=r, max_size=r))
+    b = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    return (g * np.array(d)) @ g.T, b
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_small_symmetric_systems(), st.sampled_from([START_RESIDUAL, START_FILTERED]))
+def test_lowrank_error_matches_dense_form_property(system, start):
+    a_mat, b = system
+    a = SymmetricMatrix(dense=a_mat)
+    assume(np.linalg.norm(b) > 0.0 and np.linalg.norm(a.matvec(b)) > 0.0)
+    fact = lanczos(a, start, b, a.n)
+    got = diagnostics.lowrank_error_sequence(a, fact)
+    want = _dense_lowrank_errors(a, fact)
+    assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(a.dense(), 2)
 
 
 def test_lowrank_error_lower_bound(get_problem, get_decomp):
@@ -181,7 +259,7 @@ def test_lowrank_error_near_optimality(get_problem, get_decomp):
         nz = problems.add_noise(prob, 1e-3, seed=0)
         fact = lanczos(prob.a, START_FILTERED, nz.b, 20)
         floor = diagnostics.roundoff_floor(128, decomp.sigmas[0])
-        gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
+        gam = diagnostics.lowrank_error_sequence(prob.a, fact)
         checked = 0
         for k in range(1, len(gam) + 1):
             if min(gam[k - 1], decomp.sigmas[k]) <= 10 * floor:
@@ -360,7 +438,7 @@ def test_decay_table_inequalities_hold(get_problem, get_decomp):
     nz = problems.add_noise(prob, 1e-3, seed=2)
     fact = lanczos(prob.a, START_FILTERED, nz.b, 24)
     floor = diagnostics.roundoff_floor(128, decomp.sigmas[0])
-    gam = diagnostics.lowrank_error_sequence(prob.a, fact, floor=floor)
+    gam = diagnostics.lowrank_error_sequence(prob.a, fact)
     rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas, floor=floor)
     assert rows and not violations
 

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
@@ -209,3 +213,45 @@ def test_problem_json_roundtrip_bitwise(tmp_path, name):
     # container is plain JSON
     doc = json.loads(path.read_text())
     assert set(doc) >= {"name", "n", "arrays"}
+
+
+def _bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@st.composite
+def container_problems(draw):
+    """A generated 1-D problem, a synthetic one or a blur problem, small."""
+    kind = draw(st.sampled_from(ONE_D + ("synthetic", "blur")))
+    if kind == "synthetic":
+        spec = problems.SyntheticSpec(
+            n=draw(st.integers(2, 24)), decay="severe",
+            alpha=draw(st.floats(0.05, 3.0)), beta=draw(st.floats(0.05, 2.0)),
+            sign_pattern=draw(st.sampled_from(("definite", "alternating", "random"))),
+            basis="random", seed=draw(st.integers(0, 2**31)),
+        )
+        return problems.generate_synthetic(spec)[0]
+    if kind == "blur":
+        m = draw(st.integers(2, 12))
+        return problems.generate("blur", m, band=draw(st.integers(1, m - 1)),
+                                 sigma=draw(st.floats(0.1, 4.0)))
+    return problems.generate(kind, draw(st.integers(2, 40)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(container_problems())
+def test_problem_container_roundtrip_property(prob):
+    """save_problem/load_problem give back the arrays and the operator
+    storage bit for bit, and the same name and metadata."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prob.json"
+        problems.save_problem(prob, path)
+        loaded = problems.load_problem(path)
+    assert (loaded.name, loaded.n, loaded.meta) == (prob.name, prob.n, prob.meta)
+    assert _bits(loaded.x_true) == _bits(prob.x_true)
+    assert _bits(loaded.b_hat) == _bits(prob.b_hat)
+    assert loaded.a.is_kronecker == prob.a.is_kronecker
+    if prob.a.is_kronecker:
+        assert _bits(loaded.a.factor) == _bits(prob.a.factor)
+    else:
+        assert _bits(loaded.a.dense()) == _bits(prob.a.dense())

@@ -29,6 +29,11 @@ SOLVER_NAMES = tuple(solvers.SOLVERS)
 DIAG_NAMES = ("lowrank", "angles", "filters", "decay", "lcurve")
 
 
+def _is_integer(x):
+    """x is a JSON integer (a bool is not one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     problem: str
@@ -57,6 +62,17 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        for key in ("n", "k_max"):
+            if not _is_integer(getattr(self, key)):
+                raise ConfigError(f"{key} must be an integer")
+        for key in ("noise_levels", "seeds", "solvers", "diagnostics"):
+            if not isinstance(getattr(self, key), list):
+                raise ConfigError(f"{key} must be a list")
+        if not all(_is_integer(s) for s in self.seeds):
+            raise ConfigError("seeds must be integers")
+        if not all(isinstance(e, (int, float)) and not isinstance(e, bool)
+                   for e in self.noise_levels):
+            raise ConfigError("noise levels must be real numbers")
         if self.problem not in problems.PROBLEM_NAMES + ("synthetic",):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if not self.solvers:
@@ -234,19 +250,12 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
             steps = min(10, traces["minres"].factorization.k)
             extended = prob.a.astype(np.longdouble)
             tridiag = lanczos(extended, START_RESIDUAL, noise.b, steps).tridiag
-            ritz = []
-            rows = []
-            for k in range(1, tridiag.k + 1):
-                try:
-                    theta = diagnostics.harmonic_ritz(tridiag.head(k))
-                except NumericalError:
-                    break
-                ritz.append([float(t) for t in theta])
-                rows.append(
-                    [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
-                )
-            report.harmonic_ritz_values = ritz
-            report.filter_factor_rows = rows
+            heads = diagnostics.harmonic_ritz_heads(tridiag)
+            report.harmonic_ritz_values = [[float(t) for t in theta] for theta in heads]
+            report.filter_factor_rows = [
+                [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
+                for theta in heads
+            ]
     if decomp is not None:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
         report.picard_clean = [float(x) for x in profile.clean]

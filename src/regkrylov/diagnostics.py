@@ -20,6 +20,7 @@ from .linalg import EPS, canonical_angles, spectral_norm
 
 COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
 PENCIL_NEWTON_STEPS = 4  # extended-precision polish of each pencil root
+PENCIL_BAND = 2  # T^T T - theta T_sq of a tridiagonal T is pentadiagonal
 DECAY_TOL = 1e-10  # slack of the Lanczos entry bounds, relative to sigma_1
 LOWRANK_RITZ_TOL = 1e-13  # relative stop of the rank-k error's inner loop
 LOWRANK_START_SEED = 0x10F4A2  # its deterministic start vector
@@ -45,9 +46,36 @@ def harmonic_ritz(tridiag):
     root by about 1e-13 relative, and the filtered expansion amplifies that
     by the spread of the roots: pass the np.longdouble tridiagonal of
     `lanczos(a.astype(np.longdouble), START_RESIDUAL, b, k)` when the
-    filter factors must reproduce the iterate.
+    filter factors must reproduce the iterate.  This is the one-head case
+    of `harmonic_ritz_heads`.
     """
     t = tridiag.dense()
+    return _refine_pencil_roots([t], [_pencil_guesses(t)])[0]
+
+
+def harmonic_ritz_heads(tridiag):
+    """harmonic_ritz(tridiag.head(k)) for k = 1, 2, ..., up to the first
+    head that is numerically rank deficient.
+
+    Each head takes its double guesses as `harmonic_ritz` does, and the
+    roots of every head are polished in one `_refine_pencil_roots` call,
+    bit for bit as head by head.
+    """
+    heads = []
+    guesses = []
+    for k in range(1, tridiag.k + 1):
+        t = tridiag.head(k).dense()
+        try:
+            guesses.append(_pencil_guesses(t))
+        except NumericalError:
+            break
+        heads.append(t)
+    return _refine_pencil_roots(heads, guesses)
+
+
+def _pencil_guesses(t):
+    """Double guesses of the pencil roots of a (k+1, k) tridiagonal;
+    NumericalError where T or its square block is numerically singular."""
     k = t.shape[1]
     t_dbl = t.astype(float)
     _, s, vt = np.linalg.svd(t_dbl, full_matrices=False)
@@ -58,51 +86,80 @@ def harmonic_ritz(tridiag):
     mus = np.linalg.eigvalsh(0.5 * (c + c.T))
     if np.any(np.abs(mus) <= k * EPS * np.abs(mus).max()):
         raise NumericalError("projected square block is numerically singular")
-    thetas = _refine_pencil_roots(t, t[:k, :], 1.0 / mus)
-    return thetas[np.argsort(-np.abs(thetas), kind="stable")]
+    return 1.0 / mus
 
 
-def _solve_stack(a, b):
-    """Solve a[i] x[i] = b[i] for a stack of square systems by pivoted
-    Gaussian elimination in the dtype of the inputs (used in extended
-    precision, where LAPACK is unavailable).  Returns (x, ok): ok[i] is
-    False where a[i] met a zero pivot, and x[i] is then meaningless."""
+def _solve_stack(a, b, band):
+    """Solve a[i] x[i] = b[i] for a stack of square band systems by
+    Gaussian elimination with partial pivoting in the dtype of the inputs
+    (used in extended precision, where LAPACK is unavailable).
+
+    Every a[i] must be zero outside `band` diagonals on either side of the
+    main one.  Only the band is eliminated: the pivot of a column is sought
+    among its `band` rows below the diagonal, and with those row exchanges
+    U's upper band stays within 2 * band, so each update touches `band`
+    rows and 2 * band + 1 columns, and back substitution sums 2 * band
+    terms.  The values are those of a dense elimination.  Returns (x, ok):
+    ok[i] is False where a[i] met a zero pivot, and x[i] is then
+    meaningless."""
     a = a.copy()
     b = b.copy()
     count, n, _ = a.shape
     stack = np.arange(count)
     ok = np.ones(count, dtype=bool)
     for col in range(n):
-        piv = col + np.argmax(np.abs(a[:, col:, col]), axis=1)
+        low, right = min(col + band + 1, n), min(col + 2 * band + 1, n)
+        piv = col + np.argmax(np.abs(a[:, col:low, col]), axis=1)
         ok &= a[stack, piv, col] != 0
         for m in (a, b):
             top = m[:, col].copy()
             m[:, col] = m[stack, piv]
             m[stack, piv] = top
-        fac = a[:, col + 1 :, col] / np.where(ok, a[:, col, col], 1)[:, None]
-        a[:, col + 1 :, col:] -= fac[:, :, None] * a[:, None, col, col:]
-        b[:, col + 1 :] -= fac[:, :, None] * b[:, None, col]
+        fac = a[:, col + 1 : low, col] / np.where(ok, a[:, col, col], 1)[:, None]
+        a[:, col + 1 : low, col:right] -= fac[:, :, None] * a[:, None, col, col:right]
+        b[:, col + 1 : low] -= fac[:, :, None] * b[:, None, col]
     diag = np.where(ok[:, None], a[:, np.arange(n), np.arange(n)], 1)
     x = np.zeros_like(b)
     for row in range(n - 1, -1, -1):
-        rest = (a[:, None, row, row + 1 :] @ x[:, row + 1 :])[:, 0]
+        right = min(row + 2 * band + 1, n)
+        rest = (a[:, None, row, row + 1 : right] @ x[:, row + 1 : right])[:, 0]
         x[:, row] = (b[:, row] - rest) / diag[:, row, None]
     return x, ok
 
 
-def _refine_pencil_roots(t, t_sq, thetas):
-    """Newton-polish pencil roots det(T^T T - theta T_sq) = 0 in extended
-    precision.  The correction is 1 / trace((T^T T - theta T_sq)^{-1} T_sq);
+def _refine_pencil_roots(heads, guesses):
+    """Newton-polish the pencil roots det(T^T T - theta T_sq) = 0 of a
+    stack of tridiagonals in extended precision.
+
+    heads[h] is a (k+1, k) tridiagonal T and guesses[h] the double guesses
+    of its k roots; returns the polished roots of each head, |theta|
+    descending.  The correction is 1 / trace((T^T T - theta T_sq)^{-1} T_sq);
     filter-factor accuracy depends on theta - lambda differences a few ulp
     above double rounding, which plain double iteration cannot deliver.
-    Each step solves for every still-active root at once; a root stops on
-    a singular system, a non-finite or wild step, or a step below 1e-20
-    relative, and keeps its last value.
+    Every pencil is padded to the deepest order with an identity block
+    (and T_sq with zeros), which leaves the pivots, the eliminated values
+    and so the roots of each head as they are alone, and each step solves
+    for every still-active root of every head in one banded elimination
+    (`_solve_stack`, band PENCIL_BAND).  The trace sums only the head's own
+    k diagonal entries, because numpy's pairwise summation order depends on
+    the length.  A root stops on a singular system, a
+    non-finite or wild step, or a step below 1e-20 relative, and keeps its
+    last value.
     """
+    if not heads:
+        return []
     ld = np.longdouble
-    t_ld = t.astype(ld)
-    m_pencil = t_ld.T @ t_ld
-    t_sq_ld = t_sq.astype(ld)
+    orders = [t.shape[1] for t in heads]
+    m_pencil = np.tile(np.eye(max(orders), dtype=ld), (len(heads), 1, 1))
+    t_sq = np.zeros_like(m_pencil)
+    for h, t in enumerate(heads):
+        k = orders[h]
+        t_ld = t.astype(ld)
+        m_pencil[h, :k, :k] = t_ld.T @ t_ld
+        t_sq[h, :k, :k] = t_ld[:k, :]
+    owner = np.repeat(np.arange(len(heads)), orders)  # the head of each root
+    order_of = np.repeat(orders, orders)
+    thetas = np.concatenate(guesses)
     th = thetas.astype(ld)
     # guesses are already ~1e-12 relative; refuse wild steps that would hop
     # to a different root
@@ -112,16 +169,22 @@ def _refine_pencil_roots(t, t_sq, thetas):
         if active.size == 0:
             break
         w, ok = _solve_stack(
-            m_pencil - th[active, None, None] * t_sq_ld,
-            np.broadcast_to(t_sq_ld, (active.size,) + t_sq_ld.shape),
+            m_pencil[owner[active]] - th[active, None, None] * t_sq[owner[active]],
+            t_sq[owner[active]],
+            PENCIL_BAND,
         )
+        trace = np.empty(active.size, dtype=ld)
+        for k in np.unique(order_of[active]):
+            sel = order_of[active] == k
+            trace[sel] = np.trace(w[sel, :k, :k], axis1=1, axis2=2)
         with np.errstate(divide="ignore"):
-            delta = 1.0 / np.trace(w, axis1=1, axis2=2).astype(float)
+            delta = 1.0 / trace.astype(float)
         step = ok & (np.abs(delta) <= max_step[active])
         active, delta = active[step], delta[step]
         th[active] += delta.astype(ld)
         active = active[np.abs(delta) > 1e-20 * np.abs(th[active].astype(float))]
-    return th.astype(float)
+    polished = np.split(th.astype(float), np.cumsum(orders)[:-1])
+    return [p[np.argsort(-np.abs(p), kind="stable")] for p in polished]
 
 
 def filter_factors(thetas, eigenvalues):

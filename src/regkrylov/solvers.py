@@ -14,12 +14,13 @@ reports its own matvec counts: what that solver alone would spend.
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
 loop, `_krylov_trace`, which forms the projected problem once and differs
-between them only in the solve of the small projected problem at each k:
-Givens least squares (`_givens_ls`), or the inner TSVD family truncated
-at the corner of its own L-curve (`_lcurve_truncation`).  Every trace,
-TSVD's included, is built by `_assemble`.  The Givens cascades of
-successive k share an exact prefix, so reported residual norms are
-non-increasing up to rounding.
+between them only in how the family of small projected problems, one per
+k, is solved: by progressive Givens QR (`_givens_family`), which keeps R
+and the rotated right-hand side across k and applies one new rotation per
+step, or, for the hybrids, by the inner TSVD family of each k truncated at
+the corner of its own L-curve (`_lcurve_truncation`).  Every trace, TSVD's
+included, is built by `_assemble`.  Successive k share the exact Givens
+prefix, so reported residual norms are non-increasing up to rounding.
 """
 
 import math
@@ -93,37 +94,50 @@ def _lanczos(a, start, b, k_max, cache):
     return (cache or LanczosCache(a, b, k_max)).factorization(a, start, b, k_max)
 
 
-def _givens_ls(m_mat, rhs):
-    """Least squares for a small (rows, k) system via Givens QR.
+def _projected(t, g, k):
+    """The projected problem of step k: the rows of T that the left basis
+    spans up to step k (one fewer than k + 1 at a breakdown), and g's."""
+    rows = min(k + 1, t.shape[0])
+    return t[:rows, :k], g[:rows]
 
-    Returns (y, projected residual norm).  Successive k share an identical
-    rotation prefix, so the returned residual norms are non-increasing in k
-    up to rounding.  An exactly singular triangular factor (degenerate
-    input) falls back to the truncated pseudoinverse, whose recomputed
-    residual may sit an ulp above the previous k's.
+
+def _givens_family(t, g, count):
+    """Givens least squares of the projected problems T_k y = g_k of every
+    k = 1..count in one pass; returns [(y_k, projected residual norm)].
+
+    Column k of a Lanczos tridiagonal or a Golub-Kahan bidiagonal has one
+    entry below the diagonal, so the QR of T_k is that of T_{k-1} plus one
+    rotation: R and the rotated g are kept across k.  Each rotation is
+    applied across the whole row width when it is made, so every column
+    meets its rotations in the same order, with the same operations, as in
+    a QR of T_k alone, and the residual norms are non-increasing in k up to
+    rounding.  From an exactly zero pivot on (degenerate input) each step
+    falls back to the truncated pseudoinverse of its own block, whose
+    recomputed residual may sit an ulp above the previous k's.
     """
-    r = np.array(m_mat, dtype=float)
-    b = np.array(rhs, dtype=float)
-    rows, k = r.shape
-    for j in range(k):
-        for i in range(rows - 1, j, -1):
-            if r[i, j] == 0.0:
-                continue
-            f, g = r[i - 1, j], r[i, j]
-            rad = math.hypot(f, g)
-            c, s = f / rad, g / rad
-            upper = c * r[i - 1, j:] + s * r[i, j:]
-            r[i, j:] = -s * r[i - 1, j:] + c * r[i, j:]
-            r[i - 1, j:] = upper
-            b[i - 1], b[i] = c * b[i - 1] + s * b[i], -s * b[i - 1] + c * b[i]
-    diag = np.abs(np.diag(r[:k, :k]))
-    if k and diag.min() == 0.0:
-        y = least_squares(m_mat, rhs)
-        return y, float(np.linalg.norm(rhs - m_mat @ y))
-    y = np.zeros(k)
-    for j in range(k - 1, -1, -1):
-        y[j] = (b[j] - r[j, j + 1 :] @ y[j + 1 :]) / r[j, j]
-    return y, float(np.linalg.norm(b[k:]))
+    r = np.array(t, dtype=float)
+    b = np.array(g, dtype=float)
+    family = []
+    for k in range(1, count + 1):
+        j, rows = k - 1, min(k + 1, r.shape[0])
+        if rows > k and r[k, j] != 0.0:
+            f, h = r[j, j], r[k, j]
+            rad = math.hypot(f, h)
+            c, s = f / rad, h / rad
+            upper = c * r[j, j:] + s * r[k, j:]
+            r[k, j:] = -s * r[j, j:] + c * r[k, j:]
+            r[j, j:] = upper
+            b[j], b[k] = c * b[j] + s * b[k], -s * b[j] + c * b[k]
+        if np.abs(np.diagonal(r)[:k]).min() == 0.0:
+            m_mat, rhs = _projected(t, g, k)
+            y = least_squares(m_mat, rhs)
+            family.append((y, float(np.linalg.norm(rhs - m_mat @ y))))
+            continue
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (b[i] - r[i, i + 1 : k] @ y[i + 1 :]) / r[i, i]
+        family.append((y, float(np.linalg.norm(b[k:rows]))))
+    return family
 
 
 def _assemble(solver, solutions, res, x_true, fact=None):
@@ -149,11 +163,12 @@ def _assemble(solver, solutions, res, x_true, fact=None):
 def _krylov_trace(solver, fact, b, x_true, solve):
     """Iterates x_k = V_k y_k of a Lanczos or Golub-Kahan factorization.
 
-    The projected problem at step k takes the rows of T that the left basis
-    spans (at a breakdown the basis has one column fewer than T has rows)
-    and g, the coordinates of b in that basis.  solve(T_k, g_k) returns y_k
-    and its projected residual norm; tail2, the squared part of b outside
-    the basis, adds to that norm in quadrature.
+    The projected problem at step k (`_projected`) takes the rows of T that
+    the left basis spans (at a breakdown the basis has one column fewer
+    than T has rows) and g, the coordinates of b in that basis.
+    solve(T, g, count) returns (y_k, projected residual norm) for every
+    k = 1..count; tail2, the squared part of b outside the basis, adds to
+    that norm in quadrature.
     """
     if isinstance(fact, LanczosFactorization):
         t, left, basis = fact.tridiag.dense(), fact.basis, fact.basis
@@ -170,31 +185,29 @@ def _krylov_trace(solver, fact, b, x_true, solve):
         tail2 = np.zeros(t.shape[0])
     solutions = []
     res = []
-    for k in range(1, fact.k + 1):
-        rows = min(k + 1, t.shape[0])
-        y, proj = solve(t[:rows, :k], g[:rows])
+    for k, (y, proj) in enumerate(solve(t, g, fact.k), start=1):
         solutions.append(basis[:, :k] @ y)
-        res.append(math.hypot(proj, math.sqrt(tail2[rows - 1])))
+        res.append(math.hypot(proj, math.sqrt(tail2[min(k, t.shape[0] - 1)])))
     return _assemble(solver, solutions, res, x_true, fact)
 
 
 def minres_trace(a, b, k_max, x_true=None, cache=None):
     """Minimum-residual iterates over the Krylov spaces K_k(A, b)."""
     fact = _lanczos(a, START_RESIDUAL, b, k_max, cache)
-    return _krylov_trace("minres", fact, b, x_true, _givens_ls)
+    return _krylov_trace("minres", fact, b, x_true, _givens_family)
 
 
 def mr2_trace(a, b, k_max, x_true=None, cache=None):
     """Minimum-residual iterates over K_k(A, A b), which excludes the noisy
     right-hand side from the search space."""
     fact = _lanczos(a, START_FILTERED, b, k_max, cache)
-    return _krylov_trace("mr2", fact, b, x_true, _givens_ls)
+    return _krylov_trace("mr2", fact, b, x_true, _givens_family)
 
 
 def lsqr_trace(a, b, k_max, x_true=None):
     """Least-squares iterates over the Golub-Kahan subspaces (two operator
     products per step)."""
-    return _krylov_trace("lsqr", golub_kahan(a, b, k_max), b, x_true, _givens_ls)
+    return _krylov_trace("lsqr", golub_kahan(a, b, k_max), b, x_true, _givens_family)
 
 
 def tsvd_trace(decomp, b, x_true=None, k_max=None):
@@ -276,7 +289,8 @@ def hybrid_trace(base, a, b, k_max, x_true=None, cache=None):
         raise ContractViolation(f"unknown hybrid base {base!r}")
     start = START_RESIDUAL if base == "minres" else START_FILTERED
     fact = _lanczos(a, start, b, k_max, cache)
-    return _krylov_trace(f"hybrid-{base}", fact, b, x_true, _lcurve_truncation)
+    return _krylov_trace(f"hybrid-{base}", fact, b, x_true, lambda t, g, count: [
+        _lcurve_truncation(*_projected(t, g, k)) for k in range(1, count + 1)])
 
 
 def _hybrid(base):

@@ -4,10 +4,16 @@ Everything here deliberately avoids the code paths of the package: the
 eigen oracle is a cyclic Jacobi sweep, the SVD oracle is one-sided
 (Hestenes) Jacobi, and the Krylov least-squares oracles orthonormalize the
 power basis explicitly (or build an Arnoldi basis by modified Gram-Schmidt)
-and solve with numpy's lstsq.
+and solve with numpy's lstsq.  The one exception is `givens_ls`, the
+per-k Givens solve that the progressive one must reproduce bit for bit; it
+shares the package's pseudoinverse fallback for that reason.
 """
 
+import math
+
 import numpy as np
+
+from regkrylov.linalg import least_squares
 
 
 def jacobi_eigh(a, sweeps=60, tol=1e-15):
@@ -130,3 +136,35 @@ def arnoldi_minimizers(matvec, start, b, k_max):
         z, *_ = np.linalg.lstsq(image[:, :k], b, rcond=None)
         out.append(basis[:, :k] @ z)
     return out
+
+
+def givens_ls(m_mat, rhs):
+    """Least squares for one small (rows, k) projected system via a Givens
+    QR of that system alone; returns (y, projected residual norm).
+
+    Every column is rotated from its last row up, skipping exact zeros.  An
+    exactly singular triangular factor falls back to the package's
+    truncated pseudoinverse.
+    """
+    r = np.array(m_mat, dtype=float)
+    b = np.array(rhs, dtype=float)
+    rows, k = r.shape
+    for j in range(k):
+        for i in range(rows - 1, j, -1):
+            if r[i, j] == 0.0:
+                continue
+            f, g = r[i - 1, j], r[i, j]
+            rad = math.hypot(f, g)
+            c, s = f / rad, g / rad
+            upper = c * r[i - 1, j:] + s * r[i, j:]
+            r[i, j:] = -s * r[i - 1, j:] + c * r[i, j:]
+            r[i - 1, j:] = upper
+            b[i - 1], b[i] = c * b[i - 1] + s * b[i], -s * b[i - 1] + c * b[i]
+    diag = np.abs(np.diag(r[:k, :k]))
+    if k and diag.min() == 0.0:
+        y = least_squares(m_mat, rhs)
+        return y, float(np.linalg.norm(rhs - m_mat @ y))
+    y = np.zeros(k)
+    for j in range(k - 1, -1, -1):
+        y[j] = (b[j] - r[j, j + 1 :] @ y[j + 1 :]) / r[j, j]
+    return y, float(np.linalg.norm(b[k:]))

@@ -172,6 +172,23 @@ def test_config_validation_errors():
         cli.ExperimentConfig.from_dict({k: v for k, v in base.items() if k != "n"})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("k_max", "3"), ("k_max", 2.0), ("k_max", True),
+    ("n", 16.5), ("n", "96"), ("n", False),
+    ("noise_levels", 1e-3), ("noise_levels", ["1e-3"]), ("noise_levels", [True]),
+    ("seeds", ["a"]), ("seeds", 1), ("seeds", [1.5]), ("seeds", [True]),
+    ("solvers", "minres"), ("diagnostics", "lcurve"),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tmp_path / "out", **{key: value})))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_codes(tmp_path):
     runner = CliRunner()
     cfg_path = tmp_path / "cfg.json"

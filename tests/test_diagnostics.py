@@ -68,11 +68,73 @@ def test_solve_stack_matches_lapack_and_flags_singular_members():
     a[1, :, 2] = 0.0  # elimination keeps this column exactly zero
     b = rng.normal(62, 3 * 8).reshape(3, 4, 2)
     ld = np.longdouble
-    x, ok = diagnostics._solve_stack(a.astype(ld), b.astype(ld))
+    # a band of 3 covers the dense 4-by-4 systems
+    x, ok = diagnostics._solve_stack(a.astype(ld), b.astype(ld), 3)
     assert x.dtype == ld and ok.tolist() == [True, False, True]
     for i in (0, 2):
         want = np.linalg.solve(a[i], b[i])
         assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_banded_solve_stack_matches_lapack_on_pentadiagonal_systems():
+    n = 9
+    dense = rng.normal(63, 4 * n * n).reshape(4, n, n)
+    rows, cols = np.indices((n, n))
+    a = np.where(np.abs(rows - cols) <= 2, dense, 0.0)
+    a[2, :, 4] = 0.0  # elimination keeps this column exactly zero
+    b = rng.normal(64, 4 * n * 3).reshape(4, n, 3)
+    ld = np.longdouble
+    x, ok = diagnostics._solve_stack(a.astype(ld), b.astype(ld), 2)
+    assert x.dtype == ld and ok.tolist() == [True, True, False, True]
+    for i in (0, 1, 3):
+        want = np.linalg.solve(a[i], b[i])
+        assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _heads_one_by_one(tridiag):
+    """harmonic_ritz of each head, up to the first it refuses."""
+    out = []
+    for k in range(1, tridiag.k + 1):
+        try:
+            out.append(diagnostics.harmonic_ritz(tridiag.head(k)))
+        except NumericalError:
+            break
+    return out
+
+
+def _assert_heads_bitwise(tridiag, count):
+    got = diagnostics.harmonic_ritz_heads(tridiag)
+    want = _heads_one_by_one(tridiag)
+    assert len(got) == len(want) == count
+    assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
+
+
+@pytest.mark.parametrize("name", ["shaw", "phillips", "deriv2"])
+def test_harmonic_ritz_heads_equal_each_head_alone(get_problem, name):
+    prob = get_problem(name, 128)
+    nz = problems.add_noise(prob, 1e-3, seed=1)
+    tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, nz.b, 10).tridiag
+    _assert_heads_bitwise(tridiag, 10)
+
+
+def test_harmonic_ritz_heads_at_breakdown():
+    lams = np.array([3.0, 2.2, 1.5, -1.0, 0.5])
+    q, _ = np.linalg.qr(rng.normal(4, 25).reshape(5, 5))
+    a = SymmetricMatrix(dense=(q * lams) @ q.T)
+    fact = lanczos(a.astype(np.longdouble), START_RESIDUAL, rng.normal(5, 5), 5)
+    assert fact.breakdown
+    _assert_heads_bitwise(fact.tridiag, 5)
+
+
+def test_harmonic_ritz_heads_stop_at_a_rank_deficient_head():
+    # the third column is zero, so every head from the third on is rank
+    # deficient and the list stops after two
+    tridiag = TridiagonalRect([2.0, 1.0, 0.0, 1.5, 1.0], [0.5, 0.0, 0.0, 0.7, 0.3])
+    with pytest.raises(NumericalError):
+        diagnostics.harmonic_ritz(tridiag.head(3))
+    _assert_heads_bitwise(tridiag, 2)
+    # a rank-deficient first head leaves no heads at all
+    assert diagnostics.harmonic_ritz_heads(TridiagonalRect([0.0, 1.0], [0.0, 1.0])) == []
 
 
 def _pencil_roots_mp(tridiag, digits=60):

@@ -11,7 +11,9 @@ checks, at 1e-8 * ||b||:
 - the minres, mr2 and lsqr residuals do not increase beyond the rounding
   of the reported norms;
 - the minres and mr2 residuals equal those of brute-force minimizers over
-  the same Krylov spaces (`oracles.arnoldi_minimizers`).
+  the same Krylov spaces (`oracles.arnoldi_minimizers`);
+- every tsvd iterate is the partial sum of the spectral expansion, at
+  1e-12 relative, and its reported residuals never increase.
 
 Four faults of the program break the literal checks.  They are pinned,
 not hidden: each is recognised by an independent round-off criterion
@@ -173,6 +175,26 @@ def test_minimum_residuals_match_oracle(name, system):
             pinned = (_roundoff_pivot(a_mat, b, x) or _tail_floor(name, b, reported, want)
                       or _squares_out_of_range(a_mat, b, x))
             assert pinned, (name, k, reported, want)
+
+
+@SETTINGS
+@given(system=systems())
+def test_tsvd_iterates_are_spectral_partial_sums(system):
+    # x_k = sum_{i <= k} (v_i^T b / lambda_i) v_i, formed in one product
+    # over the decomposition's own eigenpairs and coefficients (a coefficient
+    # along a round-off eigenvalue is itself round-off, so recomputing it
+    # would test fault 1, not the sum), and the reported residuals never
+    # increase
+    a_mat, b = system
+    decomp = symmetric_eig(SymmetricMatrix(dense=a_mat))
+    trace = tsvd_trace(decomp, b)
+    lams = decomp.eigenvalues
+    assert trace.iterations == int(np.argmin(np.append(lams, 0.0) != 0.0))
+    c = decomp.project(b)
+    for k, x in enumerate(trace.solutions, start=1):
+        want = decomp.columns(k) @ (c[:k] / lams[:k])
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want), k
+    assert np.all(np.diff(trace.residual_norms) <= 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@ import pytest
 
 from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
+from regkrylov.krylov import START_FILTERED, START_RESIDUAL, golub_kahan, lanczos
 from regkrylov.linalg import SymmetricMatrix, least_squares, symmetric_eig
 from regkrylov.solvers import (
     SOLVERS,
     LanczosCache,
-    _givens_ls,
+    _givens_family,
     _projected_tsvd_family,
     hybrid_trace,
     lsqr_trace,
@@ -16,7 +17,7 @@ from regkrylov.solvers import (
     tsvd_trace,
 )
 
-from oracles import krylov_subspace_minimizer
+from oracles import givens_ls, krylov_subspace_minimizer
 
 
 def test_minres_identity_one_step():
@@ -126,6 +127,70 @@ def test_mr2_matches_brute_force_minimizer():
             assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1e-30)
 
 
+def _assert_family_matches_per_k_oracle(t, g):
+    # every k of the progressive solve equals a Givens QR of T_k alone, bit for bit
+    family = _givens_family(t, g, t.shape[1])
+    assert len(family) == t.shape[1]
+    for k, (y, proj) in enumerate(family, start=1):
+        rows = min(k + 1, t.shape[0])
+        want_y, want_proj = givens_ls(t[:rows, :k], g[:rows])
+        assert y.tobytes() == want_y.tobytes(), k
+        assert proj == want_proj, k
+
+
+@pytest.mark.parametrize("name,start", [
+    ("shaw", START_RESIDUAL), ("shaw", START_FILTERED),
+    ("phillips", START_RESIDUAL), ("deriv2", START_FILTERED),
+])
+def test_givens_family_matches_per_k_oracle_on_lanczos(get_problem, name, start):
+    prob = get_problem(name, 128)
+    b = problems.add_noise(prob, 1e-3, seed=2).b
+    fact = lanczos(prob.a, start, b, 25)
+    # the rows the basis spans, as the trace takes them (fewer at a breakdown)
+    t = fact.tridiag.dense()[: fact.basis.shape[1]]
+    _assert_family_matches_per_k_oracle(t, fact.basis.T @ b)
+
+
+@pytest.mark.parametrize("name", ["shaw", "phillips", "foxgood"])
+def test_givens_family_matches_per_k_oracle_on_golub_kahan(get_problem, name):
+    prob = get_problem(name, 128)
+    b = problems.add_noise(prob, 1e-4, seed=3).b
+    fact = golub_kahan(prob.a, b, 25)
+    t = fact.dense()[: fact.left.shape[1]]
+    g = np.zeros(t.shape[0])
+    g[0] = np.linalg.norm(b)
+    _assert_family_matches_per_k_oracle(t, g)
+
+
+def test_givens_family_matches_per_k_oracle_at_breakdown():
+    # five distinct eigenvalues: the fifth step breaks down and the last
+    # projected block is square
+    lams = np.array([3.0, 2.2, 1.5, -1.0, 0.5])
+    q, _ = np.linalg.qr(rng.normal(4, 25).reshape(5, 5))
+    a = SymmetricMatrix(dense=(q * lams) @ q.T)
+    b = rng.normal(5, 5)
+    fact = lanczos(a, START_RESIDUAL, b, 5)
+    assert fact.breakdown and fact.basis.shape[1] == fact.k == 5
+    _assert_family_matches_per_k_oracle(fact.tridiag.dense()[:5], fact.basis.T @ b)
+
+
+def test_givens_family_matches_per_k_oracle_at_zero_pivot():
+    # an all-zero third column of a lower bidiagonal leaves an exactly zero
+    # pivot from k = 3 on, where each step falls back to the pseudoinverse
+    t = np.zeros((6, 5))
+    idx = np.arange(5)
+    t[idx, idx] = [2.0, 1.0, 0.0, 3.0, 1.0]
+    t[idx + 1, idx] = [1.0, 0.5, 0.0, 2.0, 1.0]
+    _assert_family_matches_per_k_oracle(t, rng.normal(7, 6))
+    # rank-one A: the square block at the breakdown has a zero pivot
+    a = SymmetricMatrix(dense=np.full((2, 2), -2.0))
+    b = np.array([1.0, 0.0])
+    fact = lanczos(a, START_RESIDUAL, b, 2)
+    assert fact.breakdown
+    t = fact.tridiag.dense()[: fact.basis.shape[1]]
+    _assert_family_matches_per_k_oracle(t, fact.basis.T @ b)
+
+
 def test_hybrid_fixed_full_rank_equals_base(get_problem):
     # the untruncated member of the hybrid's inner TSVD family is the base
     # solver's Givens least-squares solve of each projected problem
@@ -134,9 +199,8 @@ def test_hybrid_fixed_full_rank_equals_base(get_problem):
     fact = mr2_trace(prob.a, nz.b, 10).factorization
     t = fact.tridiag.dense()
     g = fact.basis.T @ nz.b
-    for k in range(1, 11):
+    for k, (want, _) in enumerate(_givens_family(t, g, 10), start=1):
         block, rhs = t[: k + 1, :k], g[: k + 1]
-        want, _ = _givens_ls(block, rhs)
         got = _projected_tsvd_family(block, rhs)[0][-1]
         assert np.linalg.norm(got - want) <= 1e-10 * (1.0 + np.linalg.norm(want))
 

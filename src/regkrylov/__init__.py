@@ -41,7 +41,6 @@ from .solvers import (
 )
 from .diagnostics import (
     CoefficientProfile,
-    DiagnosticsReport,
     LCurvePoint,
     angle_sine,
     coefficient_profile,

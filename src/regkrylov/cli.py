@@ -96,6 +96,8 @@ class ExperimentConfig:
                             ("noise_levels", [f"{e:g}" for e in self.noise_levels])):
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate entries in {key}")
+        if isinstance(self.synthetic, dict) and self.synthetic.get("n", self.n) != self.n:
+            raise ConfigError(f"synthetic.n {self.synthetic['n']!r} differs from n {self.n}")
 
     def to_dict(self):
         doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -172,12 +174,7 @@ def _decompose(a):
 def _run_cell(prob, decomp, eps, seed, k_max, names):
     """One (noise level, seed) cell: the noise, the cell's LanczosCache and
     the traces of the named solvers, by name in the given order."""
-    if eps == 0.0:
-        noise = problems.NoiseRealization(
-            e=np.zeros(prob.a.n), eps=0.0, seed=seed, b=prob.b_hat.copy()
-        )
-    else:
-        noise = problems.add_noise(prob, eps, seed)
+    noise = problems.add_noise(prob, eps, seed)
     cache = solvers.LanczosCache(prob.a, noise.b, k_max)
     traces = {
         name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
@@ -195,14 +192,16 @@ def _lowrank_series(prob, decomp, fact):
 
 def _cell_summary(solver, eps, seed, trace, csv_name):
     best_k, best_err = trace.best()
-    corner = diagnostics.lcurve_corner(diagnostics.lcurve_points(trace))
+    corner = diagnostics.lcurve_corner(
+        diagnostics.lcurve_points(trace.residual_norms, trace.solution_norms)
+    )
     return {
         "solver": solver,
         "eps": eps,
         "seed": seed,
         "best_error": best_err,
         "best_k": best_k,
-        "semiconvergence_index": diagnostics.semiconvergence_index(trace),
+        "semiconvergence_index": best_k,
         "corner_index": corner,
         "matvec_count": int(trace.matvecs[-1]) if trace.iterations else 0,
         "iterations": trace.iterations,
@@ -210,25 +209,34 @@ def _cell_summary(solver, eps, seed, trace, csv_name):
     }
 
 
-def _cell_diagnostics(cfg, prob, decomp, noise, traces):
-    report = diagnostics.DiagnosticsReport()
+def _cell_diagnostics(cfg, prob, decomp, noise, traces, entries):
+    """The diagnostics document of one cell as JSON text, keyed by quantity
+    name; arrays are k-indexed from 1 and an unrequested quantity has no
+    key.  `entries` are the cell's summary entries, whose L-curve corners
+    and best k it repeats."""
     toggles = set(cfg.diagnostics)
+    doc = {
+        "corner_index": ({e["solver"]: e["corner_index"] for e in entries}
+                         if "lcurve" in toggles else {}),
+        "semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries},
+        "notes": [],
+    }
     mr2_like = traces.get("mr2") or traces.get("hybrid-mr2")
     fact = mr2_like.factorization if mr2_like is not None else None
     if "lowrank" in toggles or "decay" in toggles:
         if fact is None:
-            report.notes.append("lowrank/decay need an mr2 factorization")
+            doc["notes"].append("lowrank/decay need an mr2 factorization")
         else:
             gam, sigma_next = _lowrank_series(prob, decomp, fact)
-            report.lowrank_error = [float(g) for g in gam]
-            report.sigma_next = [float(s) for s in sigma_next]
+            doc["lowrank_error"] = [float(g) for g in gam]
+            doc["sigma_next"] = [float(s) for s in sigma_next]
             if "decay" in toggles:
                 rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
-                report.decay_rows = [
+                doc["decay_rows"] = [
                     [r.k, r.offdiag_next, r.diag_next, r.lowrank_error, r.sigma_next]
                     for r in rows
                 ]
-                report.decay_violations = len(violations)
+                doc["decay_violations"] = len(violations)
     if "angles" in toggles:
         direct = []
         formula = []
@@ -239,11 +247,11 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
                 formula.append(None)
             if fact is not None and k <= fact.basis.shape[1]:
                 direct.append(diagnostics.angle_sine(decomp, k, mode="direct", fact=fact))
-        report.angle_direct = direct
-        report.angle_formula = formula
+        doc["angle_direct"] = direct
+        doc["angle_formula"] = formula
     if "filters" in toggles:
         if traces.get("minres") is None:
-            report.notes.append("filters need a minres trace")
+            doc["notes"].append("filters need a minres trace")
         else:
             # the minres projection again, in extended precision, so that the
             # filter factors reproduce the iterate beyond double rounding
@@ -251,29 +259,21 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces):
             extended = prob.a.astype(np.longdouble)
             tridiag = lanczos(extended, START_RESIDUAL, noise.b, steps).tridiag
             heads = diagnostics.harmonic_ritz_heads(tridiag)
-            report.harmonic_ritz_values = [[float(t) for t in theta] for theta in heads]
-            report.filter_factor_rows = [
+            doc["harmonic_ritz_values"] = [[float(t) for t in theta] for theta in heads]
+            doc["filter_factor_rows"] = [
                 [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
                 for theta in heads
             ]
     if decomp is not None:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
-        report.picard_clean = [float(x) for x in profile.clean]
-        report.picard_noise = [float(x) for x in profile.noise]
-        report.picard_noisy = [float(x) for x in profile.noisy]
-        report.tail_head_ratio = [
+        doc["picard_clean"] = [float(x) for x in profile.clean]
+        doc["picard_noise"] = [float(x) for x in profile.noise]
+        doc["picard_noisy"] = [float(x) for x in profile.noisy]
+        doc["tail_head_ratio"] = [
             (None if not math.isfinite(x) else float(x)) for x in profile.tail_head_ratio
         ]
-        report.transition_index = problems.transition_index(decomp, prob.b_hat, noise.e)
-    if "lcurve" in toggles:
-        for name, trace in traces.items():
-            report.corner_index[name] = diagnostics.lcurve_corner(
-                diagnostics.lcurve_points(trace)
-            )
-    for name, trace in traces.items():
-        if trace.relative_errors is not None:
-            report.semiconvergence[name] = diagnostics.semiconvergence_index(trace)
-    return report
+        doc["transition_index"] = problems.transition_index(decomp, prob.b_hat, noise.e)
+    return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def run_experiment(cfg):
@@ -281,6 +281,8 @@ def run_experiment(cfg):
     prob, decomp = _build_problem(cfg.problem, cfg.n, cfg.band, cfg.sigma, cfg.synthetic)
     if cfg.k_max > prob.a.n:
         raise ConfigError(f"k_max {cfg.k_max} exceeds the problem order {prob.a.n}")
+    if float(np.linalg.norm(prob.b_hat)) == 0.0:
+        raise ConfigError(f"the clean right-hand side of {cfg.problem} has zero norm")
     # tsvd and every diagnostic but lcurve read the eigendecomposition
     if decomp is None and ("tsvd" in cfg.solvers or set(cfg.diagnostics) - {"lcurve"}):
         decomp = _decompose(prob.a)
@@ -296,16 +298,17 @@ def run_experiment(cfg):
     for eps in cfg.noise_levels:
         for seed in cfg.seeds:
             noise, _, traces = _run_cell(prob, decomp, eps, seed, cfg.k_max, cfg.solvers)
+            entries = []
             for solver, trace in traces.items():
                 csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
                 _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
                 manifest.append(csv_name)
-                cells.append(_cell_summary(solver, eps, seed, trace, csv_name))
+                entries.append(_cell_summary(solver, eps, seed, trace, csv_name))
+            cells.extend(entries)
             if cfg.diagnostics:
-                report = _cell_diagnostics(cfg, prob, decomp, noise, traces)
                 diag_name = f"diagnostics_{eps:g}_{seed}.json"
                 with open(os.path.join(cfg.output_dir, diag_name), "w") as fh:
-                    fh.write(report.to_json())
+                    fh.write(_cell_diagnostics(cfg, prob, decomp, noise, traces, entries))
                 diag_files.append(diag_name)
                 manifest.append(diag_name)
     summary = {
@@ -390,7 +393,8 @@ def _lcurves(out_dir, tag, panel):
     [(_, _, traces)] = panel.cells.values()
     files = []
     for sname in ("minres", "mr2"):
-        pts = diagnostics.lcurve_points(traces[sname])
+        pts = diagnostics.lcurve_points(traces[sname].residual_norms,
+                                        traces[sname].solution_norms)
         name = f"{tag}_lcurve_{sname}.csv"
         fields = ["k", "log_residual", "log_solution_norm"]
         _write_series_csv(os.path.join(out_dir, name), fields,

@@ -7,9 +7,8 @@ approximation, principal angles between Krylov and dominant eigenspaces
 decay profiles, and the stopping heuristics used by the experiment harness.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -401,19 +400,19 @@ class DecayRow:
     sigma_next: float  # sigma_{k+1}
 
 
-def lanczos_decay_table(fact, lowrank_errors, sigmas=None, floor=None):
-    """Row-by-row comparison of the Lanczos entries against the rank-k error.
+def lanczos_decay_table(fact, lowrank_errors, sigmas):
+    """Row-by-row comparison of the Lanczos entries against the rank-k error,
+    given the operator's singular values `sigmas`, non-increasing.
 
-    Returns (rows, violations): above the round-off floor every row must
-    satisfy beta_{k+1} <= lowrank_error_k + tol and |alpha_{k+2}| <=
-    lowrank_error_k + tol, with tol = DECAY_TOL * sigma_1; rows violating
-    either land in `violations`.
+    Returns (rows, violations): above the round-off floor
+    `roundoff_floor(n, sigma_1)` every row must satisfy beta_{k+1} <=
+    lowrank_error_k + tol and |alpha_{k+2}| <= lowrank_error_k + tol, with
+    tol = DECAY_TOL * sigma_1; rows violating either land in `violations`.
     """
     alpha = fact.tridiag.alpha
     beta = fact.tridiag.beta
-    sig1 = float(sigmas[0]) if sigmas is not None else fact.norm_estimate
-    if floor is None:
-        floor = roundoff_floor(fact.basis.shape[0], sig1)
+    sig1 = float(sigmas[0])
+    floor = roundoff_floor(fact.basis.shape[0], sig1)
     tol = DECAY_TOL * sig1
     rows = []
     violations = []
@@ -424,7 +423,7 @@ def lanczos_decay_table(fact, lowrank_errors, sigmas=None, floor=None):
             offdiag_next=float(beta[k]),
             diag_next=float(abs(alpha[k + 1])),
             lowrank_error=float(lowrank_errors[k - 1]),
-            sigma_next=float(sigmas[k]) if sigmas is not None else math.nan,
+            sigma_next=float(sigmas[k]),
         )
         rows.append(row)
         if max(row.offdiag_next, row.diag_next, row.lowrank_error) <= floor:
@@ -445,15 +444,14 @@ class LCurvePoint:
     k: int
 
 
-def lcurve_points(trace):
-    """L-curve points of a trace (residual stagnation wiggles kept; the
-    corner detector prunes)."""
-    pts = []
-    for i in range(trace.iterations):
-        r = max(float(trace.residual_norms[i]), 1e-300)
-        s = max(float(trace.solution_norms[i]), 1e-300)
-        pts.append(LCurvePoint(math.log(r), math.log(s), i + 1))
-    return pts
+def lcurve_points(residual_norms, solution_norms):
+    """L-curve points of a family indexed k = 1, 2, ..., from its residual
+    and solution norms (residual stagnation wiggles kept; the corner
+    detector prunes).  Norms are clamped at 1e-300 before the log."""
+    return [
+        LCurvePoint(math.log(max(float(r), 1e-300)), math.log(max(float(s), 1e-300)), k)
+        for k, (r, s) in enumerate(zip(residual_norms, solution_norms), start=1)
+    ]
 
 
 def lcurve_corner(points):
@@ -508,45 +506,7 @@ def lcurve_corner(points):
 
 
 def semiconvergence_index(trace):
-    """Iteration with the smallest relative error (ties: smallest k)."""
-    if trace.relative_errors is None:
-        raise ContractViolation("trace has no relative errors; x_true unknown")
-    return int(np.argmin(trace.relative_errors)) + 1
+    """Iteration with the smallest relative error (ties: smallest k), the
+    k of `trace.best()`."""
+    return trace.best()[0]
 
-
-# ---------------------------------------------------------------------------
-# aggregated report
-
-
-@dataclass
-class DiagnosticsReport:
-    """Bundle of diagnostic sequences for one (problem, noise) cell.
-
-    Arrays are k-indexed from 1; serialization is plain JSON keyed by
-    quantity name.
-    """
-
-    lowrank_error: list | None = None
-    sigma_next: list | None = None
-    angle_direct: list | None = None
-    angle_formula: list | None = None
-    harmonic_ritz_values: list | None = None
-    filter_factor_rows: list | None = None
-    picard_clean: list | None = None
-    picard_noise: list | None = None
-    picard_noisy: list | None = None
-    tail_head_ratio: list | None = None
-    decay_rows: list | None = None
-    decay_violations: int | None = None
-    transition_index: int | None = None
-    corner_index: dict = field(default_factory=dict)
-    semiconvergence: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    def to_json(self):
-        doc = {}
-        for key, value in self.__dict__.items():
-            if value is None:
-                continue
-            doc[key] = value
-        return json.dumps(doc, sort_keys=True, indent=1)

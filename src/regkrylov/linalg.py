@@ -339,14 +339,17 @@ def canonical_angles(x, y):
     return np.clip(np.linalg.svd(z, compute_uv=False), 0.0, 1.0)
 
 
-def least_squares(m_mat, rhs):
-    """Minimum-norm least squares minimizer of ||rhs - M y||.
+def rank_cutoff(s, shape):
+    """The numerical-rank cutoff of the non-increasing singular values s of
+    a matrix of the given shape: those at or below it count as zero."""
+    return s[0] * max(shape) * 1e-14 if s.size else 0.0
 
-    Rank decisions use the standard cutoff s1 * max(shape) * 1e-14 on the
-    singular values from small_svd.
+
+def least_squares(m_mat, rhs):
+    """Minimum-norm least squares minimizer of ||rhs - M y|| for a dense M.
+
+    Singular directions at or below `rank_cutoff` contribute nothing.
     """
-    if isinstance(m_mat, TridiagonalRect):
-        m_mat = m_mat.dense()
     m_mat = np.asarray(m_mat, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (m_mat.shape[0],):
@@ -354,8 +357,6 @@ def least_squares(m_mat, rhs):
             f"rhs length {rhs.shape} does not match {m_mat.shape[0]} rows"
         )
     s, u, v = _svd_small(m_mat)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros(m_mat.shape[1])
-    keep = s > s[0] * max(m_mat.shape) * 1e-14
+    keep = s > rank_cutoff(s, m_mat.shape)
     c = (u[:, keep].T @ rhs) / s[keep]
     return v[:, keep] @ c

@@ -250,12 +250,19 @@ def generate_synthetic(spec):
 
 
 def add_noise(problem, eps, seed):
-    """Gaussian noise rescaled so ||e|| / ||b_hat|| equals eps exactly."""
-    if not 0.0 < eps < 1.0:
-        raise ContractViolation("relative noise level must lie in (0, 1)")
+    """Gaussian noise rescaled so ||e|| / ||b_hat|| equals eps exactly;
+    eps = 0 gives e = 0 and a copy of b_hat.  A relative level needs a
+    nonzero ||b_hat||."""
+    if not 0.0 <= eps < 1.0:
+        raise ContractViolation("relative noise level must lie in [0, 1)")
     b_hat = problem.b_hat
+    norm_b = float(np.linalg.norm(b_hat))
+    if norm_b == 0.0:
+        raise ContractViolation("the clean right-hand side has zero norm")
+    if eps == 0.0:
+        return NoiseRealization(e=np.zeros(b_hat.size), eps=eps, seed=seed, b=b_hat.copy())
     e = rng.normal(rng.derive(seed, 0x4015E), b_hat.size)
-    target = eps * float(np.linalg.norm(b_hat))
+    target = eps * norm_b
     # two rescales pin the ratio to the last ulp
     e *= target / float(np.linalg.norm(e))
     e *= target / float(np.linalg.norm(e))

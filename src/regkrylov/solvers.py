@@ -33,7 +33,7 @@ from .exceptions import ContractViolation
 from .krylov import (
     START_FILTERED, START_RESIDUAL, LanczosFactorization, finite_rhs, golub_kahan, lanczos
 )
-from .linalg import _svd_small, least_squares
+from .linalg import _svd_small, least_squares, rank_cutoff
 
 
 @dataclass
@@ -244,7 +244,7 @@ def _projected_tsvd_family(t_block, rhs):
     """
     s, u, v = _svd_small(t_block)
     k = t_block.shape[1]
-    cutoff = s[0] * max(t_block.shape) * 1e-14 if s.size else 0.0
+    cutoff = rank_cutoff(s, t_block.shape)
     coeffs = u.T @ rhs
     ys = []
     residuals = []
@@ -264,16 +264,8 @@ def _lcurve_truncation(t_block, rhs):
     L-curve, and its projected residual; with no corner the family is
     truncation-neutral and the full solve is kept."""
     ys, proj_res = _projected_tsvd_family(t_block, rhs)
-    k = t_block.shape[1]
-    pts = [
-        diagnostics.LCurvePoint(
-            log_residual=math.log(max(proj_res[i], 1e-300)),
-            log_solution_norm=math.log(max(float(np.linalg.norm(ys[i])), 1e-300)),
-            k=i + 1,
-        )
-        for i in range(k)
-    ]
-    p = diagnostics.lcurve_corner(pts) or k
+    pts = diagnostics.lcurve_points(proj_res, [float(np.linalg.norm(y)) for y in ys])
+    p = diagnostics.lcurve_corner(pts) or t_block.shape[1]
     return ys[p - 1], proj_res[p - 1]
 
 

@@ -74,8 +74,8 @@ def test_criterion_01_lanczos_entry_bounds(get_problem, get_decomp):
     violations = []
     rows_checked = 0
     for name in SEVERE_MODERATE:
-        _, decomp, fact, gam, floor = _decay_sweep(get_problem, get_decomp, name)
-        rows, bad = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas, floor=floor)
+        _, decomp, fact, gam, _ = _decay_sweep(get_problem, get_decomp, name)
+        rows, bad = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
         rows_checked += len(rows)
         violations.extend((name, r.k) for r in bad)
     _verdict(

@@ -161,6 +161,7 @@ def test_config_validation_errors():
         {"seeds": [1, 1]},
         {"noise_levels": [1e-3, 1e-3]},
         {"noise_levels": [1e-3, 0.0010000001]},  # the same file names
+        {"problem": "synthetic", "n": 100, "synthetic": {"n": 12}},
     ):
         doc = dict(base)
         doc.update(severed)
@@ -247,6 +248,19 @@ def test_unknown_synthetic_key_is_usage_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_clean_rhs_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config(tmp_path / "out", problem="synthetic", n=12, k_max=4,
+                       synthetic={"n": 12, "alpha": 800.0})
+    cfg_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "zero norm" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_dense_limit_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 16)
     cfg_path = tmp_path / "cfg.json"
@@ -325,10 +339,50 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
     # filters diagnostic's extended-precision projection is not among them
     assert counts["lanczos"] == 2 * cells
     # one inner SVD and one projected L-curve corner per hybrid outer step;
-    # one corner per trace for the summary and one for the lcurve diagnostic
+    # one corner per trace for the summary, which the lcurve diagnostic copies
     hybrid_steps = sum(c["iterations"] for c in summary["cells"] if c["solver"].startswith("hybrid"))
     assert counts["_svd_small"] == hybrid_steps
-    assert counts["lcurve_corner"] == 2 * len(summary["cells"]) + hybrid_steps
+    assert counts["lcurve_corner"] == len(summary["cells"]) + hybrid_steps
+
+
+def test_diagnostics_repeat_the_summary_entries(tmp_path):
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", n=48, k_max=12, seeds=[1, 2],
+                     solvers=list(cli.SOLVER_NAMES), diagnostics=["lcurve"])
+    )
+    summary = cli.run_experiment(cfg)
+    for cell in summary["cells"]:
+        doc = json.loads((Path(cfg.output_dir) / f"diagnostics_0.001_{cell['seed']}.json")
+                         .read_text())
+        assert doc["corner_index"][cell["solver"]] == cell["corner_index"]
+        assert doc["semiconvergence"][cell["solver"]] == cell["semiconvergence_index"]
+    assert {c["corner_index"] for c in summary["cells"]} != {None}
+
+
+def test_every_cell_draws_its_noise_through_add_noise(tmp_path, monkeypatch):
+    calls = []
+    add_noise = problems.add_noise
+
+    def counted(prob, eps, seed):
+        calls.append((eps, seed))
+        return add_noise(prob, eps, seed)
+
+    monkeypatch.setattr(problems, "add_noise", counted)
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", noise_levels=[0, 1e-3], seeds=[1, 2])
+    )
+    cli.run_experiment(cfg)
+    assert calls == [(0, 1), (0, 2), (1e-3, 1), (1e-3, 2)]
+
+
+def test_unrequested_quantities_have_no_key(tmp_path):
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", diagnostics=["lcurve"])
+    )
+    cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / "diagnostics_0.001_1.json").read_text())
+    assert set(doc) == {"corner_index", "semiconvergence", "notes"}
+    assert doc["corner_index"] and doc["notes"] == []
 
 
 def test_shared_factorizations_change_no_output(tmp_path, monkeypatch):

@@ -338,13 +338,13 @@ def test_projection_onto_column():
 
 def test_zero_rhs():
     t = TridiagonalRect([1.0, 2.0], [0.5, 0.5])
-    assert np.all(least_squares(t, np.zeros(3)) == 0.0)
+    assert np.all(least_squares(t.dense(), np.zeros(3)) == 0.0)
 
 
 def test_random_tridiagonal_vs_pinv_oracle():
     t = TridiagonalRect(rng.normal(41, 6), np.abs(rng.normal(42, 6)) + 0.1)
     rhs = rng.normal(43, 7)
-    y = least_squares(t, rhs)
+    y = least_squares(t.dense(), rhs)
     ref = np.linalg.pinv(t.dense()) @ rhs
     assert np.linalg.norm(y - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
 
@@ -353,8 +353,8 @@ def test_residual_orthogonal_to_range():
     for seed in range(5):
         t = TridiagonalRect(rng.normal(seed, 5), np.abs(rng.normal(seed + 50, 5)) + 0.05)
         rhs = rng.normal(seed + 90, 6)
-        y = least_squares(t, rhs)
         dense = t.dense()
+        y = least_squares(dense, rhs)
         grad = dense.T @ (rhs - dense @ y)
         assert np.linalg.norm(grad) <= 6 * 1e-10 * np.linalg.norm(rhs)
 

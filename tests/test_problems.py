@@ -153,8 +153,20 @@ def test_noise_level_exact(get_problem):
 
 def test_noise_level_validation(get_problem):
     prob = get_problem("shaw", 64)
-    for eps in (0.0, 1.0, -0.1, 2.0):
+    for eps in (1.0, -0.1, 2.0):
         with pytest.raises(ContractViolation):
+            problems.add_noise(prob, eps, seed=0)
+    clean = problems.add_noise(prob, 0.0, seed=0)
+    assert not np.any(clean.e)
+    assert np.array_equal(clean.b, prob.b_hat) and clean.b is not prob.b_hat
+
+
+def test_zero_clean_rhs_is_refused():
+    # every sigma_j = exp(-800 j) underflows to 0, and so does b_hat
+    prob, _ = problems.generate_synthetic(problems.SyntheticSpec(n=12, alpha=800.0))
+    assert not np.any(prob.b_hat)
+    for eps in (0.0, 1e-3):
+        with pytest.raises(ContractViolation, match="zero norm"):
             problems.add_noise(prob, eps, seed=0)
 
 

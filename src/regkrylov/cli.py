@@ -26,12 +26,17 @@ from .krylov import START_FILTERED, START_RESIDUAL, lanczos
 from .linalg import small_svd, symmetric_eig
 
 SOLVER_NAMES = tuple(solvers.SOLVERS)
-DIAG_NAMES = ("lowrank", "angles", "filters", "decay", "lcurve")
+DIAG_NAMES = ("lowrank", "angles", "filters", "decay", "lcurve", "picard")
 
 
 def _is_integer(x):
     """x is a JSON integer (a bool is not one)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x):
+    """x is a JSON number (a bool is not one)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -62,16 +67,21 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        for key in ("n", "k_max"):
+        for key in ("n", "k_max", "band"):
             if not _is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer")
+        if not _is_real(self.sigma):
+            raise ConfigError("sigma must be a real number")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string")
+        if self.synthetic is not None and not isinstance(self.synthetic, dict):
+            raise ConfigError("synthetic must be an object or null")
         for key in ("noise_levels", "seeds", "solvers", "diagnostics"):
             if not isinstance(getattr(self, key), list):
                 raise ConfigError(f"{key} must be a list")
         if not all(_is_integer(s) for s in self.seeds):
             raise ConfigError("seeds must be integers")
-        if not all(isinstance(e, (int, float)) and not isinstance(e, bool)
-                   for e in self.noise_levels):
+        if not all(_is_real(e) for e in self.noise_levels):
             raise ConfigError("noise levels must be real numbers")
         if self.problem not in problems.PROBLEM_NAMES + ("synthetic",):
             raise ConfigError(f"unknown problem {self.problem!r}")
@@ -96,7 +106,7 @@ class ExperimentConfig:
                             ("noise_levels", [f"{e:g}" for e in self.noise_levels])):
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate entries in {key}")
-        if isinstance(self.synthetic, dict) and self.synthetic.get("n", self.n) != self.n:
+        if self.synthetic is not None and self.synthetic.get("n", self.n) != self.n:
             raise ConfigError(f"synthetic.n {self.synthetic['n']!r} differs from n {self.n}")
 
     def to_dict(self):
@@ -216,11 +226,11 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces, entries):
     and best k it repeats."""
     toggles = set(cfg.diagnostics)
     doc = {
-        "corner_index": ({e["solver"]: e["corner_index"] for e in entries}
-                         if "lcurve" in toggles else {}),
         "semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries},
         "notes": [],
     }
+    if "lcurve" in toggles:
+        doc["corner_index"] = {e["solver"]: e["corner_index"] for e in entries}
     mr2_like = traces.get("mr2") or traces.get("hybrid-mr2")
     fact = mr2_like.factorization if mr2_like is not None else None
     if "lowrank" in toggles or "decay" in toggles:
@@ -238,6 +248,8 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces, entries):
                 ]
                 doc["decay_violations"] = len(violations)
     if "angles" in toggles:
+        if fact is None:
+            doc["notes"].append("angles need an mr2 factorization for angle_direct")
         direct = []
         formula = []
         for k in range(1, min(cfg.k_max, diagnostics.COUPLING_K_CAP) + 1):
@@ -264,7 +276,7 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces, entries):
                 [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
                 for theta in heads
             ]
-    if decomp is not None:
+    if "picard" in toggles:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
         doc["picard_clean"] = [float(x) for x in profile.clean]
         doc["picard_noise"] = [float(x) for x in profile.noise]

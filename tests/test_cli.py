@@ -121,6 +121,16 @@ def test_lowrank_without_mr2_leaves_a_note(tmp_path):
     assert doc["notes"] == ["lowrank/decay need an mr2 factorization"]
 
 
+def test_angles_without_mr2_leave_a_note(tmp_path):
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", solvers=["minres"], diagnostics=["angles"])
+    )
+    summary = cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
+    assert doc["angle_direct"] == [] and doc["angle_formula"]
+    assert doc["notes"] == ["angles need an mr2 factorization for angle_direct"]
+
+
 def test_clean_noise_level_exact_recovery(tmp_path):
     doc = {
         "problem": "synthetic",
@@ -179,10 +189,14 @@ def test_config_validation_errors():
     ("noise_levels", 1e-3), ("noise_levels", ["1e-3"]), ("noise_levels", [True]),
     ("seeds", ["a"]), ("seeds", 1), ("seeds", [1.5]), ("seeds", [True]),
     ("solvers", "minres"), ("diagnostics", "lcurve"),
+    ("band", 2.5), ("band", "3"), ("band", True), ("sigma", "0.7"), ("sigma", None),
+    ("output_dir", 5), ("output_dir", ["x"]), ("synthetic", [1]),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, key, value):
+    # band and sigma shape only the blur operator
+    base = {"problem": "blur", "n": 16} if key in ("band", "sigma") else {}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(small_config(tmp_path / "out", **{key: value})))
+    cfg_path.write_text(json.dumps(small_config(tmp_path / "out", **base, **{key: value})))
     result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
@@ -375,14 +389,64 @@ def test_every_cell_draws_its_noise_through_add_noise(tmp_path, monkeypatch):
     assert calls == [(0, 1), (0, 2), (1e-3, 1), (1e-3, 2)]
 
 
-def test_unrequested_quantities_have_no_key(tmp_path):
+# the keys each diagnostics toggle writes
+TOGGLE_KEYS = {
+    "lowrank": {"lowrank_error", "sigma_next"},
+    "decay": {"lowrank_error", "sigma_next", "decay_rows", "decay_violations"},
+    "angles": {"angle_direct", "angle_formula"},
+    "filters": {"harmonic_ritz_values", "filter_factor_rows"},
+    "lcurve": {"corner_index"},
+    "picard": {"picard_clean", "picard_noise", "picard_noisy", "tail_head_ratio",
+               "transition_index"},
+}
+
+
+@pytest.mark.parametrize("solver_list,toggles", [
+    (["minres", "mr2"], ["lcurve"]),
+    (["tsvd", "minres", "mr2"], ["lcurve"]),  # tsvd builds the eigendecomposition
+    (["minres", "mr2"], ["lowrank", "angles"]),
+    (["tsvd", "minres", "mr2"], ["filters", "decay"]),
+    (list(cli.SOLVER_NAMES), list(cli.DIAG_NAMES)),
+], ids=["lcurve", "lcurve-tsvd", "lowrank-angles", "filters-decay-tsvd", "all"])
+def test_unrequested_quantities_have_no_key(tmp_path, solver_list, toggles):
     cfg = cli.ExperimentConfig.from_dict(
-        small_config(tmp_path / "out", diagnostics=["lcurve"])
+        small_config(tmp_path / "out", solvers=solver_list, diagnostics=toggles)
     )
     cli.run_experiment(cfg)
     doc = json.loads((Path(cfg.output_dir) / "diagnostics_0.001_1.json").read_text())
-    assert set(doc) == {"corner_index", "semiconvergence", "notes"}
-    assert doc["corner_index"] and doc["notes"] == []
+    assert set(doc) == {"semiconvergence", "notes"}.union(*(TOGGLE_KEYS[t] for t in toggles))
+    assert doc["notes"] == []
+    if "lcurve" in toggles:
+        assert doc["corner_index"]
+
+
+def test_picard_writes_the_coefficient_profile(tmp_path):
+    """The picard toggle writes the profile of the cell's own noise without
+    tsvd among the solvers, and changes no trace."""
+    plain = small_config(tmp_path / "plain", diagnostics=["lcurve"])
+    cli.run_experiment(cli.ExperimentConfig.from_dict(plain))
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "picard", diagnostics=["lcurve", "picard"])
+    )
+    cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / "diagnostics_0.001_1.json").read_text())
+
+    prob = problems.generate("shaw", 96)
+    decomp = linalg.symmetric_eig(prob.a)
+    e = problems.add_noise(prob, 1e-3, 1).e
+    profile = diagnostics.coefficient_profile(decomp, prob.b_hat, e)
+    assert doc["picard_clean"] == list(profile.clean)
+    assert doc["picard_noise"] == list(profile.noise)
+    assert doc["picard_noisy"] == list(profile.noisy)
+    assert doc["tail_head_ratio"] == [
+        x if np.isfinite(x) else None for x in profile.tail_head_ratio
+    ]
+    assert doc["transition_index"] == problems.transition_index(decomp, prob.b_hat, e)
+
+    traces = {k: v for k, v in read_all_bytes(tmp_path / "plain").items() if k.endswith(".csv")}
+    assert traces
+    assert traces == {k: v for k, v in read_all_bytes(tmp_path / "picard").items()
+                      if k.endswith(".csv")}
 
 
 def test_shared_factorizations_change_no_output(tmp_path, monkeypatch):

@@ -72,8 +72,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be an integer")
         if not _is_real(self.sigma):
             raise ConfigError("sigma must be a real number")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError("output_dir must be a string")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty string")
         if self.synthetic is not None and not isinstance(self.synthetic, dict):
             raise ConfigError("synthetic must be an object or null")
         for key in ("noise_levels", "seeds", "solvers", "diagnostics"):
@@ -93,6 +93,8 @@ class ExperimentConfig:
         for eps in self.noise_levels:
             if not 0.0 <= eps < 1.0:
                 raise ConfigError("noise levels must lie in [0, 1); 0 means clean data")
+        if not self.noise_levels:
+            raise ConfigError("at least one noise level is required")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.k_max < 1:
@@ -184,7 +186,10 @@ def _decompose(a):
 def _run_cell(prob, decomp, eps, seed, k_max, names):
     """One (noise level, seed) cell: the noise, the cell's LanczosCache and
     the traces of the named solvers, by name in the given order."""
-    noise = problems.add_noise(prob, eps, seed)
+    try:
+        noise = problems.add_noise(prob, eps, seed)
+    except ContractViolation as exc:  # a noise level too small to rescale
+        raise ConfigError(str(exc)) from exc
     cache = solvers.LanczosCache(prob.a, noise.b, k_max)
     traces = {
         name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
@@ -219,37 +224,30 @@ def _cell_summary(solver, eps, seed, trace, csv_name):
     }
 
 
-def _cell_diagnostics(cfg, prob, decomp, noise, traces, entries):
+def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
     """The diagnostics document of one cell as JSON text, keyed by quantity
     name; arrays are k-indexed from 1 and an unrequested quantity has no
     key.  `entries` are the cell's summary entries, whose L-curve corners
-    and best k it repeats."""
+    and best k it repeats.  The Krylov factorizations come from the cell's
+    `cache`, built there on first use whichever solvers ran."""
     toggles = set(cfg.diagnostics)
-    doc = {
-        "semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries},
-        "notes": [],
-    }
+    doc = {"semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries}}
     if "lcurve" in toggles:
         doc["corner_index"] = {e["solver"]: e["corner_index"] for e in entries}
-    mr2_like = traces.get("mr2") or traces.get("hybrid-mr2")
-    fact = mr2_like.factorization if mr2_like is not None else None
+    if toggles & {"lowrank", "decay", "angles"}:
+        fact = cache.factorization(prob.a, START_FILTERED, noise.b, cfg.k_max)
     if "lowrank" in toggles or "decay" in toggles:
-        if fact is None:
-            doc["notes"].append("lowrank/decay need an mr2 factorization")
-        else:
-            gam, sigma_next = _lowrank_series(prob, decomp, fact)
-            doc["lowrank_error"] = [float(g) for g in gam]
-            doc["sigma_next"] = [float(s) for s in sigma_next]
-            if "decay" in toggles:
-                rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
-                doc["decay_rows"] = [
-                    [r.k, r.offdiag_next, r.diag_next, r.lowrank_error, r.sigma_next]
-                    for r in rows
-                ]
-                doc["decay_violations"] = len(violations)
+        gam, sigma_next = _lowrank_series(prob, decomp, fact)
+        doc["lowrank_error"] = [float(g) for g in gam]
+        doc["sigma_next"] = [float(s) for s in sigma_next]
+        if "decay" in toggles:
+            rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
+            doc["decay_rows"] = [
+                [r.k, r.offdiag_next, r.diag_next, r.lowrank_error, r.sigma_next]
+                for r in rows
+            ]
+            doc["decay_violations"] = len(violations)
     if "angles" in toggles:
-        if fact is None:
-            doc["notes"].append("angles need an mr2 factorization for angle_direct")
         direct = []
         formula = []
         for k in range(1, min(cfg.k_max, diagnostics.COUPLING_K_CAP) + 1):
@@ -257,25 +255,22 @@ def _cell_diagnostics(cfg, prob, decomp, noise, traces, entries):
                 formula.append(diagnostics.angle_sine(decomp, k, mode="formula", b=noise.b))
             except RegKrylovError:
                 formula.append(None)
-            if fact is not None and k <= fact.basis.shape[1]:
+            if k <= fact.basis.shape[1]:
                 direct.append(diagnostics.angle_sine(decomp, k, mode="direct", fact=fact))
         doc["angle_direct"] = direct
         doc["angle_formula"] = formula
     if "filters" in toggles:
-        if traces.get("minres") is None:
-            doc["notes"].append("filters need a minres trace")
-        else:
-            # the minres projection again, in extended precision, so that the
-            # filter factors reproduce the iterate beyond double rounding
-            steps = min(10, traces["minres"].factorization.k)
-            extended = prob.a.astype(np.longdouble)
-            tridiag = lanczos(extended, START_RESIDUAL, noise.b, steps).tridiag
-            heads = diagnostics.harmonic_ritz_heads(tridiag)
-            doc["harmonic_ritz_values"] = [[float(t) for t in theta] for theta in heads]
-            doc["filter_factor_rows"] = [
-                [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
-                for theta in heads
-            ]
+        # the minres projection again, in extended precision, so that the
+        # filter factors reproduce the iterate beyond double rounding
+        steps = min(10, cache.factorization(prob.a, START_RESIDUAL, noise.b, cfg.k_max).k)
+        extended = prob.a.astype(np.longdouble)
+        tridiag = lanczos(extended, START_RESIDUAL, noise.b, steps).tridiag
+        heads = diagnostics.harmonic_ritz_heads(tridiag)
+        doc["harmonic_ritz_values"] = [[float(t) for t in theta] for theta in heads]
+        doc["filter_factor_rows"] = [
+            [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
+            for theta in heads
+        ]
     if "picard" in toggles:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
         doc["picard_clean"] = [float(x) for x in profile.clean]
@@ -309,7 +304,7 @@ def run_experiment(cfg):
     diag_files = []
     for eps in cfg.noise_levels:
         for seed in cfg.seeds:
-            noise, _, traces = _run_cell(prob, decomp, eps, seed, cfg.k_max, cfg.solvers)
+            noise, cache, traces = _run_cell(prob, decomp, eps, seed, cfg.k_max, cfg.solvers)
             entries = []
             for solver, trace in traces.items():
                 csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
@@ -320,7 +315,7 @@ def run_experiment(cfg):
             if cfg.diagnostics:
                 diag_name = f"diagnostics_{eps:g}_{seed}.json"
                 with open(os.path.join(cfg.output_dir, diag_name), "w") as fh:
-                    fh.write(_cell_diagnostics(cfg, prob, decomp, noise, traces, entries))
+                    fh.write(_cell_diagnostics(cfg, prob, decomp, noise, cache, entries))
                 diag_files.append(diag_name)
                 manifest.append(diag_name)
     summary = {
@@ -364,10 +359,10 @@ def _gnuplot_script(path, files, title):
 _Panel = namedtuple("_Panel", "pname prob decomp k_max cells")
 
 
-def _filtered(panel, eps):
-    """The cell's Lanczos factorization of K_k(A, Ab)."""
+def _factorization(panel, eps, start):
+    """The cell's Lanczos factorization from `start`."""
     noise, cache, _ = panel.cells[eps]
-    return cache.factorization(panel.prob.a, START_FILTERED, noise.b, panel.k_max)
+    return cache.factorization(panel.prob.a, start, noise.b, panel.k_max)
 
 
 def _errors(out_dir, tag, panel):
@@ -389,13 +384,14 @@ def _errors(out_dir, tag, panel):
 
 
 def _singular_values(out_dir, tag, panel):
-    [(_, _, traces)] = panel.cells.values()
+    [eps] = panel.cells
     name = f"{tag}_projected_singular_values_{panel.pname}.csv"
     _write_series_csv(
         os.path.join(out_dir, name),
         ["j", "minres", "mr2", "operator"],
         [list(range(1, panel.k_max + 1))]
-        + [list(small_svd(traces[s].factorization.tridiag)[0]) for s in ("minres", "mr2")]
+        + [list(small_svd(_factorization(panel, eps, start).tridiag)[0])
+           for start in (START_RESIDUAL, START_FILTERED)]
         + [list(panel.decomp.sigmas[: panel.k_max])],
     )
     return [(name, [(2, "minres"), (3, "mr2"), (4, "operator")])]
@@ -418,7 +414,8 @@ def _lcurves(out_dir, tag, panel):
 def _rank_k_errors(out_dir, tag, panel):
     files = []
     for eps in panel.cells:
-        gam, sigma_next = _lowrank_series(panel.prob, panel.decomp, _filtered(panel, eps))
+        fact = _factorization(panel, eps, START_FILTERED)
+        gam, sigma_next = _lowrank_series(panel.prob, panel.decomp, fact)
         name = f"{tag}_lowrank_{panel.pname}_{eps:g}.csv"
         _write_series_csv(
             os.path.join(out_dir, name),
@@ -431,7 +428,7 @@ def _rank_k_errors(out_dir, tag, panel):
 
 def _decay(out_dir, tag, panel):
     [eps] = panel.cells
-    fact = _filtered(panel, eps)
+    fact = _factorization(panel, eps, START_FILTERED)
     alpha, beta = fact.tridiag.alpha, fact.tridiag.beta
     ks = list(range(2, fact.k))
     name = f"{tag}_decay_{panel.pname}.csv"

@@ -8,6 +8,7 @@ generation is bit-deterministic for fixed inputs.
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,14 @@ class NoiseRealization:
     b: np.ndarray
 
 
+# the type of each SyntheticSpec field (a bool is not a number)
+_SPEC_FIELD_TYPES = (
+    (("n", "seed"), numbers.Integral, "an integer"),
+    (("alpha", "beta"), numbers.Real, "a real number"),
+    (("decay", "sign_pattern", "basis"), str, "a string"),
+)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Prescription for a synthetic problem with exact spectral data.
@@ -63,6 +72,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        for names, kind, what in _SPEC_FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ContractViolation(f"{name} must be {what}, not {value!r}")
         if self.n < 2:
             raise ContractViolation("synthetic problems need n >= 2")
         if self.alpha <= 0.0:
@@ -252,7 +266,8 @@ def generate_synthetic(spec):
 def add_noise(problem, eps, seed):
     """Gaussian noise rescaled so ||e|| / ||b_hat|| equals eps exactly;
     eps = 0 gives e = 0 and a copy of b_hat.  A relative level needs a
-    nonzero ||b_hat||."""
+    nonzero ||b_hat||, and a noise norm eps ||b_hat|| of at least
+    sqrt(n * tiny), where tiny is the smallest normal double."""
     if not 0.0 <= eps < 1.0:
         raise ContractViolation("relative noise level must lie in [0, 1)")
     b_hat = problem.b_hat
@@ -261,8 +276,15 @@ def add_noise(problem, eps, seed):
         raise ContractViolation("the clean right-hand side has zero norm")
     if eps == 0.0:
         return NoiseRealization(e=np.zeros(b_hat.size), eps=eps, seed=seed, b=b_hat.copy())
-    e = rng.normal(rng.derive(seed, 0x4015E), b_hat.size)
     target = eps * norm_b
+    # below that floor the squares that a norm sums underflow, and the
+    # rescale could not pin the level (or would divide by zero)
+    if target < np.sqrt(b_hat.size * np.finfo(float).tiny):
+        raise ContractViolation(
+            f"noise level {eps:g} is too small: the norm {target:.3g} of its noise "
+            "underflows in double precision"
+        )
+    e = rng.normal(rng.derive(seed, 0x4015E), b_hat.size)
     # two rescales pin the ratio to the last ulp
     e *= target / float(np.linalg.norm(e))
     e *= target / float(np.linalg.norm(e))

@@ -8,8 +8,10 @@ A `LanczosCache` of one (A, b, k_max) holds one Lanczos factorization per
 start kind, built the first time a solver asks for it.  minres and
 hybrid-minres project onto the same K_k(A, b), and mr2 and hybrid-mr2 onto
 the same K_k(A, A b), so a cell that runs both solvers of a pair builds
-that factorization once and shares it, read-only.  Each trace still
-reports its own matvec counts: what that solver alone would spend.
+that factorization once and shares it, read-only.  The CLI's diagnostics
+ask the cell's cache too, so a diagnostic builds the factorization it
+needs when no listed solver did.  Each trace still reports its own matvec
+counts: what that solver alone would spend.
 
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer

@@ -88,16 +88,6 @@ def test_filters_diagnostic_uses_extended_projection(tmp_path):
         assert got == diagnostics.harmonic_ritz(tridiag.head(k)).tolist()
 
 
-def test_filters_without_minres_leave_a_note(tmp_path):
-    cfg = cli.ExperimentConfig.from_dict(
-        small_config(tmp_path / "out", solvers=["mr2"], diagnostics=["filters"])
-    )
-    summary = cli.run_experiment(cfg)
-    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
-    assert "harmonic_ritz_values" not in doc
-    assert doc["notes"] == ["filters need a minres trace"]
-
-
 def test_lowrank_and_decay_run_above_the_dense_limit(tmp_path):
     # m = 65 gives order 4225, above what SymmetricMatrix.dense() allows
     cfg = cli.ExperimentConfig.from_dict(small_config(
@@ -108,27 +98,28 @@ def test_lowrank_and_decay_run_above_the_dense_limit(tmp_path):
     doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
     assert len(doc["lowrank_error"]) == 3 and len(doc["decay_rows"]) == 1
     assert doc["decay_violations"] == 0
-    assert doc["notes"] == []
 
 
-def test_lowrank_without_mr2_leaves_a_note(tmp_path):
-    cfg = cli.ExperimentConfig.from_dict(
-        small_config(tmp_path / "out", solvers=["minres"], diagnostics=["lowrank", "decay"])
-    )
-    summary = cli.run_experiment(cfg)
-    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
-    assert "lowrank_error" not in doc and "decay_rows" not in doc
-    assert doc["notes"] == ["lowrank/decay need an mr2 factorization"]
+@pytest.mark.parametrize("solver_list", [["tsvd"], ["mr2"], ["minres"]],
+                         ids=["tsvd-only", "mr2-only", "minres-only"])
+def test_diagnostics_do_not_depend_on_the_solver_list(tmp_path, solver_list):
+    """Every diagnostic builds the Krylov factorization it needs when no
+    listed solver did, and writes what a cell with minres and mr2 writes."""
+    def diagnostics_doc(out, solvers):
+        cfg = cli.ExperimentConfig.from_dict(
+            small_config(out, solvers=solvers, diagnostics=list(cli.DIAG_NAMES))
+        )
+        cli.run_experiment(cfg)
+        return json.loads((out / "diagnostics_0.001_1.json").read_text())
 
-
-def test_angles_without_mr2_leave_a_note(tmp_path):
-    cfg = cli.ExperimentConfig.from_dict(
-        small_config(tmp_path / "out", solvers=["minres"], diagnostics=["angles"])
-    )
-    summary = cli.run_experiment(cfg)
-    doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
-    assert doc["angle_direct"] == [] and doc["angle_formula"]
-    assert doc["notes"] == ["angles need an mr2 factorization for angle_direct"]
+    got = diagnostics_doc(tmp_path / "got", solver_list)
+    want = diagnostics_doc(tmp_path / "want", ["minres", "mr2"])
+    assert got["angle_direct"] and got["filter_factor_rows"]
+    # only the entries keyed by solver differ
+    for key in ("semiconvergence", "corner_index"):
+        assert set(got.pop(key)) == set(solver_list)
+        want.pop(key)
+    assert got == want
 
 
 def test_clean_noise_level_exact_recovery(tmp_path):
@@ -165,6 +156,8 @@ def test_config_validation_errors():
         {"solvers": ["cg"]},
         {"noise_levels": [1.5]},
         {"seeds": []},
+        {"noise_levels": []},
+        {"output_dir": ""},
         {"k_max": 0},
         {"diagnostics": ["spectra"]},
         {"solvers": ["minres", "minres"]},
@@ -191,10 +184,16 @@ def test_config_validation_errors():
     ("solvers", "minres"), ("diagnostics", "lcurve"),
     ("band", 2.5), ("band", "3"), ("band", True), ("sigma", "0.7"), ("sigma", None),
     ("output_dir", 5), ("output_dir", ["x"]), ("synthetic", [1]),
+    *(("synthetic", {"n": 96, **field}) for field in (
+        {"n": 96.0}, {"alpha": "x"}, {"seed": 1.5}, {"seed": True}, {"beta": None}, {"decay": 5},
+    )),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, key, value):
-    # band and sigma shape only the blur operator
+    # band and sigma shape only the blur operator, a synthetic spec only
+    # the synthetic problem
     base = {"problem": "blur", "n": 16} if key in ("band", "sigma") else {}
+    if isinstance(value, dict):
+        base = {"problem": "synthetic"}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config(tmp_path / "out", **base, **{key: value})))
     result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
@@ -273,6 +272,17 @@ def test_zero_clean_rhs_is_usage_error(tmp_path):
     assert "zero norm" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+def test_noise_level_below_underflow_is_usage_error(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config(tmp_path / "out", n=8, k_max=4, noise_levels=[1e-200])
+    cfg_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "noise level 1e-200 is too small" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_dense_limit_is_usage_error(tmp_path, monkeypatch):
@@ -414,8 +424,7 @@ def test_unrequested_quantities_have_no_key(tmp_path, solver_list, toggles):
     )
     cli.run_experiment(cfg)
     doc = json.loads((Path(cfg.output_dir) / "diagnostics_0.001_1.json").read_text())
-    assert set(doc) == {"semiconvergence", "notes"}.union(*(TOGGLE_KEYS[t] for t in toggles))
-    assert doc["notes"] == []
+    assert set(doc) == {"semiconvergence"}.union(*(TOGGLE_KEYS[t] for t in toggles))
     if "lcurve" in toggles:
         assert doc["corner_index"]
 

@@ -124,6 +124,21 @@ def test_synthetic_validation():
         )
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 8.0), ("n", True), ("seed", 1.5), ("seed", False), ("alpha", "x"),
+    ("beta", None), ("beta", True), ("decay", 5), ("sign_pattern", None), ("basis", b"random"),
+])
+def test_synthetic_field_of_wrong_type_is_refused(field, value):
+    with pytest.raises(ContractViolation, match=f"{field} must be"):
+        problems.generate_synthetic(problems.SyntheticSpec(**{"n": 8, field: value}))
+
+
+def test_synthetic_fields_accept_numpy_numbers():
+    spec = problems.SyntheticSpec(n=np.int64(6), alpha=np.float64(0.5), seed=np.int32(3))
+    prob, _ = problems.generate_synthetic(spec)
+    assert prob.n == 6
+
+
 def test_synthetic_alternating_signs():
     spec = problems.SyntheticSpec(n=5, sign_pattern="alternating")
     _, decomp = problems.generate_synthetic(spec)
@@ -159,6 +174,20 @@ def test_noise_level_validation(get_problem):
     clean = problems.add_noise(prob, 0.0, seed=0)
     assert not np.any(clean.e)
     assert np.array_equal(clean.b, prob.b_hat) and clean.b is not prob.b_hat
+
+
+def test_noise_norm_below_underflow_is_refused(get_problem):
+    """A noise norm below sqrt(n * tiny) is refused: the squares its norm
+    sums underflow, so the rescale would miss the level or divide by zero.
+    Just above that floor the level is still exact."""
+    prob = get_problem("shaw", 8)
+    floor = np.sqrt(8 * np.finfo(float).tiny) / np.linalg.norm(prob.b_hat)
+    for eps in (1e-200, 0.5 * floor):
+        with pytest.raises(ContractViolation, match="too small"):
+            problems.add_noise(prob, eps, seed=1)
+    eps = 2.0 * floor
+    ratio = np.linalg.norm(problems.add_noise(prob, eps, seed=1).e) / np.linalg.norm(prob.b_hat)
+    assert abs(ratio - eps) <= 1e-14 * eps
 
 
 def test_zero_clean_rhs_is_refused():

@@ -122,6 +122,44 @@ def test_diagnostics_do_not_depend_on_the_solver_list(tmp_path, solver_list):
     assert got == want
 
 
+def _diagnostics_by_solvers(out, solver_lists, names):
+    """The diagnostics file of one seed-1 cell for each solver list."""
+    docs = []
+    for i, solver_list in enumerate(solver_lists):
+        cfg = cli.ExperimentConfig.from_dict(
+            small_config(out / str(i), solvers=solver_list, diagnostics=names)
+        )
+        summary = cli.run_experiment(cfg)
+        docs.append(json.loads(
+            (Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text()
+        ))
+    return docs
+
+
+def test_lowrank_without_mr2_leaves_a_note(tmp_path):
+    """Without mr2 the cell once wrote a note here; now lowrank and decay
+    build the cell's factorization themselves and write no note."""
+    got, want = _diagnostics_by_solvers(
+        tmp_path, [["minres"], ["minres", "mr2"]], ["lowrank", "decay"]
+    )
+    assert "notes" not in got
+    assert len(got["lowrank_error"]) == 10 and got["decay_rows"]
+    for key in ("lowrank_error", "decay_rows", "decay_violations"):
+        assert got[key] == want[key], key
+
+
+def test_angles_without_mr2_leave_a_note(tmp_path):
+    """Without mr2 the cell once wrote a note and an empty angle_direct;
+    now angles builds the cell's factorization and writes both angle lists."""
+    got, want = _diagnostics_by_solvers(
+        tmp_path, [["minres"], ["minres", "mr2"]], ["angles"]
+    )
+    assert "notes" not in got
+    assert got["angle_direct"] and got["angle_formula"]
+    assert got["angle_direct"] == want["angle_direct"]
+    assert got["angle_formula"] == want["angle_formula"]
+
+
 def test_clean_noise_level_exact_recovery(tmp_path):
     doc = {
         "problem": "synthetic",

@@ -35,8 +35,9 @@ def _is_integer(x):
 
 
 def _is_real(x):
-    """x is a JSON number (a bool is not one)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """x is a finite JSON number (a bool is not one; Python's json reads
+    NaN and Infinity)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -71,7 +72,7 @@ class ExperimentConfig:
             if not _is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer")
         if not _is_real(self.sigma):
-            raise ConfigError("sigma must be a real number")
+            raise ConfigError("sigma must be a finite real number")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
         if self.synthetic is not None and not isinstance(self.synthetic, dict):
@@ -82,7 +83,7 @@ class ExperimentConfig:
         if not all(_is_integer(s) for s in self.seeds):
             raise ConfigError("seeds must be integers")
         if not all(_is_real(e) for e in self.noise_levels):
-            raise ConfigError("noise levels must be real numbers")
+            raise ConfigError("noise levels must be finite real numbers")
         if self.problem not in problems.PROBLEM_NAMES + ("synthetic",):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if not self.solvers:
@@ -181,6 +182,15 @@ def _decompose(a):
         return symmetric_eig(a)
     except ResourceLimitError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _make_output_dir(path):
+    """os.makedirs(path, exist_ok=True); an OSError (say, a regular file on
+    the path) is a ConfigError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
 
 
 def _run_cell(prob, decomp, eps, seed, k_max, names):
@@ -293,7 +303,7 @@ def run_experiment(cfg):
     # tsvd and every diagnostic but lcurve read the eigendecomposition
     if decomp is None and ("tsvd" in cfg.solvers or set(cfg.diagnostics) - {"lcurve"}):
         decomp = _decompose(prob.a)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _make_output_dir(cfg.output_dir)
     # summary.json marks a complete run: a rerun that stops partway must
     # not leave the previous run's summary beside its new files
     summary_path = os.path.join(cfg.output_dir, "summary.json")
@@ -501,7 +511,7 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None):
         decomp = _decompose(prob.a) if _SPECTRAL_WRITERS & set(fig.writers) else None
         cells = {eps: _run_cell(prob, decomp, eps, 1, k_max, fig.solvers) for eps in eps_list}
         panels.append(_Panel(pname, prob, decomp, k_max, cells))
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     files = [entry for write in fig.writers for panel in panels
              for entry in write(out_dir, figure_id, panel)]
     _gnuplot_script(os.path.join(out_dir, f"{figure_id}.gp"), files, f"{figure_id} data series")
@@ -564,7 +574,10 @@ def generate_command(problem_name, n, band, sigma, out_path):
         prob = problems.generate(problem_name, n, band=band, sigma=sigma)
     except RegKrylovError as exc:
         raise click.exceptions.UsageError(str(exc))
-    problems.save_problem(prob, out_path)
+    try:
+        problems.save_problem(prob, out_path)
+    except OSError as exc:
+        raise click.exceptions.UsageError(f"cannot write {out_path}: {exc.strerror or exc}")
     click.echo(f"wrote {out_path}")
 
 

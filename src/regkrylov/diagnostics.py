@@ -19,7 +19,6 @@ from .linalg import EPS, canonical_angles, spectral_norm
 
 COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
 PENCIL_NEWTON_STEPS = 4  # extended-precision polish of each pencil root
-PENCIL_BAND = 2  # T^T T - theta T_sq of a tridiagonal T is pentadiagonal
 DECAY_TOL = 1e-10  # slack of the Lanczos entry bounds, relative to sigma_1
 LOWRANK_RITZ_TOL = 1e-13  # relative stop of the rank-k error's inner loop
 LOWRANK_START_SEED = 0x10F4A2  # its deterministic start vector
@@ -36,40 +35,38 @@ def harmonic_ritz(tridiag):
     These solve (T^T T) y = theta * T_square y with T the rectangular
     tridiagonal and T_square its leading square block; equivalently they are
     the roots of the residual polynomial of the minimum-residual iterate.
-    The positive definite side is factored through the LAPACK SVD of T
-    rounded to double (no Gram-matrix digit loss), the guesses come from a
-    LAPACK symmetric eigensolve, and all roots are then Newton-polished
-    together in extended precision on the pencil determinant of T itself.
-    The roots are accurate for the T given; its precision is the limit.  A
-    double Lanczos tridiagonal carries O(eps ||A||) errors that move a small
-    root by about 1e-13 relative, and the filtered expansion amplifies that
-    by the spread of the roots: pass the np.longdouble tridiagonal of
+    The double guesses come from the LAPACK SVD of T rounded to double (no
+    Gram-matrix digit loss) and a LAPACK symmetric eigensolve; each root is
+    then Newton-polished in extended precision on the pencil determinant,
+    evaluated by T's own three-term recurrence (`_refine_pencil_roots`), so
+    T^T T is never formed.  The roots are accurate for the T given; its
+    precision is the limit.  A double Lanczos tridiagonal carries
+    O(eps ||A||) errors that move a small root by about 1e-13 relative, and
+    the filtered expansion amplifies that by the spread of the roots: pass
+    the np.longdouble tridiagonal of
     `lanczos(a.astype(np.longdouble), START_RESIDUAL, b, k)` when the
     filter factors must reproduce the iterate.  This is the one-head case
     of `harmonic_ritz_heads`.
     """
-    t = tridiag.dense()
-    return _refine_pencil_roots([t], [_pencil_guesses(t)])[0]
+    return _refine_pencil_roots(tridiag, [_pencil_guesses(tridiag.dense())])[0]
 
 
 def harmonic_ritz_heads(tridiag):
     """harmonic_ritz(tridiag.head(k)) for k = 1, 2, ..., up to the first
     head that is numerically rank deficient.
 
-    Each head takes its double guesses as `harmonic_ritz` does, and the
-    roots of every head are polished in one `_refine_pencil_roots` call,
-    bit for bit as head by head.
+    Each head takes its double guesses as `harmonic_ritz` does.  The
+    recurrence of head k is a prefix of the deepest head's, so the roots of
+    every head are polished in one `_refine_pencil_roots` pass, each read
+    off at its own order, bit for bit as head by head.
     """
-    heads = []
     guesses = []
     for k in range(1, tridiag.k + 1):
-        t = tridiag.head(k).dense()
         try:
-            guesses.append(_pencil_guesses(t))
+            guesses.append(_pencil_guesses(tridiag.head(k).dense()))
         except NumericalError:
             break
-        heads.append(t)
-    return _refine_pencil_roots(heads, guesses)
+    return _refine_pencil_roots(tridiag, guesses)
 
 
 def _pencil_guesses(t):
@@ -88,75 +85,35 @@ def _pencil_guesses(t):
     return 1.0 / mus
 
 
-def _solve_stack(a, b, band):
-    """Solve a[i] x[i] = b[i] for a stack of square band systems by
-    Gaussian elimination with partial pivoting in the dtype of the inputs
-    (used in extended precision, where LAPACK is unavailable).
+def _refine_pencil_roots(tridiag, guesses):
+    """Newton-polish, in extended precision, the roots of
+    h(theta) = det(T^T T - theta T_sq) for heads T of a tridiagonal.
 
-    Every a[i] must be zero outside `band` diagonals on either side of the
-    main one.  Only the band is eliminated: the pivot of a column is sought
-    among its `band` rows below the diagonal, and with those row exchanges
-    U's upper band stays within 2 * band, so each update touches `band`
-    rows and 2 * band + 1 columns, and back substitution sums 2 * band
-    terms.  The values are those of a dense elimination.  Returns (x, ok):
-    ok[i] is False where a[i] met a zero pivot, and x[i] is then
-    meaningless."""
-    a = a.copy()
-    b = b.copy()
-    count, n, _ = a.shape
-    stack = np.arange(count)
-    ok = np.ones(count, dtype=bool)
-    for col in range(n):
-        low, right = min(col + band + 1, n), min(col + 2 * band + 1, n)
-        piv = col + np.argmax(np.abs(a[:, col:low, col]), axis=1)
-        ok &= a[stack, piv, col] != 0
-        for m in (a, b):
-            top = m[:, col].copy()
-            m[:, col] = m[stack, piv]
-            m[stack, piv] = top
-        fac = a[:, col + 1 : low, col] / np.where(ok, a[:, col, col], 1)[:, None]
-        a[:, col + 1 : low, col:right] -= fac[:, :, None] * a[:, None, col, col:right]
-        b[:, col + 1 : low] -= fac[:, :, None] * b[:, None, col]
-    diag = np.where(ok[:, None], a[:, np.arange(n), np.arange(n)], 1)
-    x = np.zeros_like(b)
-    for row in range(n - 1, -1, -1):
-        right = min(row + 2 * band + 1, n)
-        rest = (a[:, None, row, row + 1 : right] @ x[:, row + 1 : right])[:, 0]
-        x[:, row] = (b[:, row] - rest) / diag[:, row, None]
-    return x, ok
+    guesses[h] holds the double guesses of the roots of the head of order
+    guesses[h].size; returns the polished roots of each head, |theta|
+    descending.  With chi_j the characteristic polynomial of T's leading
+    j-by-j block and D_j = (chi_j(theta) - chi_j(0)) / theta,
 
+        chi_j = (alpha_j - theta) chi_{j-1} - beta_{j-1}^2 chi_{j-2},
+        D_j = alpha_j D_{j-1} - chi_{j-1}(theta) - beta_{j-1}^2 D_{j-2},
+        h = chi_k(0) chi_k(theta)
+            + beta_k^2 (chi_k(0) D_{k-1}(theta) - chi_{k-1}(0) D_k(theta)),
 
-def _refine_pencil_roots(heads, guesses):
-    """Newton-polish the pencil roots det(T^T T - theta T_sq) = 0 of a
-    stack of tridiagonals in extended precision.
-
-    heads[h] is a (k+1, k) tridiagonal T and guesses[h] the double guesses
-    of its k roots; returns the polished roots of each head, |theta|
-    descending.  The correction is 1 / trace((T^T T - theta T_sq)^{-1} T_sq);
-    filter-factor accuracy depends on theta - lambda differences a few ulp
-    above double rounding, which plain double iteration cannot deliver.
-    Every pencil is padded to the deepest order with an identity block
-    (and T_sq with zeros), which leaves the pivots, the eliminated values
-    and so the roots of each head as they are alone, and each step solves
-    for every still-active root of every head in one banded elimination
-    (`_solve_stack`, band PENCIL_BAND).  The trace sums only the head's own
-    k diagonal entries, because numpy's pairwise summation order depends on
-    the length.  A root stops on a singular system, a
-    non-finite or wild step, or a step below 1e-20 relative, and keeps its
-    last value.
+    so h and h' follow in O(k) from T's own entries, in np.longdouble,
+    without the squared cond(T) of the pencil.  That delivers the
+    theta - lambda differences a few ulp above double rounding that the
+    filter factors need.  Every root runs the deepest head's recurrence and
+    is read off at its own order; the arithmetic is elementwise, so its
+    bits are those of its head polished alone.  A non-finite or wild step
+    is refused and the root keeps its last value; a root also stops after a
+    step below 1e-20 relative.
     """
-    if not heads:
+    if not guesses:
         return []
     ld = np.longdouble
-    orders = [t.shape[1] for t in heads]
-    m_pencil = np.tile(np.eye(max(orders), dtype=ld), (len(heads), 1, 1))
-    t_sq = np.zeros_like(m_pencil)
-    for h, t in enumerate(heads):
-        k = orders[h]
-        t_ld = t.astype(ld)
-        m_pencil[h, :k, :k] = t_ld.T @ t_ld
-        t_sq[h, :k, :k] = t_ld[:k, :]
-    owner = np.repeat(np.arange(len(heads)), orders)  # the head of each root
+    alpha = tridiag.alpha.astype(ld)
+    beta2 = tridiag.beta.astype(ld) ** 2
+    orders = [g.size for g in guesses]
     order_of = np.repeat(orders, orders)
     thetas = np.concatenate(guesses)
     th = thetas.astype(ld)
@@ -167,23 +124,33 @@ def _refine_pencil_roots(heads, guesses):
     for _ in range(PENCIL_NEWTON_STEPS):
         if active.size == 0:
             break
-        w, ok = _solve_stack(
-            m_pencil[owner[active]] - th[active, None, None] * t_sq[owner[active]],
-            t_sq[owner[active]],
-            PENCIL_BAND,
-        )
-        trace = np.empty(active.size, dtype=ld)
-        for k in np.unique(order_of[active]):
-            sel = order_of[active] == k
-            trace[sel] = np.trace(w[sel, :k, :k], axis1=1, axis2=2)
-        with np.errstate(divide="ignore"):
-            delta = 1.0 / trace.astype(float)
-        step = ok & (np.abs(delta) <= max_step[active])
+        delta = _pencil_newton_step(alpha, beta2, th[active], order_of[active])
+        with np.errstate(invalid="ignore"):
+            step = np.abs(delta) <= max_step[active]  # False where not finite
         active, delta = active[step], delta[step]
-        th[active] += delta.astype(ld)
-        active = active[np.abs(delta) > 1e-20 * np.abs(th[active].astype(float))]
+        th[active] += delta
+        active = active[np.abs(delta) > 1e-20 * np.abs(th[active])]
     polished = np.split(th.astype(float), np.cumsum(orders)[:-1])
     return [p[np.argsort(-np.abs(p), kind="stable")] for p in polished]
+
+
+def _pencil_newton_step(alpha, beta2, th, order):
+    """-h/h' at each th for the head of its order, by the recurrences of
+    `_refine_pencil_roots` on (value, theta-derivative) pairs."""
+    chi1 = np.zeros((2, th.size), dtype=th.dtype)  # chi_{j-1}
+    chi1[0] = 1
+    chi2 = d1 = d2 = h = np.zeros_like(chi1)  # chi_{j-2}, D_{j-1}, D_{j-2}
+    z1, z2 = 1, 0  # chi_{j-1}(0), chi_{j-2}(0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(order.max()):
+            a, b2 = alpha[j], beta2[j - 1] if j else 0
+            chi = (a - th) * chi1 - b2 * chi2
+            chi[1] -= chi1[0]
+            d = a * d1 - chi1 - b2 * d2
+            z = a * z1 - b2 * z2
+            h = np.where(order == j + 1, z * chi + beta2[j] * (z * d1 - z1 * d), h)
+            chi1, chi2, d1, d2, z1, z2 = chi, chi1, d, d1, z, z1
+        return -h[0] / h[1]
 
 
 def filter_factors(thetas, eigenvalues):

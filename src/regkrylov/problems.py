@@ -8,6 +8,7 @@ generation is bit-deterministic for fixed inputs.
 
 import base64
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -48,7 +49,7 @@ class NoiseRealization:
 # the type of each SyntheticSpec field (a bool is not a number)
 _SPEC_FIELD_TYPES = (
     (("n", "seed"), numbers.Integral, "an integer"),
-    (("alpha", "beta"), numbers.Real, "a real number"),
+    (("alpha", "beta"), numbers.Real, "a finite real number"),
     (("decay", "sign_pattern", "basis"), str, "a string"),
 )
 
@@ -75,7 +76,8 @@ class SyntheticSpec:
         for names, kind, what in _SPEC_FIELD_TYPES:
             for name in names:
                 value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
+                if (isinstance(value, bool) or not isinstance(value, kind)
+                        or kind is numbers.Real and not math.isfinite(value)):
                     raise ContractViolation(f"{name} must be {what}, not {value!r}")
         if self.n < 2:
             raise ContractViolation("synthetic problems need n >= 2")
@@ -170,8 +172,8 @@ def test_image(m):
 def _blur(m, band, sigma):
     if band < 1 or band >= m:
         raise ContractViolation("blur needs 1 <= band < m")
-    if sigma <= 0.0:
-        raise ContractViolation("blur needs sigma > 0")
+    if not 0.0 < sigma < math.inf:
+        raise ContractViolation("blur needs a finite sigma > 0")
     z = np.zeros(m)
     ell = np.arange(band)
     z[:band] = np.exp(-(ell.astype(float) ** 2) / (2.0 * sigma**2))

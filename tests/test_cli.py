@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -224,7 +225,9 @@ def test_config_validation_errors():
     ("output_dir", 5), ("output_dir", ["x"]), ("synthetic", [1]),
     *(("synthetic", {"n": 96, **field}) for field in (
         {"n": 96.0}, {"alpha": "x"}, {"seed": 1.5}, {"seed": True}, {"beta": None}, {"decay": 5},
+        {"alpha": math.nan}, {"decay": "moderate", "alpha": math.inf},
     )),
+    ("sigma", math.nan),  # json writes and reads NaN and Infinity
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, key, value):
     # band and sigma shape only the blur operator, a synthetic spec only
@@ -348,6 +351,38 @@ def test_reproduce_too_small_is_usage_error(tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def _assert_unwritable(result, path, reason):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert str(path) in result.output and reason in result.output
+
+
+def test_run_output_dir_below_a_file_is_usage_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(out)))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    _assert_unwritable(result, out, "Not a directory")
+
+
+def test_reproduce_out_below_a_file_is_usage_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "fig"
+    result = CliRunner().invoke(cli.main, ["reproduce", "fig1", "--n", "16", "--out", str(out)])
+    _assert_unwritable(result, out, "Not a directory")
+
+
+def test_generate_into_a_missing_directory_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "shaw.json"
+    result = CliRunner().invoke(
+        cli.main, ["generate", "--problem", "shaw", "--n", "8", "--out", str(out)]
+    )
+    _assert_unwritable(result, out, "No such file or directory")
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("figure_id,n,full,size", [

@@ -12,6 +12,8 @@ from regkrylov.exceptions import ContractViolation, NumericalError
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
 from regkrylov.linalg import SymmetricMatrix, TridiagonalRect
 
+from conftest import needs_extended_precision
+
 
 # ---------------------------------------------------------------------------
 # harmonic Ritz values
@@ -61,34 +63,6 @@ def test_extended_tridiagonal_at_breakdown():
     theta = diagnostics.harmonic_ritz(ext)
     assert theta.dtype == np.float64
     assert np.abs(np.sort(theta) - np.sort(lams)).max() < 1e-10
-
-
-def test_solve_stack_matches_lapack_and_flags_singular_members():
-    a = rng.normal(61, 3 * 16).reshape(3, 4, 4)
-    a[1, :, 2] = 0.0  # elimination keeps this column exactly zero
-    b = rng.normal(62, 3 * 8).reshape(3, 4, 2)
-    ld = np.longdouble
-    # a band of 3 covers the dense 4-by-4 systems
-    x, ok = diagnostics._solve_stack(a.astype(ld), b.astype(ld), 3)
-    assert x.dtype == ld and ok.tolist() == [True, False, True]
-    for i in (0, 2):
-        want = np.linalg.solve(a[i], b[i])
-        assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_banded_solve_stack_matches_lapack_on_pentadiagonal_systems():
-    n = 9
-    dense = rng.normal(63, 4 * n * n).reshape(4, n, n)
-    rows, cols = np.indices((n, n))
-    a = np.where(np.abs(rows - cols) <= 2, dense, 0.0)
-    a[2, :, 4] = 0.0  # elimination keeps this column exactly zero
-    b = rng.normal(64, 4 * n * 3).reshape(4, n, 3)
-    ld = np.longdouble
-    x, ok = diagnostics._solve_stack(a.astype(ld), b.astype(ld), 2)
-    assert x.dtype == ld and ok.tolist() == [True, True, False, True]
-    for i in (0, 1, 3):
-        want = np.linalg.solve(a[i], b[i])
-        assert np.abs(x[i] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def _heads_one_by_one(tridiag):
@@ -152,16 +126,31 @@ def _pencil_roots_mp(tridiag, digits=60):
     return np.array(sorted(roots, key=lambda r: -abs(r)))
 
 
+@needs_extended_precision
 @pytest.mark.parametrize("seed", [1, 2])
-def test_harmonic_ritz_vs_high_precision_pencil_roots(get_problem, seed):
-    prob = get_problem("shaw", 256)
+@pytest.mark.parametrize("name", ["shaw", "foxgood"])
+def test_harmonic_ritz_vs_high_precision_pencil_roots(get_problem, name, seed):
+    prob = get_problem(name, 256)
     nz = problems.add_noise(prob, 1e-3, seed)
     tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, nz.b, 10).tridiag
     for k in range(8, tridiag.k + 1):
         head = tridiag.head(k)
         want = _pencil_roots_mp(head)
         got = diagnostics.harmonic_ritz(head)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_wild_newton_step_keeps_the_guess(get_problem):
+    # a guess 1e-4 off its root would take a step far beyond the 1e-6
+    # guard: it comes back as given, not polished onto some other root
+    prob = get_problem("shaw", 64)
+    tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, prob.b_hat, 6).tridiag
+    good = diagnostics.harmonic_ritz(tridiag)
+    guesses = good.copy()
+    guesses[2] *= 1.0 + 1e-4
+    got = diagnostics._refine_pencil_roots(tridiag, [guesses])[0]
+    assert got[2] == guesses[2]
+    assert np.abs(np.delete(got - good, 2)).max() <= 1e-14 * np.abs(good).max()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -79,8 +80,9 @@ def test_unknown_problem_and_bad_params():
         problems.generate("nope", 8)
     with pytest.raises(ContractViolation):
         problems.generate("blur", 8, band=8)
-    with pytest.raises(ContractViolation):
-        problems.generate("blur", 8, sigma=0.0)
+    for sigma in (0.0, math.nan, math.inf):
+        with pytest.raises(ContractViolation):
+            problems.generate("blur", 8, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------

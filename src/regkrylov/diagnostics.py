@@ -284,14 +284,15 @@ def tail_coupling(decomp, b, k):
             "the coupling matrix is not computable"
         )
     tail = lams[k:]
-    l_vals = np.empty((n - k, k))
-    for i in range(k):
-        num = np.ones(n - k)
+    # column i of l_vals is L_i on the tail: one pass per node j multiplies
+    # every column by its factor; the j = i factor divides by zero and is
+    # set to 1
+    l_vals = np.ones((n - k, k))
+    with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(k):
-            if j == i:
-                continue
-            num *= (tail - head[j]) / (head[i] - head[j])
-        l_vals[:, i] = num
+            factor = (tail - head[j])[:, None] / (head - head[j])
+            factor[:, j] = 1.0
+            l_vals *= factor
     delta = (d[k:, None] * l_vals) / d[None, :k]
     if not np.all(np.isfinite(delta)):
         raise NumericalError("coupling matrix overflowed; reduce k")

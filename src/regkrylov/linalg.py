@@ -26,25 +26,43 @@ DENSE_EIG_LIMIT = 4096
 # operator storage
 
 
+def _max_abs(a):
+    """max |a_ij| without an |a| temporary; refuses NaN and infinite entries."""
+    scale = max(float(a.max()), -float(a.min())) if a.size else 0.0
+    if not math.isfinite(scale):
+        raise ContractViolation("operator has NaN or infinite entries")
+    return scale
+
+
 class SymmetricMatrix:
     """Symmetric operator with dense or Kronecker-of-Toeplitz storage.
 
-    The Kronecker form keeps a banded symmetric Toeplitz factor T of order m
-    and acts as the order-m**2 product T (x) T without materializing it.
-    Vectors interact with the Kronecker form in column-stacked order.
+    The dense form never retains the caller's array: it keeps one
+    C-contiguous symmetrized copy (A + A^T) / 2, built in a single work
+    array.  The Kronecker form keeps a banded symmetric Toeplitz factor T of
+    order m and acts as the order-m**2 product T (x) T without materializing
+    it.  Vectors interact with the Kronecker form in column-stacked order.
+    Entries must be finite.
     """
 
     def __init__(self, dense=None, toeplitz_first_col=None):
         if (dense is None) == (toeplitz_first_col is None):
             raise ContractViolation("exactly one storage form must be given")
         if dense is not None:
-            a = np.array(dense, dtype=float)
+            a = np.asarray(dense, dtype=float)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ContractViolation("dense storage must be a square matrix")
-            scale = float(np.abs(a).max()) if a.size else 0.0
-            if scale > 0.0 and float(np.abs(a - a.T).max()) > 1e-8 * scale:
+            scale = _max_abs(a)
+            # one work array holds |A - A^T|, then the stored (A + A^T) / 2; it
+            # is C-ordered whatever the input's order, since the dense matvec's
+            # rounding depends on the layout
+            work = np.subtract(a, a.T, out=np.empty(a.shape))
+            np.abs(work, out=work)
+            if scale > 0.0 and float(work.max()) > 1e-8 * scale:
                 raise ContractViolation("dense input is not symmetric")
-            self._dense = 0.5 * (a + a.T)
+            np.add(a, a.T, out=work)
+            work *= 0.5
+            self._dense = work
             self._factor = None
             self.n = a.shape[0]
             self.m = None
@@ -52,6 +70,7 @@ class SymmetricMatrix:
             col = np.array(toeplitz_first_col, dtype=float)
             if col.ndim != 1 or col.size < 1:
                 raise ContractViolation("Toeplitz factor needs a 1-d first column")
+            _max_abs(col)
             m = col.size
             idx = np.abs(np.arange(m)[:, None] - np.arange(m)[None, :])
             self._factor = col[idx]
@@ -113,6 +132,7 @@ class SymmetricMatrix:
 
 
 _RQ_POLISH_LIMIT = 512
+_RQ_POLISH_BLOCK = 32
 
 
 def _rayleigh_polish(a, q):
@@ -121,13 +141,19 @@ def _rayleigh_polish(a, q):
     LAPACK eigenvalues carry ~n*eps*||A|| error; spectral diagnostics that
     hinge on differences between converged projected values and eigenvalues
     need them at the rounding level.  Cubic in longdouble, so capped by order.
+    The eigenvectors go through in column blocks, so besides the longdouble
+    copy of A only a block of columns is held in longdouble; each quotient
+    is summed in the same order as the full product.
     """
     a_ld = a.astype(np.longdouble)
-    q_ld = q.astype(np.longdouble)
-    w = a_ld @ q_ld
-    num = np.einsum("ij,ij->j", q_ld, w)
-    den = np.einsum("ij,ij->j", q_ld, q_ld)
-    return (num / den).astype(float)
+    lams = np.empty(q.shape[1])
+    for j in range(0, q.shape[1], _RQ_POLISH_BLOCK):
+        q_ld = q[:, j : j + _RQ_POLISH_BLOCK].astype(np.longdouble)
+        w = np.dot(a_ld, q_ld)
+        num = np.einsum("ij,ij->j", q_ld, w)
+        den = np.einsum("ij,ij->j", q_ld, q_ld)
+        lams[j : j + _RQ_POLISH_BLOCK] = num / den
+    return lams
 
 
 def _eig_order(lams):

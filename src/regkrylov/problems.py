@@ -4,6 +4,11 @@ The five 1-D generators are midpoint discretizations of first-kind Fredholm
 kernels on their natural domains; `blur` is a 2-D Gaussian deblurring
 operator stored as a Kronecker square of a banded Toeplitz factor.  All
 generation is bit-deterministic for fixed inputs.
+
+A 1-D kernel is built from 1-D node values by outer ufuncs and in-place
+updates, and `SymmetricMatrix` keeps one symmetrized copy of it, never the
+array it was given; generation peaks at about 2 n**2 doubles, below the
+dense eigensolve (about 5 n**2 with LAPACK's workspace).
 """
 
 import base64
@@ -99,7 +104,8 @@ class SyntheticSpec:
 
 # ---------------------------------------------------------------------------
 # 1-D kernels (midpoint quadrature on matching node sets keeps A exactly
-# symmetric; averaging with the transpose is a no-op guard)
+# symmetric; averaging with the transpose is a no-op guard).  Each kernel is
+# evaluated in place on one n-by-n array (two for shaw).
 
 
 def _midpoints(lo, hi, n):
@@ -109,45 +115,68 @@ def _midpoints(lo, hi, n):
 
 def _shaw(n):
     t, h = _midpoints(-np.pi / 2, np.pi / 2, n)
-    s, tt = np.meshgrid(t, t, indexing="ij")
-    u = np.pi * (np.sin(s) + np.sin(tt))
-    safe = np.where(u == 0.0, 1.0, u)
-    sinc = np.where(u == 0.0, 1.0, np.sin(safe) / safe)
-    a = h * (np.cos(s) + np.cos(tt)) ** 2 * sinc**2
+    sin_t = np.sin(t)
+    u = np.add.outer(sin_t, sin_t)
+    u *= np.pi
+    zero = u == 0.0
+    u[zero] = 1.0
+    sinc = np.sin(u)
+    sinc /= u
+    sinc[zero] = 1.0
+    sinc *= sinc
+    cos_t = np.cos(t)
+    a = np.add.outer(cos_t, cos_t, out=u)
+    a *= a
+    a *= h
+    a *= sinc
     x = 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
     return a, x
 
 
 def _foxgood(n):
     t, h = _midpoints(0.0, 1.0, n)
-    s, tt = np.meshgrid(t, t, indexing="ij")
-    a = h * np.sqrt(s**2 + tt**2)
+    t2 = t * t
+    a = np.add.outer(t2, t2)
+    np.sqrt(a, out=a)
+    a *= h
     return a, t.copy()
 
 
 def _gravity(n, depth=0.25):
     t, h = _midpoints(0.0, 1.0, n)
-    s, tt = np.meshgrid(t, t, indexing="ij")
-    a = h * depth * (depth**2 + (s - tt) ** 2) ** -1.5
+    a = np.subtract.outer(t, t)
+    a *= a
+    a += depth**2
+    a **= -1.5
+    a *= h * depth
     x = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
     return a, x
 
 
 def _phillips_psi(x):
-    return np.where(np.abs(x) < 3.0, 1.0 + np.cos(np.pi * x / 3.0), 0.0)
+    """1 + cos(pi x / 3) where |x| < 3, else 0, overwriting x."""
+    far = np.abs(x) >= 3.0
+    x *= np.pi
+    x /= 3.0
+    np.cos(x, out=x)
+    x += 1.0
+    x[far] = 0.0
+    return x
 
 
 def _phillips(n):
     t, h = _midpoints(-6.0, 6.0, n)
-    s, tt = np.meshgrid(t, t, indexing="ij")
-    a = h * _phillips_psi(s - tt)
+    a = _phillips_psi(np.subtract.outer(t, t))
+    a *= h
     return a, _phillips_psi(t)
 
 
 def _deriv2(n):
     t, h = _midpoints(0.0, 1.0, n)
-    s, tt = np.meshgrid(t, t, indexing="ij")
-    a = h * np.where(s <= tt, s * (tt - 1.0), tt * (s - 1.0))
+    # s * (t - 1) on and above the diagonal (s <= t), t * (s - 1) below it
+    a = np.multiply.outer(t, t - 1.0)
+    np.multiply.outer(t - 1.0, t, out=a, where=np.greater.outer(t, t))
+    a *= h
     return a, t.copy()
 
 

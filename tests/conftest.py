@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,20 @@ needs_extended_precision = pytest.mark.skipif(
     np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
     reason="np.longdouble is no wider than float64 on this platform",
 )
+
+
+
+def traced_peak_n2(fn, n):
+    """Peak traced allocation while fn() runs, in units of n^2 doubles.
+    tracemalloc sees numpy's array data, not LAPACK's workspace."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * n * n)
+
 
 _PROBLEMS = {}
 _DECOMPS = {}

@@ -4,9 +4,11 @@ Everything here deliberately avoids the code paths of the package: the
 eigen oracle is a cyclic Jacobi sweep, the SVD oracle is one-sided
 (Hestenes) Jacobi, and the Krylov least-squares oracles orthonormalize the
 power basis explicitly (or build an Arnoldi basis by modified Gram-Schmidt)
-and solve with numpy's lstsq.  The one exception is `givens_ls`, the
-per-k Givens solve that the progressive one must reproduce bit for bit; it
-shares the package's pseudoinverse fallback for that reason.
+and solve with numpy's lstsq.  The exceptions are computations the package
+must reproduce bit for bit: `givens_ls`, the per-k Givens solve (it shares
+the package's pseudoinverse fallback for that reason), and the dense set-up
+by `meshgrid_problem` and `polished_eig`, which form every kernel on full
+meshgrids and the Rayleigh quotients from one full longdouble product.
 """
 
 import math
@@ -168,3 +170,56 @@ def givens_ls(m_mat, rhs):
     for j in range(k - 1, -1, -1):
         y[j] = (b[j] - r[j, j + 1 :] @ y[j + 1 :]) / r[j, j]
     return y, float(np.linalg.norm(b[k:]))
+
+
+def _meshgrid_kernel(name, n):
+    """Kernel matrix and exact solution of a 1-D test problem, each kernel
+    evaluated on full (s, t) meshgrids of the midpoint nodes."""
+    lo, hi = {"shaw": (-np.pi / 2, np.pi / 2), "phillips": (-6.0, 6.0)}.get(name, (0.0, 1.0))
+    h = (hi - lo) / n
+    t = lo + (np.arange(n) + 0.5) * h
+    s, tt = np.meshgrid(t, t, indexing="ij")
+
+    def psi(x):
+        return np.where(np.abs(x) < 3.0, 1.0 + np.cos(np.pi * x / 3.0), 0.0)
+
+    if name == "shaw":
+        u = np.pi * (np.sin(s) + np.sin(tt))
+        safe = np.where(u == 0.0, 1.0, u)
+        sinc = np.where(u == 0.0, 1.0, np.sin(safe) / safe)
+        a = h * (np.cos(s) + np.cos(tt)) ** 2 * sinc**2
+        x = 2.0 * np.exp(-6.0 * (t - 0.8) ** 2) + np.exp(-2.0 * (t + 0.5) ** 2)
+    elif name == "foxgood":
+        a, x = h * np.sqrt(s**2 + tt**2), t.copy()
+    elif name == "gravity":
+        depth = 0.25
+        a = h * depth * (depth**2 + (s - tt) ** 2) ** -1.5
+        x = np.sin(np.pi * t) + 0.5 * np.sin(2.0 * np.pi * t)
+    elif name == "phillips":
+        a, x = h * psi(s - tt), psi(t)
+    else:
+        a, x = h * np.where(s <= tt, s * (tt - 1.0), tt * (s - 1.0)), t.copy()
+    return a, x
+
+
+def meshgrid_problem(name, n):
+    """(A, x_true, b_hat) of a 1-D test problem: the meshgrid kernel
+    averaged with its transpose, and b_hat = A x_true by np.dot."""
+    a, x = _meshgrid_kernel(name, n)
+    a = 0.5 * (a + a.T)
+    return a, x, np.dot(a, x)
+
+
+def polished_eig(a):
+    """Eigenvalues and eigenvectors of a dense symmetric matrix in the
+    package's order: LAPACK vectors, eigenvalues replaced by the Rayleigh
+    quotients of one full longdouble product A Q."""
+    _, q = np.linalg.eigh(a)
+    a_ld = a.astype(np.longdouble)
+    q_ld = q.astype(np.longdouble)
+    w = a_ld @ q_ld
+    num = np.einsum("ij,ij->j", q_ld, w)
+    den = np.einsum("ij,ij->j", q_ld, q_ld)
+    lams = (num / den).astype(float)
+    order = np.lexsort((np.arange(lams.size), (lams < 0).astype(int), -np.abs(lams)))
+    return lams[order], q[:, order]

@@ -23,7 +23,7 @@ from regkrylov.linalg import (
     symmetric_eig,
 )
 
-from conftest import needs_extended_precision
+from conftest import needs_extended_precision, traced_peak_n2
 from oracles import jacobi_eigh, jacobi_svd
 
 
@@ -44,6 +44,23 @@ def test_dense_storage_symmetrizes():
 def test_asymmetric_input_rejected():
     with pytest.raises(ContractViolation):
         SymmetricMatrix(dense=[[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    dense = np.eye(3)
+    dense[0, 2] = bad
+    with pytest.raises(ContractViolation, match="NaN or infinite"):
+        SymmetricMatrix(dense=dense)
+    with pytest.raises(ContractViolation, match="NaN or infinite"):
+        SymmetricMatrix(toeplitz_first_col=[1.0, 0.5, bad])
+
+
+def test_dense_storage_is_one_c_ordered_copy():
+    caller = np.asfortranarray(random_symmetric(5, 3))
+    a = SymmetricMatrix(dense=caller)
+    assert a.dense().flags.c_contiguous
+    assert not np.shares_memory(a.dense(), caller)
 
 
 def test_kronecker_matvec_matches_densified():
@@ -176,6 +193,14 @@ def test_import_does_not_load_scipy():
     # every factorization is numpy's LAPACK; scipy is a benchmark-only extra
     script = "import sys, regkrylov; print('scipy' in sys.modules)"
     assert _fresh_interpreter(script) == "False"
+
+
+def test_symmetric_eig_memory_budget(get_problem):
+    # LAPACK's vectors (n^2), the longdouble copy of A (2 n^2) and one
+    # block of polished columns; LAPACK's own workspace is not traced
+    n = 384
+    a = get_problem("shaw", n).a
+    assert traced_peak_n2(lambda: symmetric_eig(a), n) <= 4.0
 
 
 def test_dense_limit_error(monkeypatch):

@@ -12,6 +12,9 @@ from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
 from regkrylov.linalg import symmetric_eig
 
+from conftest import traced_peak_n2
+from oracles import meshgrid_problem, polished_eig
+
 ONE_D = ("shaw", "foxgood", "gravity", "phillips", "deriv2")
 
 
@@ -41,6 +44,29 @@ def test_generators_symmetric_and_consistent(name):
     assert np.array_equal(a, a.T)
     res = np.linalg.norm(prob.b_hat - a @ prob.x_true)
     assert res <= 40 * 1e-12 * np.linalg.norm(a) * np.linalg.norm(prob.x_true)
+
+
+@pytest.mark.parametrize("n", [2, 3, 47, 256])
+@pytest.mark.parametrize("name", ONE_D)
+def test_dense_setup_matches_meshgrid_formulas_bitwise(name, n):
+    a, x, b_hat = meshgrid_problem(name, n)
+    prob = problems.generate(name, n)
+    assert prob.a.dense().flags.c_contiguous
+    assert np.array_equal(prob.a.dense(), a)
+    assert np.array_equal(prob.x_true, x)
+    assert np.array_equal(prob.b_hat, b_hat)
+    lams, v = polished_eig(a)
+    decomp = symmetric_eig(prob.a)
+    assert np.array_equal(decomp.eigenvalues, lams)
+    assert np.array_equal(decomp.columns(n), v)
+
+
+@pytest.mark.parametrize("name", ONE_D)
+def test_generation_memory_budget(name):
+    # the kernel and the operator's symmetrized copy, 2 n^2 doubles, plus a
+    # mask or a transient temporary
+    n = 384
+    assert traced_peak_n2(lambda: problems.generate(name, n), n) <= 2.5
 
 
 @pytest.mark.parametrize("name", ONE_D + ("blur",))
@@ -256,6 +282,19 @@ def test_problem_json_roundtrip_bitwise(tmp_path, name):
     # container is plain JSON
     doc = json.loads(path.read_text())
     assert set(doc) >= {"name", "n", "arrays"}
+
+
+@pytest.mark.parametrize("name", ("gravity", "blur"))
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_container_with_non_finite_operator_is_refused(name, bad):
+    prob = problems.generate(name, 4)
+    doc = json.loads(problems.problem_to_json(prob))
+    key = "toeplitz_first_col" if name == "blur" else "dense"
+    entries = problems._dec(doc["arrays"][key])
+    entries[1] = float(bad)
+    doc["arrays"][key] = problems._enc(entries)
+    with pytest.raises(ContractViolation, match="NaN or infinite"):
+        problems.problem_from_json(json.dumps(doc))
 
 
 def _bits(arr):

@@ -23,6 +23,7 @@ from .problems import (
     NoiseRealization,
     SyntheticSpec,
     add_noise,
+    check_noise_level,
     generate,
     generate_synthetic,
     load_problem,

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import click
 import numpy as np
@@ -27,17 +27,6 @@ from .linalg import small_svd, symmetric_eig
 
 SOLVER_NAMES = tuple(solvers.SOLVERS)
 DIAG_NAMES = ("lowrank", "angles", "filters", "decay", "lcurve", "picard")
-
-
-def _is_integer(x):
-    """x is a JSON integer (a bool is not one)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_real(x):
-    """x is a finite JSON number (a bool is not one; Python's json reads
-    NaN and Infinity)."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass
@@ -56,11 +45,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"problem", "n", "noise_levels", "seeds", "solvers", "k_max"} - set(doc)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING} - set(doc)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         cfg = cls(**doc)
@@ -68,22 +57,16 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        for key in ("n", "k_max", "band"):
-            if not _is_integer(getattr(self, key)):
-                raise ConfigError(f"{key} must be an integer")
-        if not _is_real(self.sigma):
-            raise ConfigError("sigma must be a finite real number")
-        if not isinstance(self.output_dir, str) or not self.output_dir:
+        """The rules a config obeys alone; `run_experiment` checks the rest."""
+        problems.check_field_types(self, ConfigError)
+        if not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
         if self.synthetic is not None and not isinstance(self.synthetic, dict):
             raise ConfigError("synthetic must be an object or null")
-        for key in ("noise_levels", "seeds", "solvers", "diagnostics"):
-            if not isinstance(getattr(self, key), list):
-                raise ConfigError(f"{key} must be a list")
-        if not all(_is_integer(s) for s in self.seeds):
+        if not all(problems.is_integer(s) for s in self.seeds):
             raise ConfigError("seeds must be integers")
-        if not all(_is_real(e) for e in self.noise_levels):
-            raise ConfigError("noise levels must be finite real numbers")
+        for eps in self.noise_levels:
+            problems.check_noise_level(eps, error=ConfigError)
         if self.problem not in problems.PROBLEM_NAMES + ("synthetic",):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if not self.solvers:
@@ -91,9 +74,6 @@ class ExperimentConfig:
         for s in self.solvers:
             if s not in SOLVER_NAMES:
                 raise ConfigError(f"unknown solver {s!r}")
-        for eps in self.noise_levels:
-            if not 0.0 <= eps < 1.0:
-                raise ConfigError("noise levels must lie in [0, 1); 0 means clean data")
         if not self.noise_levels:
             raise ConfigError("at least one noise level is required")
         if not self.seeds:
@@ -112,10 +92,6 @@ class ExperimentConfig:
         if self.synthetic is not None and self.synthetic.get("n", self.n) != self.n:
             raise ConfigError(f"synthetic.n {self.synthetic['n']!r} differs from n {self.n}")
 
-    def to_dict(self):
-        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return doc
-
 
 def _csv_field(x):
     """Shortest round-trip text of a number; None and NaN are empty."""
@@ -131,8 +107,24 @@ def _write_series_csv(path, header, columns):
     lines = [",".join(header)]
     for i in range(max(len(c) for c in columns)):
         lines.append(",".join(_csv_field(c[i]) if i < len(c) else "" for c in columns))
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text):
+    """Write text, built in full before the file is opened, to path."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+
+
+def _json_text(doc):
+    """A document as JSON text; a numpy number is written as the plain
+    number it holds."""
+    def plain(x):
+        if isinstance(x, (np.integer, np.floating)):
+            return x.item()
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+    return json.dumps(doc, sort_keys=True, indent=1, default=plain)
 
 
 def _write_trace_csv(path, trace):
@@ -164,9 +156,9 @@ def _build_problem(name, n, band=3, sigma=0.7, synthetic=None):
     it); contract errors from config values become ConfigError."""
     try:
         if name == "synthetic":
-            try:
-                spec = problems.SyntheticSpec(**(synthetic or {"n": n}))
-            except TypeError as exc:  # unknown or missing keys
+            try:  # the spec's n defaults to the config's
+                spec = problems.SyntheticSpec(**{"n": n, **(synthetic or {})})
+            except TypeError as exc:  # unknown keys
                 raise ConfigError(f"invalid synthetic spec: {exc}") from exc
             return problems.generate_synthetic(spec)
         prob = problems.generate(name, n, band=band, sigma=sigma)
@@ -196,10 +188,7 @@ def _make_output_dir(path):
 def _run_cell(prob, decomp, eps, seed, k_max, names):
     """One (noise level, seed) cell: the noise, the cell's LanczosCache and
     the traces of the named solvers, by name in the given order."""
-    try:
-        noise = problems.add_noise(prob, eps, seed)
-    except ContractViolation as exc:  # a noise level too small to rescale
-        raise ConfigError(str(exc)) from exc
+    noise = problems.add_noise(prob, eps, seed)
     cache = solvers.LanczosCache(prob.a, noise.b, k_max)
     traces = {
         name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
@@ -238,8 +227,8 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
     """The diagnostics document of one cell as JSON text, keyed by quantity
     name; arrays are k-indexed from 1 and an unrequested quantity has no
     key.  `entries` are the cell's summary entries, whose L-curve corners
-    and best k it repeats.  The Krylov factorizations come from the cell's
-    `cache`, built there on first use whichever solvers ran."""
+    and best k it repeats.  The Lanczos factorization of K_k(A, Ab) comes
+    from the cell's `cache`, built there on first use whichever solvers ran."""
     toggles = set(cfg.diagnostics)
     doc = {"semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries}}
     if "lcurve" in toggles:
@@ -271,10 +260,10 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
         doc["angle_formula"] = formula
     if "filters" in toggles:
         # the minres projection again, in extended precision, so that the
-        # filter factors reproduce the iterate beyond double rounding
-        steps = min(10, cache.factorization(prob.a, START_RESIDUAL, noise.b, cfg.k_max).k)
+        # filter factors reproduce the iterate beyond double rounding; its
+        # own breakdown, if any, cuts the depth below min(10, k_max)
         extended = prob.a.astype(np.longdouble)
-        tridiag = lanczos(extended, START_RESIDUAL, noise.b, steps).tridiag
+        tridiag = lanczos(extended, START_RESIDUAL, noise.b, min(10, cfg.k_max)).tridiag
         heads = diagnostics.harmonic_ritz_heads(tridiag)
         doc["harmonic_ritz_values"] = [[float(t) for t in theta] for theta in heads]
         doc["filter_factor_rows"] = [
@@ -290,16 +279,17 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
             (None if not math.isfinite(x) else float(x)) for x in profile.tail_head_ratio
         ]
         doc["transition_index"] = problems.transition_index(decomp, prob.b_hat, noise.e)
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return _json_text(doc)
 
 
 def run_experiment(cfg):
-    """Execute a config; returns the summary dict after writing all files."""
+    """Execute a config; returns the summary dict after writing all files.
+    Every configuration error is raised before the output directory is made."""
     prob, decomp = _build_problem(cfg.problem, cfg.n, cfg.band, cfg.sigma, cfg.synthetic)
     if cfg.k_max > prob.a.n:
         raise ConfigError(f"k_max {cfg.k_max} exceeds the problem order {prob.a.n}")
-    if float(np.linalg.norm(prob.b_hat)) == 0.0:
-        raise ConfigError(f"the clean right-hand side of {cfg.problem} has zero norm")
+    for eps in cfg.noise_levels:
+        problems.check_noise_level(eps, prob.b_hat, ConfigError)
     # tsvd and every diagnostic but lcurve read the eigendecomposition
     if decomp is None and ("tsvd" in cfg.solvers or set(cfg.diagnostics) - {"lcurve"}):
         decomp = _decompose(prob.a)
@@ -324,18 +314,17 @@ def run_experiment(cfg):
             cells.extend(entries)
             if cfg.diagnostics:
                 diag_name = f"diagnostics_{eps:g}_{seed}.json"
-                with open(os.path.join(cfg.output_dir, diag_name), "w") as fh:
-                    fh.write(_cell_diagnostics(cfg, prob, decomp, noise, cache, entries))
+                text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries)
+                _write_text(os.path.join(cfg.output_dir, diag_name), text)
                 diag_files.append(diag_name)
                 manifest.append(diag_name)
     summary = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "cells": cells,
         "diagnostics_files": diag_files,
         "manifest": manifest,
     }
-    with open(summary_path, "w") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=1))
+    _write_text(summary_path, _json_text(summary))
     return summary
 
 
@@ -358,8 +347,7 @@ def _gnuplot_script(path, files, title):
              for csv_file, cols in files for idx, name in cols]
     lines = ["set datafile separator ','", f"set title '{title}'", "set key outside",
              "set logscale y", "plot " + ", \\\n     ".join(plots)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # Series writers.  Each writes the files of one problem of a figure and

@@ -13,9 +13,10 @@ dense eigensolve (about 5 n**2 with LAPACK's workspace).
 
 import base64
 import json
-import math
 import numbers
-from dataclasses import dataclass, field
+import reprlib
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,12 +52,33 @@ class NoiseRealization:
     b: np.ndarray
 
 
-# the type of each SyntheticSpec field (a bool is not a number)
-_SPEC_FIELD_TYPES = (
-    (("n", "seed"), numbers.Integral, "an integer"),
-    (("alpha", "beta"), numbers.Real, "a finite real number"),
-    (("decay", "sign_pattern", "basis"), str, "a string"),
-)
+def is_integer(x):
+    """x is a Python or numpy integer (a bool is not one)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x):
+    """x is a Python or numpy real number (not a bool) that a double holds
+    finitely, compared as a Python number so that nothing overflows."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x.item() if isinstance(x, np.generic) else x) <= sys.float_info.max)
+
+
+# what a field declared int, float, str or list requires, and how a refusal names it
+_FIELD_KINDS = {int: (is_integer, "an integer"), float: (is_real, "a finite real number"),
+                str: (lambda x: isinstance(x, str), "a string"),
+                list: (lambda x: isinstance(x, list), "a list")}
+
+
+def check_field_types(obj, error=ContractViolation):
+    """Raise `error` for the first field of the dataclass `obj` declared
+    int, float, str or list whose value is not one."""
+    for f in fields(obj):
+        if f.type in _FIELD_KINDS:
+            ok, what = _FIELD_KINDS[f.type]
+            value = getattr(obj, f.name)
+            if not ok(value):
+                raise error(f"{f.name} must be {what}, not {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +100,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
-        for names, kind, what in _SPEC_FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if (isinstance(value, bool) or not isinstance(value, kind)
-                        or kind is numbers.Real and not math.isfinite(value)):
-                    raise ContractViolation(f"{name} must be {what}, not {value!r}")
+        check_field_types(self)
         if self.n < 2:
             raise ContractViolation("synthetic problems need n >= 2")
         if self.alpha <= 0.0:
@@ -201,7 +218,7 @@ def test_image(m):
 def _blur(m, band, sigma):
     if band < 1 or band >= m:
         raise ContractViolation("blur needs 1 <= band < m")
-    if not 0.0 < sigma < math.inf:
+    if not is_real(sigma) or sigma <= 0.0:
         raise ContractViolation("blur needs a finite sigma > 0")
     z = np.zeros(m)
     ell = np.arange(band)
@@ -294,27 +311,35 @@ def generate_synthetic(spec):
 # noise and the transition index
 
 
-def add_noise(problem, eps, seed):
-    """Gaussian noise rescaled so ||e|| / ||b_hat|| equals eps exactly;
-    eps = 0 gives e = 0 and a copy of b_hat.  A relative level needs a
-    nonzero ||b_hat||, and a noise norm eps ||b_hat|| of at least
-    sqrt(n * tiny), where tiny is the smallest normal double."""
-    if not 0.0 <= eps < 1.0:
-        raise ContractViolation("relative noise level must lie in [0, 1)")
-    b_hat = problem.b_hat
+def check_noise_level(eps, b_hat=None, error=ContractViolation):
+    """Raise `error` unless eps is a real number in [0, 1) and, given b_hat,
+    ||b_hat|| != 0 and a nonzero eps puts the noise norm eps ||b_hat|| at or
+    above sqrt(n * tiny) (tiny: the smallest normal double), below which a
+    norm's squares underflow and no rescale could pin the level."""
+    if not (is_real(eps) and 0.0 <= eps < 1.0):
+        raise error(f"a noise level must be a real number in [0, 1), not {reprlib.repr(eps)}")
+    if b_hat is None:
+        return
     norm_b = float(np.linalg.norm(b_hat))
     if norm_b == 0.0:
-        raise ContractViolation("the clean right-hand side has zero norm")
-    if eps == 0.0:
-        return NoiseRealization(e=np.zeros(b_hat.size), eps=eps, seed=seed, b=b_hat.copy())
+        raise error("the clean right-hand side has zero norm")
     target = eps * norm_b
-    # below that floor the squares that a norm sums underflow, and the
-    # rescale could not pin the level (or would divide by zero)
-    if target < np.sqrt(b_hat.size * np.finfo(float).tiny):
-        raise ContractViolation(
+    if eps > 0.0 and target < np.sqrt(b_hat.size * np.finfo(float).tiny):
+        raise error(
             f"noise level {eps:g} is too small: the norm {target:.3g} of its noise "
             "underflows in double precision"
         )
+
+
+def add_noise(problem, eps, seed):
+    """Gaussian noise rescaled so ||e|| / ||b_hat|| equals eps exactly, a
+    level that `check_noise_level` accepts; eps = 0 gives e = 0 and a copy
+    of b_hat."""
+    b_hat = problem.b_hat
+    check_noise_level(eps, b_hat)
+    if eps == 0.0:
+        return NoiseRealization(e=np.zeros(b_hat.size), eps=eps, seed=seed, b=b_hat.copy())
+    target = float(eps) * float(np.linalg.norm(b_hat))  # in double for a numpy eps too
     e = rng.normal(rng.derive(seed, 0x4015E), b_hat.size)
     # two rescales pin the ratio to the last ulp
     e *= target / float(np.linalg.norm(e))
@@ -341,7 +366,7 @@ def _enc(arr):
 
 
 def _dec(text):
-    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
 
 
 def problem_to_json(problem):
@@ -363,22 +388,57 @@ def problem_to_json(problem):
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _member(doc, key):
+    """doc[key], where doc must be a JSON object that has the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ContractViolation(f"the problem container has no {key!r}")
+    return doc[key]
+
+
+def _array(arrays, key, size=None):
+    """The float64 array arrays[key]; its length must be `size` if given."""
+    text = _member(arrays, key)
+    try:
+        out = _dec(text)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ContractViolation(
+            f"container array {key!r} is not base64 little-endian float64 data"
+        ) from exc
+    if size is not None and out.size != size:
+        raise ContractViolation(f"container array {key!r} has {out.size} entries, not {size}")
+    return out
+
+
 def problem_from_json(text):
+    """The problem a container holds.  A missing key, an array that is not
+    base64 float64 data, or an array length that disagrees with n (x_true
+    and b_hat of length n, a dense operator of n**2 entries, a Toeplitz
+    factor of order m with m**2 = n) is a ContractViolation naming it."""
     doc = json.loads(text)
-    arrays = doc["arrays"]
-    x_true = _dec(arrays["x_true"])
-    b_hat = _dec(arrays["b_hat"])
+    name = _member(doc, "name")
+    n = _member(doc, "n")
+    if not is_integer(n) or n < 1:
+        raise ContractViolation(f"container n must be a positive integer, not {n!r}")
+    arrays = _member(doc, "arrays")
+    x_true = _array(arrays, "x_true", n)
+    b_hat = _array(arrays, "b_hat", n)
     if "toeplitz_first_col" in arrays:
-        a = SymmetricMatrix(toeplitz_first_col=_dec(arrays["toeplitz_first_col"]))
+        col = _array(arrays, "toeplitz_first_col")
+        if col.size**2 != n:
+            raise ContractViolation(
+                f"container array 'toeplitz_first_col' has order {col.size}, "
+                f"whose square is not n = {n}"
+            )
+        a = SymmetricMatrix(toeplitz_first_col=col)
     else:
-        n = doc["n"]
-        a = SymmetricMatrix(dense=_dec(arrays["dense"]).reshape(n, n))
-    return DiscretizedProblem(doc["name"], a, x_true, b_hat, doc.get("meta", {}))
+        a = SymmetricMatrix(dense=_array(arrays, "dense", n * n).reshape(n, n))
+    return DiscretizedProblem(name, a, x_true, b_hat, doc.get("meta", {}))
 
 
 def save_problem(problem, path):
+    text = problem_to_json(problem)  # before the file is opened
     with open(path, "w") as fh:
-        fh.write(problem_to_json(problem))
+        fh.write(text)
 
 
 def load_problem(path):

@@ -27,7 +27,7 @@ def _finalize(z):
 
 def derive(seed, *tags):
     """Fold integer tags into a seed, producing an independent child stream."""
-    s = np.array([seed & _MASK], dtype=np.uint64)
+    s = np.array([int(seed) & _MASK], dtype=np.uint64)
     with np.errstate(over="ignore"):
         for t in tags:
             s = _finalize((s + _GOLDEN) ^ np.uint64(int(t) & _MASK))
@@ -36,7 +36,7 @@ def derive(seed, *tags):
 
 def raw64(seed, n):
     """First n raw 64-bit words of the stream identified by seed."""
-    key = _finalize(np.array([seed & _MASK], dtype=np.uint64))[0]
+    key = _finalize(np.array([int(seed) & _MASK], dtype=np.uint64))[0]
     idx = np.arange(1, n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         return _finalize(key + idx * _GOLDEN)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -228,6 +229,10 @@ def test_config_validation_errors():
         {"alpha": math.nan}, {"decay": "moderate", "alpha": math.inf},
     )),
     ("sigma", math.nan),  # json writes and reads NaN and Infinity
+    # and integers of any size
+    pytest.param("noise_levels", [10**400], id="noise_levels-10**400"),
+    pytest.param("sigma", 10**400, id="sigma-10**400"),
+    pytest.param("synthetic", {"n": 96, "alpha": 10**400}, id="synthetic-alpha-10**400"),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, key, value):
     # band and sigma shape only the blur operator, a synthetic spec only
@@ -324,6 +329,90 @@ def test_noise_level_below_underflow_is_usage_error(tmp_path):
     assert isinstance(result.exception, SystemExit)
     assert "noise level 1e-200 is too small" in result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_noise_level_after_a_good_one_writes_nothing(tmp_path):
+    """Every level is checked against the problem before the output
+    directory is made, not when its cell draws the noise."""
+    cfg_path = tmp_path / "cfg.json"
+    doc = small_config(tmp_path / "out", n=8, k_max=4, noise_levels=[1e-3, 1e-200])
+    cfg_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert "noise level 1e-200 is too small" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthetic_spec_takes_n_from_the_config(tmp_path):
+    doc = small_config(tmp_path / "out", problem="synthetic", n=8, k_max=4,
+                       synthetic={"decay": "severe", "alpha": 0.5})
+    summary = cli.run_experiment(cli.ExperimentConfig.from_dict(doc))
+    assert summary["config"]["synthetic"] == {"decay": "severe", "alpha": 0.5}
+    stated = small_config(tmp_path / "stated", problem="synthetic", n=8, k_max=4,
+                          synthetic={"n": 8, "decay": "severe", "alpha": 0.5})
+    assert cli.run_experiment(cli.ExperimentConfig.from_dict(stated))["cells"] == summary["cells"]
+
+
+def test_numpy_numbers_in_a_config_are_written_as_json_numbers(tmp_path):
+    out = tmp_path / "out"
+    doc = small_config(out, problem="synthetic", n=np.int64(8), k_max=np.int32(4),
+                       noise_levels=[np.float32(0.25), np.float64(1e-3)], seeds=[np.int64(1)],
+                       synthetic={"n": 8, "seed": np.int64(3)})
+    summary = cli.run_experiment(cli.ExperimentConfig.from_dict(doc))
+    written = json.loads((out / "summary.json").read_text())
+    plain = {**doc, "band": 3, "sigma": 0.7, "n": 8, "k_max": 4, "seeds": [1],
+             "noise_levels": [float(np.float32(0.25)), 1e-3], "synthetic": {"n": 8, "seed": 3}}
+    assert written["config"] == plain
+    assert written["manifest"] == summary["manifest"]
+    assert [c["seed"] for c in written["cells"]] == [1] * 4
+
+
+def test_failing_diagnostics_leave_no_empty_file(tmp_path, monkeypatch):
+    """A document's text is built before its file is opened."""
+    def fails(*args, **kwargs):
+        raise NumericalError("injected failure")
+
+    monkeypatch.setattr(diagnostics, "lanczos_decay_table", fails)
+    out = tmp_path / "out"
+    cfg = cli.ExperimentConfig.from_dict(small_config(out, diagnostics=["decay"]))
+    with pytest.raises(NumericalError):
+        cli.run_experiment(cfg)
+    assert sorted(p.name for p in out.iterdir()) == ["trace_minres_0.001_1.csv",
+                                                     "trace_mr2_0.001_1.csv"]
+
+
+def test_filters_build_no_double_factorization(tmp_path, monkeypatch):
+    """filters runs its own extended-precision projection, whose breakdown
+    sets its depth; with tsvd alone no solver factorization is built."""
+    calls = []
+    lanczos_binding = solvers.lanczos
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return lanczos_binding(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "lanczos", counted)
+    out = tmp_path / "out"
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(out, seeds=[1, 2], solvers=["tsvd"], diagnostics=["filters"])
+    )
+    cli.run_experiment(cfg)
+    assert calls == []
+    doc = json.loads((out / "diagnostics_0.001_2.json").read_text())
+    assert len(doc["harmonic_ritz_values"]) == 10
+
+
+def test_filters_depth_stops_at_the_extended_breakdown(tmp_path):
+    # an order-4 synthetic problem: the projection breaks down after 4 steps
+    out = tmp_path / "out"
+    cfg = cli.ExperimentConfig.from_dict(small_config(
+        out, problem="synthetic", n=4, k_max=4, solvers=["tsvd"], diagnostics=["filters"],
+        synthetic={"decay": "mild", "alpha": 0.5},
+    ))
+    cli.run_experiment(cfg)
+    doc = json.loads((out / "diagnostics_0.001_1.json").read_text())
+    assert [len(theta) for theta in doc["harmonic_ritz_values"]] == [1, 2, 3, 4]
 
 
 def test_dense_limit_is_usage_error(tmp_path, monkeypatch):
@@ -672,3 +761,17 @@ def test_generate_roundtrip(tmp_path):
     fresh = problems.generate("shaw", 24)
     assert np.array_equal(loaded.a.dense(), fresh.a.dense())
     assert np.array_equal(loaded.b_hat, fresh.b_hat)
+
+
+def test_readme_config_schema_matches_the_code():
+    """README's `run` schema example names every config key, solver and
+    diagnostics toggle, only SyntheticSpec fields, and loads as a config."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema (`run`)", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    assert set(doc) == {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+    assert tuple(doc["solvers"]) == cli.SOLVER_NAMES
+    assert tuple(doc["diagnostics"]) == cli.DIAG_NAMES
+    assert set(doc["synthetic"]) <= {f.name for f in dataclasses.fields(problems.SyntheticSpec)}
+    cli.ExperimentConfig.from_dict(doc)

@@ -167,6 +167,24 @@ def test_synthetic_fields_accept_numpy_numbers():
     assert prob.n == 6
 
 
+def test_number_predicates():
+    """Python and numpy numbers count, bools do not; a real must be finite
+    and within the double range, and the check raises nothing on its own."""
+    for x in (3, np.int64(3), np.uint8(3), 10**400):
+        assert problems.is_integer(x) and problems.is_real(x) == (x != 10**400)
+    for x in (0.5, np.float32(0.5), np.float64(-1e308), np.longdouble(2.0), -(10**300)):
+        assert problems.is_real(x)
+    for x in (True, np.bool_(True), 3.0, "3", None):
+        assert not problems.is_integer(x)
+    for x in (True, np.bool_(True), math.nan, math.inf, np.float32("inf"), -(10**400),
+              np.longdouble("1e400"), "0.5", None):
+        assert not problems.is_real(x)
+    with pytest.raises(ContractViolation, match="alpha must be a finite real number"):
+        problems.generate_synthetic(problems.SyntheticSpec(n=8, alpha=10**400))
+    with pytest.raises(ContractViolation, match="finite sigma"):
+        problems.generate("blur", 8, sigma=10**400)
+
+
 def test_synthetic_alternating_signs():
     spec = problems.SyntheticSpec(n=5, sign_pattern="alternating")
     _, decomp = problems.generate_synthetic(spec)
@@ -192,6 +210,13 @@ def test_noise_level_exact(get_problem):
         ratio = np.linalg.norm(nz.e) / np.linalg.norm(prob.b_hat)
         assert abs(ratio - eps) <= 1e-14 * eps
         assert np.linalg.norm(nz.e) < np.linalg.norm(prob.b_hat)
+
+
+def test_numpy_noise_level_is_exact_in_double(get_problem):
+    prob = get_problem("shaw", 64)
+    eps = np.float32(1e-3)
+    ratio = np.linalg.norm(problems.add_noise(prob, eps, seed=4).e) / np.linalg.norm(prob.b_hat)
+    assert abs(ratio - float(eps)) <= 1e-14 * float(eps)
 
 
 def test_noise_level_validation(get_problem):
@@ -295,6 +320,58 @@ def test_container_with_non_finite_operator_is_refused(name, bad):
     doc["arrays"][key] = problems._enc(entries)
     with pytest.raises(ContractViolation, match="NaN or infinite"):
         problems.problem_from_json(json.dumps(doc))
+
+
+def _container(name="gravity", n=8):
+    return json.loads(problems.problem_to_json(problems.generate(name, n)))
+
+
+def _drop(doc, *path):
+    *parents, key = path
+    for p in parents:
+        doc = doc[p]
+    del doc[key]
+    return doc
+
+
+def _short(doc, key, size):
+    doc["arrays"][key] = problems._enc(problems._dec(doc["arrays"][key])[:size])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: _drop(d, "arrays"), "no 'arrays'"),
+    (lambda d: _drop(d, "name"), "no 'name'"),
+    (lambda d: _drop(d, "n"), "no 'n'"),
+    (lambda d: _drop(d, "arrays", "b_hat"), "no 'b_hat'"),
+    (lambda d: _drop(d, "arrays", "dense"), "no 'dense'"),
+    (lambda d: d.update(n=8.0), "n must be a positive integer"),
+    (lambda d: d["arrays"].update(x_true="not base64!"), "'x_true' is not base64"),
+    (lambda d: d["arrays"].update(b_hat="AAAA"), "'b_hat' is not base64"),  # 3 bytes
+    (lambda d: _short(d, "x_true", 5), "'x_true' has 5 entries, not 8"),
+    (lambda d: d.update(n=9), "'x_true' has 8 entries, not 9"),
+    (lambda d: _short(d, "dense", 63), "'dense' has 63 entries, not 64"),
+], ids=["no-arrays", "no-name", "no-n", "no-b_hat", "no-operator", "float-n", "bad-base64",
+        "partial-entry", "short-x_true", "wrong-n", "short-dense"])
+def test_malformed_container_is_refused(edit, message):
+    doc = _container()
+    edit(doc)
+    with pytest.raises(ContractViolation, match=message):
+        problems.problem_from_json(json.dumps(doc))
+
+
+def test_container_toeplitz_order_must_square_to_n():
+    doc = _container("blur", 4)  # m = 4, n = 16
+    _short(doc, "toeplitz_first_col", 3)
+    with pytest.raises(ContractViolation, match="order 3, whose square is not n = 16"):
+        problems.problem_from_json(json.dumps(doc))
+
+
+def test_unserializable_problem_leaves_no_file(tmp_path):
+    prob = problems.generate("gravity", 4)
+    odd = problems.DiscretizedProblem(prob.name, prob.a, prob.x_true, prob.b_hat, {"n": {1, 2}})
+    with pytest.raises(TypeError):
+        problems.save_problem(odd, tmp_path / "prob.json")
+    assert not (tmp_path / "prob.json").exists()
 
 
 def _bits(arr):

@@ -35,3 +35,10 @@ def test_normal_moments():
 
 def test_odd_length_requests():
     assert rng.normal(3, 7).shape == (7,)
+
+
+def test_numpy_integer_seeds_give_the_same_streams():
+    for seed in (3, -3, 2**63 + 5):
+        np_seed = np.uint64(seed) if seed >= 2**63 else np.int64(seed)
+        assert rng.derive(np_seed, 0x4015E) == rng.derive(seed, 0x4015E)
+        assert np.array_equal(rng.raw64(np_seed, 4), rng.raw64(seed, 4))

@@ -404,15 +404,16 @@ def test_filters_build_no_double_factorization(tmp_path, monkeypatch):
 
 
 def test_filters_depth_stops_at_the_extended_breakdown(tmp_path):
-    # an order-4 synthetic problem: the projection breaks down after 4 steps
+    # clean data whose coefficients exp(-100 j) leave b numerically one
+    # eigenvector, so the projection breaks down after one step, not six
     out = tmp_path / "out"
     cfg = cli.ExperimentConfig.from_dict(small_config(
-        out, problem="synthetic", n=4, k_max=4, solvers=["tsvd"], diagnostics=["filters"],
-        synthetic={"decay": "mild", "alpha": 0.5},
+        out, problem="synthetic", n=12, k_max=6, noise_levels=[0.0], solvers=["tsvd"],
+        diagnostics=["filters"], synthetic={"alpha": 50.0},
     ))
     cli.run_experiment(cfg)
-    doc = json.loads((out / "diagnostics_0.001_1.json").read_text())
-    assert [len(theta) for theta in doc["harmonic_ritz_values"]] == [1, 2, 3, 4]
+    doc = json.loads((out / "diagnostics_0_1.json").read_text())
+    assert doc["harmonic_ritz_values"] == [[pytest.approx(math.exp(-50.0), rel=1e-12)]]
 
 
 def test_dense_limit_is_usage_error(tmp_path, monkeypatch):

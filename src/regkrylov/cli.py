@@ -116,17 +116,6 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _json_text(doc):
-    """A document as JSON text; a numpy number is written as the plain
-    number it holds."""
-    def plain(x):
-        if isinstance(x, (np.integer, np.floating)):
-            return x.item()
-        raise TypeError(f"{type(x).__name__} is not JSON serializable")
-
-    return json.dumps(doc, sort_keys=True, indent=1, default=plain)
-
-
 def _write_trace_csv(path, trace):
     _write_series_csv(
         path,
@@ -279,7 +268,7 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
             (None if not math.isfinite(x) else float(x)) for x in profile.tail_head_ratio
         ]
         doc["transition_index"] = problems.transition_index(decomp, prob.b_hat, noise.e)
-    return _json_text(doc)
+    return problems.json_text(doc)
 
 
 def run_experiment(cfg):
@@ -324,7 +313,7 @@ def run_experiment(cfg):
         "diagnostics_files": diag_files,
         "manifest": manifest,
     }
-    _write_text(summary_path, _json_text(summary))
+    _write_text(summary_path, problems.json_text(summary))
     return summary
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .exceptions import ContractViolation, NumericalError
-from .krylov import _reorth_twice
+from .krylov import Basis
 from .linalg import EPS, canonical_angles, spectral_norm
 
 COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
@@ -203,47 +203,41 @@ def lowrank_error_sequence(a, fact):
                      for k in range(1, min(fact.k, q.shape[1]) + 1)])
 
 
-def _stored(rows, i, vec):
-    """rows with vec stored as row i, doubling its height when full."""
-    if i == rows.shape[0]:
-        rows = np.concatenate([rows, np.empty_like(rows)])
-    rows[i] = vec
-    return rows
-
-
 def _deflated_norm(a, q_k, start, norm_a):
     """||A (I - Q_k Q_k^T)|| for orthonormal Q_k, given norm_a ~ ||A||.
 
     Golub-Kahan on B = A (I - P), P = Q_k Q_k^T, from `start` projected off
-    Q_k: u = A v, then v = (I - P) A u, each reorthogonalized twice against
-    the previous vectors (and Q_k); nothing is squared.  After j steps
-    B V_j = U_j B_j, and the top singular triplet (s, x, y) of the upper
-    bidiagonal B_j leaves the Ritz residual beta_j |x_j|.  The loop stops
-    once that is at most LOWRANK_RITZ_TOL * s or eps * norm_a (a product's
-    rounding; an absolute 1e-13 * norm_a would stop early near the round-off
-    floor), at a zero alpha, or when the complement of Q_k is exhausted.
+    Q_k: u = A v, then v = (I - P) A u.  One `Basis` holds Q_k and then the
+    v's, so orthogonalizing a new v against it also applies I - P; a second
+    holds the u's; nothing is squared.  After j steps B V_j = U_j B_j, and
+    the top singular triplet (s, x, y) of the upper bidiagonal B_j leaves
+    the Ritz residual beta_j |x_j|.  The loop stops once that is at most
+    LOWRANK_RITZ_TOL * s or eps * norm_a (a product's rounding; an absolute
+    1e-13 * norm_a would stop early near the round-off floor), at a zero
+    alpha, or when the complement of Q_k is exhausted.
     """
     n, k = q_k.shape
     if k == n:
         return 0.0
-    v_rows = np.concatenate([q_k.T, np.empty((k + 8, n))])  # Q_k^T, then the v's
-    u_rows = np.empty((8, n))
-    v = _reorth_twice(start.copy(), q_k)
+    vs = Basis(n, k + 8)
+    for q in q_k.T:
+        vs.append(q)
+    us = Basis(n, 8)
+    v = vs.orthogonalize(start.copy())
     v /= np.linalg.norm(v)
-    alphas = []
-    betas = []
+    alphas, betas = [], []
     for j in range(n - k):
-        v_rows = _stored(v_rows, k + j, v)
+        vs.append(v)
         u = a.matvec(v)
         if j:
-            u -= betas[-1] * u_rows[j - 1]
-            u = _reorth_twice(u, u_rows[:j].T)
+            u -= betas[-1] * us.rows[j - 1]
+            us.orthogonalize(u)
         alphas.append(float(np.linalg.norm(u)))
         x, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         if alphas[-1] == 0.0:
             break
-        u_rows = _stored(u_rows, j, u / alphas[-1])
-        v = _reorth_twice(a.matvec(u_rows[j]) - alphas[-1] * v, v_rows[: k + j + 1].T)
+        us.append(u / alphas[-1])
+        v = vs.orthogonalize(a.matvec(us.rows[j]) - alphas[-1] * v)
         betas.append(float(np.linalg.norm(v)))
         if betas[-1] * abs(x[-1, 0]) <= max(LOWRANK_RITZ_TOL * s[0], EPS * norm_a):
             break
@@ -346,12 +340,8 @@ def coefficient_profile(decomp, b_hat, e):
     n = noisy.size
     prefix_min = np.minimum.accumulate(noisy)
     suffix_max = np.maximum.accumulate(noisy[::-1])[::-1]
-    with np.errstate(divide="ignore"):
-        ratio = np.where(
-            prefix_min[: n - 1] > 0.0,
-            suffix_max[1:] / np.where(prefix_min[: n - 1] > 0.0, prefix_min[: n - 1], 1.0),
-            np.inf,
-        )
+    head = prefix_min[: n - 1]
+    ratio = np.where(head > 0.0, suffix_max[1:] / np.where(head > 0.0, head, 1.0), np.inf)
     return CoefficientProfile(clean=clean, noise=noise, noisy=noisy, tail_head_ratio=ratio)
 
 

@@ -2,10 +2,13 @@
 
 Both builders touch the operator through matrix-vector products only and
 count every product, which is what the solver efficiency comparisons rest
-on.  Every build reorthogonalizes fully (classical Gram-Schmidt applied
-twice against all previous basis vectors), which emulates exact
-arithmetic, and stops at a breakdown: a new off-diagonal at or below
-n * eps times the running estimate of ||A||.
+on.  Every build reorthogonalizes fully, which emulates exact arithmetic,
+and stops at a breakdown: a new off-diagonal at or below n * eps times the
+running estimate of ||A||.  Every basis, here and in the rank-k error
+diagnostic, is a `Basis`: the vectors are the leading rows of one array,
+each new one is orthogonalized against them by classical Gram-Schmidt
+applied twice, and a factorization holds the (n, size) view of the rows,
+so no step copies the vectors built so far.
 
 `lanczos` works in the precision of the operator's storage: on
 `a.astype(np.longdouble)` its vectors, products and entries are extended
@@ -22,6 +25,34 @@ from .linalg import EPS, TridiagonalRect
 
 START_RESIDUAL = "b"  # Krylov space K_k(A, b)
 START_FILTERED = "ab"  # Krylov space K_k(A, Ab), noise damped by one A
+
+
+class Basis:
+    """Orthonormal vectors of length n, stored as the leading rows of one
+    array of the given dtype that doubles its height only when full."""
+
+    def __init__(self, n, capacity, dtype=float):
+        self.rows = np.empty((capacity, n), dtype=dtype)
+        self.size = 0
+
+    def append(self, vec):
+        if self.size == self.rows.shape[0]:
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+        self.rows[self.size] = vec
+        self.size += 1
+
+    def orthogonalize(self, w):
+        """w, in place, minus its components along the stored vectors, by
+        classical Gram-Schmidt applied twice."""
+        q = self.rows[: self.size]
+        for _ in range(2):
+            w -= (q @ w) @ q
+        return w
+
+    @property
+    def columns(self):
+        """The (n, size) view of the stored vectors."""
+        return self.rows[: self.size].T
 
 
 @dataclass
@@ -81,10 +112,11 @@ def finite_rhs(b):
     return b
 
 
-def _reorth_twice(w, q_mat):
-    for _ in range(2):
-        w -= q_mat @ (q_mat.T @ w)
-    return w
+def _checked_rhs(a, b, k_max):
+    """finite_rhs(b), after checking 1 <= k_max <= n."""
+    if k_max < 1 or k_max > a.n:
+        raise ContractViolation("need 1 <= k_max <= n")
+    return finite_rhs(b)
 
 
 def lanczos(a, start, b, k_max):
@@ -97,10 +129,7 @@ def lanczos(a, start, b, k_max):
     """
     if start not in (START_RESIDUAL, START_FILTERED):
         raise ContractViolation(f"unknown start kind {start!r}")
-    b = finite_rhs(b)
-    n = a.n
-    if k_max < 1 or k_max > n:
-        raise ContractViolation("need 1 <= k_max <= n")
+    b = _checked_rhs(a, b, k_max)
     matvecs = 0
     if start == START_RESIDUAL:
         q1 = b.astype(a.dtype)
@@ -110,42 +139,34 @@ def lanczos(a, start, b, k_max):
     nq = np.linalg.norm(q1)
     if nq == 0.0:
         raise ContractViolation("starting vector is zero")
-    q1 /= nq
+    q = Basis(a.n, k_max + 1, a.dtype)
+    q.append(q1 / nq)
 
-    cols = [q1]
-    alphas = []
-    betas = []
-    counts = []
-    norm_est = 0.0
-    breakdown = False
-    breakdown_step = None
-    prev_beta = 0.0
+    alphas, betas, counts = [], [], []
+    norm_est, prev_beta, breakdown_step = 0.0, 0.0, None
     for i in range(k_max):
-        q_mat = np.column_stack(cols)
-        w = a.matvec(cols[-1])
+        w = a.matvec(q.rows[i])
         matvecs += 1
-        alpha = cols[-1] @ w
-        w = w - alpha * cols[-1]
+        alpha = q.rows[i] @ w
+        w -= alpha * q.rows[i]
         if i > 0:
-            w -= prev_beta * cols[-2]
-        w = _reorth_twice(w, q_mat)
-        beta = np.linalg.norm(w)
+            w -= prev_beta * q.rows[i - 1]
+        beta = np.linalg.norm(q.orthogonalize(w))
         norm_est = max(norm_est, float(abs(alpha) + beta + prev_beta))
         alphas.append(alpha)
         betas.append(beta)
         counts.append(matvecs)
-        if beta <= n * EPS * norm_est:
-            breakdown = True
+        if beta <= a.n * EPS * norm_est:
             breakdown_step = i + 1
             break
-        cols.append(w / beta)
+        q.append(w / beta)
         prev_beta = beta
 
     return LanczosFactorization(
         start=start,
-        basis=np.column_stack(cols),
+        basis=q.columns,
         tridiag=TridiagonalRect(alphas, betas),
-        breakdown=breakdown,
+        breakdown=breakdown_step is not None,
         breakdown_step=breakdown_step,
         matvec_count=matvecs,
         matvec_counts=np.asarray(counts),
@@ -156,60 +177,49 @@ def lanczos(a, start, b, k_max):
 def golub_kahan(a, b, k_max):
     """Golub-Kahan bidiagonalization with full reorthogonalization of both
     bases; uses exactly two operator products per step."""
-    b = finite_rhs(b)
-    n = a.n
-    if k_max < 1 or k_max > n:
-        raise ContractViolation("need 1 <= k_max <= n")
+    b = _checked_rhs(a, b, k_max)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         raise ContractViolation("right-hand side is zero")
-    u_cols = [b / nb]
-    v_cols = []
-    alphas = []
-    betas = []
-    counts = []
-    matvecs = 0
-    norm_est = 0.0
-    breakdown = False
-    breakdown_step = None
+    u = Basis(a.n, k_max + 1)
+    v = Basis(a.n, k_max)
+    u.append(b / nb)
+    alphas, betas, counts = [], [], []
+    matvecs, norm_est, breakdown_step = 0, 0.0, None
     for i in range(k_max):
         # A is symmetric, so A^T u = A u; the product is still counted.
-        v = a.matvec(u_cols[-1])
+        w = a.matvec(u.rows[i])
         matvecs += 1
-        if v_cols:
-            v -= betas[-1] * v_cols[-1]
-            v = _reorth_twice(v, np.column_stack(v_cols))
-        alpha = float(np.linalg.norm(v))
+        if i:
+            w -= betas[-1] * v.rows[i - 1]
+            v.orthogonalize(w)
+        alpha = float(np.linalg.norm(w))
         norm_est = max(norm_est, alpha + (betas[-1] if betas else 0.0))
-        if alpha <= n * EPS * max(norm_est, 1e-300):
-            breakdown = True
+        if alpha <= a.n * EPS * max(norm_est, 1e-300):
             breakdown_step = i + 1
             break
-        v /= alpha
-        v_cols.append(v)
+        v.append(w / alpha)
         alphas.append(alpha)
 
-        u = a.matvec(v) - alpha * u_cols[-1]
+        w = u.orthogonalize(a.matvec(v.rows[i]) - alpha * u.rows[i])
         matvecs += 1
-        u = _reorth_twice(u, np.column_stack(u_cols))
-        beta = float(np.linalg.norm(u))
+        beta = float(np.linalg.norm(w))
         norm_est = max(norm_est, alpha + beta)
         betas.append(beta)
         counts.append(matvecs)
-        if beta <= n * EPS * norm_est:
-            breakdown = True
+        if beta <= a.n * EPS * norm_est:
             breakdown_step = i + 1
             break
-        u_cols.append(u / beta)
+        u.append(w / beta)
 
     if not alphas:
         raise ContractViolation("bidiagonalization broke down before one step")
     return BidiagFactorization(
-        left=np.column_stack(u_cols),
-        right=np.column_stack(v_cols),
+        left=u.columns,
+        right=v.columns,
         alpha=np.asarray(alphas),
         beta=np.asarray(betas),
-        breakdown=breakdown,
+        breakdown=breakdown_step is not None,
         breakdown_step=breakdown_step,
         matvec_count=matvecs,
         matvec_counts=np.asarray(counts),

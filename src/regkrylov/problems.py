@@ -22,7 +22,9 @@ import numpy as np
 
 from . import rng
 from .exceptions import ContractViolation
-from .linalg import SpectralDecomposition, SymmetricMatrix
+# bound by value: rebinding linalg.DENSE_EIG_LIMIT moves the eigensolver's
+# limit, not the generators'
+from .linalg import DENSE_EIG_LIMIT, SpectralDecomposition, SymmetricMatrix
 
 PROBLEM_NAMES = ("shaw", "foxgood", "gravity", "phillips", "deriv2", "blur")
 
@@ -101,8 +103,10 @@ class SyntheticSpec:
 
     def validate(self):
         check_field_types(self)
-        if self.n < 2:
-            raise ContractViolation("synthetic problems need n >= 2")
+        if not 2 <= self.n <= DENSE_EIG_LIMIT:
+            raise ContractViolation(
+                f"synthetic problems need 2 <= n <= {DENSE_EIG_LIMIT}, not {reprlib.repr(self.n)}"
+            )
         if self.alpha <= 0.0:
             raise ContractViolation("decay rate alpha must be positive")
         if self.beta <= 0.0:
@@ -233,6 +237,8 @@ def generate(name, n, band=3, sigma=0.7):
     """Build one of the named test problems.
 
     For `blur`, n is the image side m and the operator has order m**2.
+    n is at most DENSE_EIG_LIMIT: the dense problems' eigensolve has order
+    n, the blur factor's has order m.
     """
     builders = {
         "shaw": _shaw,
@@ -241,8 +247,8 @@ def generate(name, n, band=3, sigma=0.7):
         "phillips": _phillips,
         "deriv2": _deriv2,
     }
-    if n < 2:
-        raise ContractViolation("problems need n >= 2")
+    if not 2 <= n <= DENSE_EIG_LIMIT:
+        raise ContractViolation(f"problems need 2 <= n <= {DENSE_EIG_LIMIT}, not {reprlib.repr(n)}")
     if name in builders:
         dense, x = builders[name](n)
         a = SymmetricMatrix(dense=dense)
@@ -369,6 +375,17 @@ def _dec(text):
     return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
 
 
+def json_text(doc):
+    """A document as JSON text, keys sorted and indented by one; a numpy
+    number is written as the plain number it holds."""
+    def plain(x):
+        if isinstance(x, (np.integer, np.floating)):
+            return x.item()
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+    return json.dumps(doc, sort_keys=True, indent=1, default=plain)
+
+
 def problem_to_json(problem):
     """Serialize to the documented container: metadata plus base64-encoded
     little-endian float64 arrays."""
@@ -385,7 +402,7 @@ def problem_to_json(problem):
         doc["arrays"]["toeplitz_first_col"] = _enc(problem.a.factor[:, 0])
     else:
         doc["arrays"]["dense"] = _enc(problem.a.dense().ravel())
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json_text(doc)
 
 
 def _member(doc, key):

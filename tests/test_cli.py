@@ -432,6 +432,21 @@ def test_dense_limit_is_usage_error(tmp_path, monkeypatch):
     assert not (tmp_path / "fig").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"problem": "shaw"},
+    {"problem": "synthetic"},
+    {"problem": "blur", "solvers": ["minres"]},
+], ids=["shaw", "synthetic", "blur"])
+def test_unbounded_n_is_usage_error(tmp_path, overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(tmp_path / "out", **overrides, n=10**400)))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "need 2 <= n <= 4096" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args", [["fig1", "--n", "1"], ["fig1", "--n", "2"],
                                   ["fig12", "--n", "7"]])
 def test_reproduce_too_small_is_usage_error(tmp_path, args):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from regkrylov import rng
+from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
 from regkrylov.krylov import (
     START_FILTERED,
     START_RESIDUAL,
+    Basis,
     golub_kahan,
     lanczos,
 )
-from regkrylov.linalg import SymmetricMatrix
+from regkrylov.linalg import EPS, SymmetricMatrix
+
+import oracles
 
 
 def test_eigenvector_start_breaks_down_immediately():
@@ -121,3 +124,68 @@ def test_bidiag_residual_invariant(get_problem):
     assert res <= 1e-10 * norm_a
     assert np.linalg.norm(fact.left.T @ fact.left - np.eye(fact.left.shape[1])) <= 1e-10
     assert np.linalg.norm(fact.right.T @ fact.right - np.eye(fact.k)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the row store against the column-stacking reference builders
+
+
+def _agree_before_breakdown(ref, new, n, norm_a):
+    """ref's and new's (alpha, beta) agree to 1e-12 ||A|| up to ref's first
+    beta within 1e3 n eps ||A|| of the breakdown threshold."""
+    (ref_a, ref_b), (new_a, new_b) = ref, new
+    small = np.flatnonzero(ref_b <= 1e3 * n * EPS * norm_a)
+    stop = small[0] if small.size else ref_b.size
+    assert new_a.size >= min(stop + 1, ref_a.size)
+    tol = 1e-12 * norm_a
+    assert np.abs(new_a[: stop + 1] - ref_a[: stop + 1]).max() <= tol
+    assert np.abs(new_b[:stop] - ref_b[:stop]).max(initial=0.0) <= tol
+
+
+def _orthonormal(q, tol=1e-13):
+    return np.abs(q.T @ q - np.eye(q.shape[1])).max() <= tol
+
+
+@pytest.mark.parametrize("name, n", [("shaw", 256), ("foxgood", 256), ("gravity", 256),
+                                     ("phillips", 256), ("blur", 16)])
+def test_builders_match_the_column_stacking_references(get_problem, name, n):
+    # From a noisy b, as every experiment cell runs.  From the noise-free
+    # b_hat, whose spectral coefficients fall below rounding, the entries
+    # are not forward stable: the reference itself moves by more than
+    # 1e-12 ||A|| by step 7 (phillips) when b_hat is perturbed by eps.
+    prob = get_problem(name, n)
+    b = problems.add_noise(prob, 1e-3, 1).b
+    norm_a = float(np.abs(np.linalg.eigvalsh(prob.a.dense())).max())
+    for start in (START_RESIDUAL, START_FILTERED):
+        ref = oracles.lanczos(prob.a, start, b, 30)
+        new = lanczos(prob.a, start, b, 30)
+        _agree_before_breakdown((ref.tridiag.alpha, ref.tridiag.beta),
+                                (new.tridiag.alpha, new.tridiag.beta), prob.a.n, norm_a)
+        assert new.basis.shape[0] == prob.a.n and _orthonormal(new.basis)
+    ref = oracles.golub_kahan(prob.a, b, 30)
+    new = golub_kahan(prob.a, b, 30)
+    _agree_before_breakdown((ref.alpha, ref.beta), (new.alpha, new.beta), prob.a.n, norm_a)
+    assert _orthonormal(new.left) and _orthonormal(new.right)
+
+
+def test_extended_builder_matches_the_column_stacking_reference(get_problem):
+    prob = get_problem("shaw", 256)
+    a = prob.a.astype(np.longdouble)
+    b = problems.add_noise(prob, 1e-3, 1).b
+    ref = oracles.lanczos(a, START_RESIDUAL, b, 30)
+    new = lanczos(a, START_RESIDUAL, b, 30)
+    norm_a = float(np.abs(np.linalg.eigvalsh(prob.a.dense())).max())
+    _agree_before_breakdown((ref.tridiag.alpha, ref.tridiag.beta),
+                            (new.tridiag.alpha, new.tridiag.beta), a.n, norm_a)
+    assert new.basis.dtype == np.longdouble and _orthonormal(new.basis)
+
+
+def test_basis_grows_by_doubling_and_orthogonalizes_against_its_rows():
+    store = Basis(4, 1)
+    for e in np.eye(4)[:3]:
+        store.append(e)
+    assert store.rows.shape == (4, 4) and store.size == 3
+    assert np.array_equal(store.columns, np.eye(4)[:, :3])
+    w = np.arange(1.0, 5.0)
+    assert store.orthogonalize(w) is w
+    assert np.array_equal(w, [0.0, 0.0, 0.0, 4.0])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from regkrylov import problems, rng
 from regkrylov.exceptions import ContractViolation
-from regkrylov.linalg import symmetric_eig
+from regkrylov.linalg import DENSE_EIG_LIMIT, symmetric_eig
 
 from conftest import traced_peak_n2
 from oracles import meshgrid_problem, polished_eig
@@ -372,6 +372,30 @@ def test_unserializable_problem_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         problems.save_problem(odd, tmp_path / "prob.json")
     assert not (tmp_path / "prob.json").exists()
+
+
+def test_problem_of_a_numpy_spec_round_trips(tmp_path):
+    spec = problems.SyntheticSpec(n=np.int64(6), alpha=np.float64(0.5), seed=np.int32(3))
+    prob, _ = problems.generate_synthetic(spec)
+    problems.save_problem(prob, tmp_path / "prob.json")
+    back = problems.load_problem(tmp_path / "prob.json")
+    assert back.meta == {**prob.meta, "n": 6, "alpha": 0.5, "seed": 3}
+    assert type(back.meta["n"]) is int and type(back.meta["alpha"]) is float
+    assert np.array_equal(back.a.dense(), prob.a.dense())
+    assert np.array_equal(back.b_hat, prob.b_hat)
+
+
+@pytest.mark.parametrize("name", ["shaw", "blur"])
+def test_order_above_the_dense_limit_is_refused(name):
+    with pytest.raises(ContractViolation, match="problems need 2 <= n <= 4096"):
+        problems.generate(name, 10**400)
+    with pytest.raises(ContractViolation, match="problems need 2 <= n <= 4096"):
+        problems.generate(name, DENSE_EIG_LIMIT + 1)
+
+
+def test_synthetic_order_above_the_dense_limit_is_refused():
+    with pytest.raises(ContractViolation, match="synthetic problems need 2 <= n <= 4096"):
+        problems.generate_synthetic(problems.SyntheticSpec(n=DENSE_EIG_LIMIT + 1))
 
 
 def _bits(arr):

@@ -22,7 +22,9 @@ and the rotated right-hand side across k and applies one new rotation per
 step, or, for the hybrids, by the inner TSVD family of each k truncated at
 the corner of its own L-curve (`_lcurve_truncation`).  Every trace, TSVD's
 included, is built by `_assemble`.  Successive k share the exact Givens
-prefix, so reported residual norms are non-increasing up to rounding.
+prefix, so reported residual norms are non-increasing up to rounding.  The
+part of b that a truncated expansion leaves out (TSVD's, the inner TSVD's,
+and mr2's outside its basis) is summed from the tail end by `_tail_norms`.
 """
 
 import math
@@ -103,6 +105,15 @@ def _projected(t, g, k):
     return t[:rows, :k], g[:rows]
 
 
+def _tail_norms(c, outside2=0.0):
+    """sqrt(sum_{i>j} c_i^2 + outside2) for j = 0..len(c): the norm of what
+    the first j terms of an expansion with coefficients c leave out, outside2
+    being the squared part outside its basis.  The squares are summed from
+    the tail end and never subtracted from a total, so no tail cancels."""
+    suffix = np.cumsum((c**2)[::-1])[::-1]
+    return np.sqrt(np.append(suffix, 0.0) + outside2)
+
+
 def _givens_family(t, g, count):
     """Givens least squares of the projected problems T_k y = g_k of every
     k = 1..count in one pass; returns [(y_k, projected residual norm)].
@@ -169,27 +180,27 @@ def _krylov_trace(solver, fact, b, x_true, solve):
     the left basis spans (at a breakdown the basis has one column fewer
     than T has rows) and g, the coordinates of b in that basis.
     solve(T, g, count) returns (y_k, projected residual norm) for every
-    k = 1..count; tail2, the squared part of b outside the basis, adds to
-    that norm in quadrature.
+    k = 1..count.  The part of b that step k leaves out, the `_tail_norms`
+    of g past its rows and of b - Q g (zero for a basis started at b), adds
+    to that norm in quadrature.
     """
     if isinstance(fact, LanczosFactorization):
         t, left, basis = fact.tridiag.dense(), fact.basis, fact.basis
     else:
         t, left, basis = fact.dense(), fact.left, fact.right
     t = t[: left.shape[1]]
-    nb = float(np.linalg.norm(b))
     if getattr(fact, "start", None) == START_FILTERED:
         g = left.T @ b
-        tail2 = np.maximum(nb**2 - np.cumsum(g**2), 0.0)
+        outside2 = float(np.sum((b - left @ g) ** 2))
     else:  # the left basis starts at b / ||b||
-        g = np.zeros(t.shape[0])
-        g[0] = nb
-        tail2 = np.zeros(t.shape[0])
+        g, outside2 = np.zeros(t.shape[0]), 0.0
+        g[0] = float(np.linalg.norm(b))
+    tail = _tail_norms(g, outside2)
     solutions = []
     res = []
     for k, (y, proj) in enumerate(solve(t, g, fact.k), start=1):
         solutions.append(basis[:, :k] @ y)
-        res.append(math.hypot(proj, math.sqrt(tail2[min(k, t.shape[0] - 1)])))
+        res.append(math.hypot(proj, tail[min(k + 1, t.shape[0])]))
     return _assemble(solver, solutions, res, x_true, fact)
 
 
@@ -221,54 +232,32 @@ def tsvd_trace(decomp, b, x_true=None, k_max=None):
     n = decomp.n
     k_max = n if k_max is None else min(k_max, n)
     c = decomp.project(b)
-    total2 = float(c @ c)
     x = np.zeros(n)
     solutions = []
-    res = []
-    used2 = 0.0
     for k in range(1, k_max + 1):
         lam = decomp.eigenvalues[k - 1]
         if lam == 0.0:
             break
         x = x + (c[k - 1] / lam) * decomp.column(k - 1)
-        used2 += float(c[k - 1] ** 2)
         solutions.append(x)
-        res.append(math.sqrt(max(total2 - used2, 0.0)))
-    return _assemble("tsvd", solutions, res, x_true)
-
-
-def _projected_tsvd_family(t_block, rhs):
-    """Cumulative truncated-SVD solutions of the projected problem.
-
-    Returns (ys, proj_residuals): ys[p-1] keeps the p largest singular
-    directions; directions below the numerical-rank cutoff contribute
-    nothing, so the family is constant across them.
-    """
-    s, u, v = _svd_small(t_block)
-    k = t_block.shape[1]
-    cutoff = rank_cutoff(s, t_block.shape)
-    coeffs = u.T @ rhs
-    ys = []
-    residuals = []
-    y = np.zeros(k)
-    r = rhs.copy()
-    for p in range(k):
-        if s[p] > cutoff:
-            y = y + (coeffs[p] / s[p]) * v[:, p]
-            r = r - coeffs[p] * u[:, p]
-        ys.append(y)
-        residuals.append(float(np.linalg.norm(r)))
-    return ys, residuals
+    return _assemble("tsvd", solutions, _tail_norms(c)[1 : len(solutions) + 1], x_true)
 
 
 def _lcurve_truncation(t_block, rhs):
     """The member of the projected TSVD family at the corner of its own
-    L-curve, and its projected residual; with no corner the family is
-    truncation-neutral and the full solve is kept."""
-    ys, proj_res = _projected_tsvd_family(t_block, rhs)
-    pts = diagnostics.lcurve_points(proj_res, [float(np.linalg.norm(y)) for y in ys])
-    p = diagnostics.lcurve_corner(pts) or t_block.shape[1]
-    return ys[p - 1], proj_res[p - 1]
+    L-curve, and its projected residual; with no corner the full solve is
+    kept.  Member p keeps the p largest singular directions above the
+    numerical-rank cutoff.  The L-curve takes every member's norms from
+    c = U^T rhs and s; only the chosen member is formed."""
+    s, u, v = _svd_small(t_block)
+    c = u.T @ rhs
+    rank = int(np.count_nonzero(s > rank_cutoff(s, t_block.shape)))
+    z = c[:rank] / s[:rank]
+    kept = np.minimum(np.arange(1, s.size + 1), rank)  # directions member p keeps
+    res = _tail_norms(c, float(np.sum((rhs - u @ c) ** 2)))[kept]
+    norms = np.sqrt(np.append(0.0, np.cumsum(z**2)))[kept]
+    p = diagnostics.lcurve_corner(diagnostics.lcurve_points(res, norms)) or s.size
+    return v[:, : kept[p - 1]] @ z[: kept[p - 1]], float(res[p - 1])
 
 
 def hybrid_trace(base, a, b, k_max, x_true=None, cache=None):

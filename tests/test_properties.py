@@ -15,7 +15,7 @@ checks, at 1e-8 * ||b||:
 - every tsvd iterate is the partial sum of the spectral expansion, at
   1e-12 relative, and its reported residuals never increase.
 
-Four faults of the program break the literal checks.  They are pinned,
+Three faults of the program break the literal checks.  They are pinned,
 not hidden: each is recognised by an independent round-off criterion
 below, and an evidence test at the end of this file reproduces it on a
 fixed example and fails once it is mended.
@@ -27,14 +27,10 @@ fixed example and fails once it is mended.
    of such an x_k is only accurate to ~n eps ||A|| ||x_k||, above the
    bound, and the minimum over a Krylov space whose image A V_k is
    rank-deficient to working precision moves by ~n eps cond(A V_k) ||b||.
-2. Tail cancellation.  mr2, hybrid-mr2 and tsvd report the part of b
-   outside their basis as sqrt(||b||^2 - ||g||^2).  Near convergence the
-   difference is an ulp of ||b||^2, so the reported residual sits up to
-   sqrt(4 (n + 1) eps) ||b|| ~ 4e-8 ||b|| while the true one is ~eps ||b||.
-3. Ulp increases.  Reported residuals can rise by an ulp from one k to
+2. Ulp increases.  Reported residuals can rise by an ulp from one k to
    the next, for example where the Givens solve falls back to the
    pseudoinverse at an exactly zero pivot.
-4. Squares out of range.  Every norm is the root of a sum of squares, so
+3. Squares out of range.  Every norm is the root of a sum of squares, so
    where an operator, a right-hand side or an iterate is below ~1e-154 or
    above ~1e154 the squares are subnormal or overflow, and norms lose
    digits or become 0 or inf (a breakdown is then seen where there is
@@ -50,7 +46,7 @@ from hypothesis import strategies as st
 
 from regkrylov.exceptions import ContractViolation
 from regkrylov.linalg import SymmetricMatrix, symmetric_eig
-from regkrylov.solvers import SOLVERS, minres_trace, mr2_trace, tsvd_trace
+from regkrylov.solvers import SOLVERS, minres_trace, tsvd_trace
 
 from oracles import arnoldi_basis, arnoldi_minimizers
 
@@ -58,8 +54,6 @@ EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
 HUGE = np.finfo(float).max
 BOUND = 1e-8
-# solvers whose residual subtracts squares to get the part of b outside the basis
-TAIL_SOLVERS = ("mr2", "hybrid-mr2", "tsvd")
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
@@ -96,12 +90,6 @@ def _roundoff_pivot(a_mat, b, x):
     return b.size * EPS * np.linalg.norm(a_mat, 2) * math.hypot(*x) > BOUND * math.hypot(*b)
 
 
-def _tail_floor(name, b, *residuals):
-    """All residuals lie below the round-off floor of the subtracted squares."""
-    floor = math.sqrt(4 * (b.size + 1) * EPS) * np.linalg.norm(b)
-    return name in TAIL_SOLVERS and max(residuals) <= floor
-
-
 def _squares_out_of_range(a_mat, *vectors):
     """A squared norm the solvers form is subnormal or overflows: that of a
     unit vector's image (of size up to ||A||), or of a nonzero v or A v."""
@@ -131,8 +119,7 @@ def test_reported_residuals_match_recomputed(name, system):
         reported = trace.residual_norms[k - 1]
         true = np.linalg.norm(b - a_mat @ x)
         if abs(reported - true) > BOUND * np.linalg.norm(b):
-            pinned = (_roundoff_pivot(a_mat, b, x) or _tail_floor(name, b, reported, true)
-                      or _squares_out_of_range(a_mat, b, x))
+            pinned = _roundoff_pivot(a_mat, b, x) or _squares_out_of_range(a_mat, b, x)
             assert pinned, (name, k, reported, true)
 
 
@@ -148,8 +135,7 @@ def test_residuals_never_increase(name, system):
     rounding = 4 * b.size * EPS * np.linalg.norm(b)
     for k in range(1, r.size):
         if r[k] > r[k - 1] + rounding:
-            pinned = _tail_floor(name, b, r[k - 1], r[k]) or _squares_out_of_range(a_mat, b)
-            assert pinned, (name, k + 1, r[k - 1], r[k])
+            assert _squares_out_of_range(a_mat, b), (name, k + 1, r[k - 1], r[k])
 
 
 @pytest.mark.parametrize("name", ["minres", "mr2"])
@@ -172,8 +158,7 @@ def test_minimum_residuals_match_oracle(name, system):
         reported = trace.residual_norms[k - 1]
         want = np.linalg.norm(b - a_mat @ oracle[k - 1])
         if abs(reported - want) > BOUND * np.linalg.norm(b):
-            pinned = (_roundoff_pivot(a_mat, b, x) or _tail_floor(name, b, reported, want)
-                      or _squares_out_of_range(a_mat, b, x))
+            pinned = _roundoff_pivot(a_mat, b, x) or _squares_out_of_range(a_mat, b, x)
             assert pinned, (name, k, reported, want)
 
 
@@ -215,18 +200,25 @@ def test_pinned_roundoff_pivot_at_breakdown():
     assert ts.iterations == 3 and ts.solution_norms[-1] > 1e14
 
 
-def test_pinned_tail_cancellation():
-    # mr2 converges at k = 2 on this nonsingular system, but the reported
-    # residual is sqrt(||b||^2 - ||g||^2) = sqrt(one ulp of 8)
+def test_small_tails_keep_their_digits():
+    # mr2 and hybrid-mr2 converge at k = 2 on this nonsingular system; the
+    # part of b outside the basis is summed from its tail end, not left as
+    # sqrt(||b||^2 - ||g||^2), one ulp of 8, so the reported residual is
+    # round-off like the true one
     a_mat = np.array([[-3.0, -3.0], [-3.0, -2.0]])
     b = np.array([-2.0, -2.0])
-    tr = mr2_trace(SymmetricMatrix(dense=a_mat), b, 2)
-    nb = np.linalg.norm(b)
-    assert np.linalg.norm(b - a_mat @ tr.solutions[-1]) <= 1e-14 * nb
-    assert tr.residual_norms[-1] > BOUND * nb
-    # the part of b outside the basis, formed directly, is round-off
-    q = tr.factorization.basis
-    assert np.linalg.norm(b - q @ (q.T @ b)) <= 1e-14 * nb
+    for name in ("mr2", "hybrid-mr2"):
+        tr = _run(name, a_mat, b)
+        assert tr.iterations == 2, name
+        assert np.linalg.norm(b - a_mat @ tr.solutions[-1]) <= 1e-14 * np.linalg.norm(b), name
+        assert tr.residual_norms[-1] <= 1e-14 * np.linalg.norm(b), name
+    # tsvd at k = 2 leaves out only the last coefficient, 1e-12, which a
+    # subtraction from ||b||^2 = 8 would lose entirely
+    a_mat = np.diag([3.0, 2.0, 1.0])
+    b = np.array([-2.0, -2.0, 1e-12])
+    tr = _run("tsvd", a_mat, b)
+    true = np.linalg.norm(b - a_mat @ tr.solutions[1])
+    assert abs(tr.residual_norms[1] - true) <= 1e-14 * true
 
 
 def test_pinned_ulp_increase():

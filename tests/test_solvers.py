@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regkrylov import problems, rng
+from regkrylov import diagnostics, problems, rng
 from regkrylov.exceptions import ContractViolation
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, golub_kahan, lanczos
 from regkrylov.linalg import SymmetricMatrix, least_squares, symmetric_eig
@@ -9,7 +9,7 @@ from regkrylov.solvers import (
     SOLVERS,
     LanczosCache,
     _givens_family,
-    _projected_tsvd_family,
+    _lcurve_truncation,
     hybrid_trace,
     lsqr_trace,
     minres_trace,
@@ -191,9 +191,11 @@ def test_givens_family_matches_per_k_oracle_at_zero_pivot():
     _assert_family_matches_per_k_oracle(t, fact.basis.T @ b)
 
 
-def test_hybrid_fixed_full_rank_equals_base(get_problem):
-    # the untruncated member of the hybrid's inner TSVD family is the base
+def test_hybrid_fixed_full_rank_equals_base(get_problem, monkeypatch):
+    # the untruncated member of the hybrid's inner TSVD family, which the
+    # inner truncation keeps when its L-curve has no corner, is the base
     # solver's Givens least-squares solve of each projected problem
+    monkeypatch.setattr(diagnostics, "lcurve_corner", lambda points: None)
     prob = get_problem("shaw", 128)
     nz = problems.add_noise(prob, 1e-3, seed=0)
     fact = mr2_trace(prob.a, nz.b, 10).factorization
@@ -201,8 +203,28 @@ def test_hybrid_fixed_full_rank_equals_base(get_problem):
     g = fact.basis.T @ nz.b
     for k, (want, _) in enumerate(_givens_family(t, g, 10), start=1):
         block, rhs = t[: k + 1, :k], g[: k + 1]
-        got = _projected_tsvd_family(block, rhs)[0][-1]
+        got = _lcurve_truncation(block, rhs)[0]
         assert np.linalg.norm(got - want) <= 1e-10 * (1.0 + np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("name", ["mr2", "hybrid-mr2", "tsvd"])
+def test_reported_residuals_match_recomputed_at_working_size(get_problem, get_decomp, name):
+    # the part of b outside a truncated expansion is summed from its tail
+    # end, so the reported residual agrees with ||b - A x_k|| to round-off;
+    # iterates past a round-off pivot, whose floating-point residual is
+    # itself uncertain to n eps ||A|| ||x_k||, are not determined
+    prob, decomp = get_problem("shaw", 256), get_decomp("shaw", 256)
+    norm_a = np.abs(decomp.eigenvalues).max()
+    for eps in (1e-2, 1e-3, 1e-4):
+        for seed in (1, 2, 3):
+            b = problems.add_noise(prob, eps, seed).b
+            nb = np.linalg.norm(b)
+            trace = SOLVERS[name](prob.a, b, 30, None, decomp)
+            for k, x in enumerate(trace.solutions, start=1):
+                if b.size * np.finfo(float).eps * norm_a * np.linalg.norm(x) >= 1e-12 * nb:
+                    continue
+                gap = abs(trace.residual_norms[k - 1] - np.linalg.norm(b - prob.a.matvec(x)))
+                assert gap <= 1e-14 * nb, (eps, seed, k, gap / nb)
 
 
 def test_hybrid_rule_validation():

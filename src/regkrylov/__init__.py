@@ -30,7 +30,14 @@ from .problems import (
     save_problem,
     transition_index,
 )
-from .krylov import BidiagFactorization, LanczosFactorization, golub_kahan, lanczos
+from .krylov import (
+    BidiagFactorization,
+    LanczosFactorization,
+    golub_kahan,
+    golub_kahan_block,
+    lanczos,
+    lanczos_block,
+)
 from .solvers import (
     IterateTrace,
     LanczosCache,

@@ -6,6 +6,14 @@ regenerates the data series behind the canonical experiment figures.
 `regkrylov generate` exports a test problem to the portable JSON container.
 All outputs are byte-deterministic for a fixed configuration on one machine
 with a fixed BLAS thread count.
+
+`run` and `reproduce` go through their (noise level, seed) cells in
+blocks (`_run_cells`): a block draws its noise, builds the K_k(A, b)
+Lanczos and Golub-Kahan factorizations of all its cells in lockstep, one
+block product per step, and then traces and writes one cell at a time.
+A block's bases hold no more doubles than the operator's storage
+(`_cells_per_block`).  The K_k(A, Ab) factorization stays per cell (see
+`solvers.block_caches`).
 """
 
 import json
@@ -174,16 +182,54 @@ def _make_output_dir(path):
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
 
 
-def _run_cell(prob, decomp, eps, seed, k_max, names):
-    """One (noise level, seed) cell: the noise, the cell's LanczosCache and
-    the traces of the named solvers, by name in the given order."""
-    noise = problems.add_noise(prob, eps, seed)
-    cache = solvers.LanczosCache(prob.a, noise.b, k_max)
-    traces = {
-        name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
-        for name in names
-    }
-    return noise, cache, traces
+def _cells_per_block(a, k_max, names):
+    """The most cells a block holds: as many as keep the bases that
+    `solvers.block_caches` builds for the named solvers within the doubles
+    of the operator's storage (at least one cell; one when it builds none).
+    Dense storage has n^2 doubles, so this is n // ((k_max + 1) * bases)."""
+    bases = solvers.block_bases(names)
+    if not bases:
+        return 1
+    storage = (a.factor if a.is_kronecker else a.dense()).size
+    return max(1, storage // ((k_max + 1) * bases * a.n))
+
+
+def _blocks(cells, cap):
+    """cells split, in order, into the fewest near-equal blocks of at most
+    `cap` cells.  Where that would leave a block of one cell in a run of
+    several, a block takes one cell more than `cap` instead: a lone cell
+    multiplies through the operator's matvec, which rounds differently
+    from a block product, and a cell's bytes should not depend on how its
+    run is split."""
+    count = -(-len(cells) // cap)
+    if cap > 1:
+        count = max(1, min(count, len(cells) // 2))
+    size, extra = divmod(len(cells), count)
+    bounds = np.cumsum([0] + [size + (i < extra) for i in range(count)])
+    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_cells(prob, decomp, cells, k_max, names):
+    """Yield ((noise level, seed), (noise, LanczosCache, traces of the
+    named solvers by name in the given order)) for every cell, in order.
+
+    The cells go in blocks (`_blocks` of `_cells_per_block`).  A block
+    draws the noise of its cells, one `add_noise` per cell in cell order,
+    fills their caches through `solvers.block_caches`, which builds the
+    factorizations of K_k(A, b) and Golub-Kahan in lockstep, and then
+    traces one cell at a time.  The K_k(A, Ab) factorization stays per
+    cell, built by its cache when a solver or diagnostic first asks for
+    it (see `solvers.block_caches`).  A cell's cache is released once it
+    has been yielded."""
+    for block in _blocks(cells, _cells_per_block(prob.a, k_max, names)):
+        noises = [problems.add_noise(prob, eps, seed) for eps, seed in block]
+        caches = solvers.block_caches(prob.a, [noise.b for noise in noises], k_max, names)
+        for cell, noise in zip(block, noises):
+            cache = caches.pop(0)
+            yield cell, (noise, cache, {
+                name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
+                for name in names
+            })
 
 
 def _lowrank_series(prob, decomp, fact):
@@ -291,22 +337,22 @@ def run_experiment(cfg):
     cells = []
     manifest = []
     diag_files = []
-    for eps in cfg.noise_levels:
-        for seed in cfg.seeds:
-            noise, cache, traces = _run_cell(prob, decomp, eps, seed, cfg.k_max, cfg.solvers)
-            entries = []
-            for solver, trace in traces.items():
-                csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
-                _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
-                manifest.append(csv_name)
-                entries.append(_cell_summary(solver, eps, seed, trace, csv_name))
-            cells.extend(entries)
-            if cfg.diagnostics:
-                diag_name = f"diagnostics_{eps:g}_{seed}.json"
-                text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries)
-                _write_text(os.path.join(cfg.output_dir, diag_name), text)
-                diag_files.append(diag_name)
-                manifest.append(diag_name)
+    keys = [(eps, seed) for eps in cfg.noise_levels for seed in cfg.seeds]
+    for (eps, seed), (noise, cache, traces) in _run_cells(prob, decomp, keys, cfg.k_max,
+                                                          cfg.solvers):
+        entries = []
+        for solver, trace in traces.items():
+            csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
+            _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
+            manifest.append(csv_name)
+            entries.append(_cell_summary(solver, eps, seed, trace, csv_name))
+        cells.extend(entries)
+        if cfg.diagnostics:
+            diag_name = f"diagnostics_{eps:g}_{seed}.json"
+            text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries)
+            _write_text(os.path.join(cfg.output_dir, diag_name), text)
+            diag_files.append(diag_name)
+            manifest.append(diag_name)
     summary = {
         "config": asdict(cfg),
         "cells": cells,
@@ -486,7 +532,8 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None):
     for pname, eps_list in fig.problems:
         prob, _ = _build_problem(pname, n, *(fig.blur or ()))
         decomp = _decompose(prob.a) if _SPECTRAL_WRITERS & set(fig.writers) else None
-        cells = {eps: _run_cell(prob, decomp, eps, 1, k_max, fig.solvers) for eps in eps_list}
+        cells = {eps: cell for (eps, _), cell in _run_cells(
+            prob, decomp, [(eps, 1) for eps in eps_list], k_max, fig.solvers)}
         panels.append(_Panel(pname, prob, decomp, k_max, cells))
     _make_output_dir(out_dir)
     files = [entry for write in fig.writers for panel in panels

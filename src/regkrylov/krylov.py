@@ -10,6 +10,16 @@ each new one is orthogonalized against them by classical Gram-Schmidt
 applied twice, and a factorization holds the (n, size) view of the rows,
 so no step copies the vectors built so far.
 
+`lanczos_block` and `golub_kahan_block` build the factorizations of a
+block of right-hand sides of one operator in lockstep (`_lockstep`): each
+step takes one block product A X over the live columns, a GEMM where one
+matrix-vector product per column would be a memory-bound GEMV, while each
+column keeps its own entries, basis, reorthogonalization, breakdown test
+and matvec counts.  `lanczos` and `golub_kahan` are their one-column case,
+which multiplies through the operator's `matvec` as a single build always
+has.  The CLI builds the K_k(A, b) Lanczos and the Golub-Kahan
+factorizations of a block of run cells this way; see `solvers.block_caches`.
+
 `lanczos` works in the precision of the operator's storage: on
 `a.astype(np.longdouble)` its vectors, products and entries are extended
 precision, which is how the filter-factor diagnostics get a tridiagonal
@@ -119,8 +129,43 @@ def _checked_rhs(a, b, k_max):
     return finite_rhs(b)
 
 
-def lanczos(a, start, b, k_max):
-    """Run up to k_max symmetric Lanczos steps from b or A b.
+def _lockstep(a, columns):
+    """Run Krylov builds side by side and return their results in order.
+
+    Each build is a generator: it yields the vector it needs multiplied by
+    A, is sent the product and returns its factorization.  Every round
+    multiplies the vectors of all live builds at once; a build that breaks
+    down leaves the block.  A single build multiplies through the
+    operator's `matvec`.  A block of two or more uses `block_matvec`
+    throughout, and doubles the vector once one build is left: OpenBLAS
+    sends a one-row product to GEMV, which rounds differently from a GEMM
+    row.  So where every GEMM of two or more rows rounds each row alike
+    (n = 256 and n = 1024 with OpenBLAS 0.3.31 on one thread, though not
+    n = 512), a build's bytes do not depend on the builds beside it.
+    """
+    results = [None] * len(columns)
+    live = {j: next(col) for j, col in enumerate(columns)}
+    while live:
+        rows = np.stack(list(live.values()))
+        if len(columns) == 1:
+            products = a.matvec(rows[0])[None]
+        elif len(rows) == 1:
+            products = a.block_matvec(np.concatenate([rows, rows]))
+        else:
+            products = a.block_matvec(rows)
+        for j, w in zip(list(live), products):
+            try:
+                live[j] = columns[j].send(w)
+            except StopIteration as done:
+                results[j] = done.value
+                del live[j]
+    return results
+
+
+def lanczos_block(a, start, bs, k_max):
+    """Up to k_max symmetric Lanczos steps from each b in bs, or from each
+    A b, in lockstep: one factorization per right-hand side, each with its
+    own entries, basis, reorthogonalization, breakdown and matvec counts.
 
     The start vector, the basis and the tridiagonal take the dtype of the
     operator's storage.  Breakdown returns the truncated factorization
@@ -129,12 +174,22 @@ def lanczos(a, start, b, k_max):
     """
     if start not in (START_RESIDUAL, START_FILTERED):
         raise ContractViolation(f"unknown start kind {start!r}")
+    return _lockstep(a, [_lanczos_steps(a, start, b, k_max) for b in bs])
+
+
+def lanczos(a, start, b, k_max):
+    """`lanczos_block` of the one right-hand side b."""
+    return lanczos_block(a, start, [b], k_max)[0]
+
+
+def _lanczos_steps(a, start, b, k_max):
+    """The Lanczos build of one right-hand side, as a `_lockstep` generator."""
     b = _checked_rhs(a, b, k_max)
     matvecs = 0
     if start == START_RESIDUAL:
         q1 = b.astype(a.dtype)
     else:
-        q1 = a.matvec(b)
+        q1 = yield b
         matvecs += 1
     nq = np.linalg.norm(q1)
     if nq == 0.0:
@@ -145,7 +200,7 @@ def lanczos(a, start, b, k_max):
     alphas, betas, counts = [], [], []
     norm_est, prev_beta, breakdown_step = 0.0, 0.0, None
     for i in range(k_max):
-        w = a.matvec(q.rows[i])
+        w = yield q.rows[i]
         matvecs += 1
         alpha = q.rows[i] @ w
         w -= alpha * q.rows[i]
@@ -174,9 +229,21 @@ def lanczos(a, start, b, k_max):
     )
 
 
+def golub_kahan_block(a, bs, k_max):
+    """Golub-Kahan bidiagonalizations of every b in bs in lockstep, with
+    full reorthogonalization of both bases; each uses exactly two operator
+    products per step."""
+    return _lockstep(a, [_golub_kahan_steps(a, b, k_max) for b in bs])
+
+
 def golub_kahan(a, b, k_max):
-    """Golub-Kahan bidiagonalization with full reorthogonalization of both
-    bases; uses exactly two operator products per step."""
+    """`golub_kahan_block` of the one right-hand side b."""
+    return golub_kahan_block(a, [b], k_max)[0]
+
+
+def _golub_kahan_steps(a, b, k_max):
+    """The bidiagonalization of one right-hand side, as a `_lockstep`
+    generator."""
     b = _checked_rhs(a, b, k_max)
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
@@ -188,7 +255,7 @@ def golub_kahan(a, b, k_max):
     matvecs, norm_est, breakdown_step = 0, 0.0, None
     for i in range(k_max):
         # A is symmetric, so A^T u = A u; the product is still counted.
-        w = a.matvec(u.rows[i])
+        w = yield u.rows[i]
         matvecs += 1
         if i:
             w -= betas[-1] * v.rows[i - 1]
@@ -201,7 +268,7 @@ def golub_kahan(a, b, k_max):
         v.append(w / alpha)
         alphas.append(alpha)
 
-        w = u.orthogonalize(a.matvec(v.rows[i]) - alpha * u.rows[i])
+        w = u.orthogonalize((yield v.rows[i]) - alpha * u.rows[i])
         matvecs += 1
         beta = float(np.linalg.norm(w))
         norm_est = max(norm_est, alpha + beta)

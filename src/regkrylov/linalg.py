@@ -116,6 +116,20 @@ class SymmetricMatrix:
         xm = x.reshape(self.m, self.m, order="F")
         return (t @ xm @ t).ravel(order="F")
 
+    def block_matvec(self, rows):
+        """A x for every row x of a (c, n) array, as the rows of one (c, n)
+        array, computed in the storage dtype.  The dense form is one matrix
+        product rows @ A (the stored A is exactly symmetric); the Kronecker
+        form is a batched T X T, whose C-ordered slices X are the transposes
+        of the column-stacked images, so T X T is transposed alike."""
+        rows = np.asarray(rows, dtype=self.dtype)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise ContractViolation(f"expected rows of length {self.n}")
+        if self._dense is not None:
+            return rows @ self._dense
+        t = self._factor
+        return (t @ rows.reshape(-1, self.m, self.m) @ t).reshape(rows.shape)
+
     def dense(self):
         if self._dense is not None:
             return self._dense

@@ -5,13 +5,17 @@ decomp, cache=None); the CLI, the figure reproduction and the acceptance
 suite run solvers only through it, so a new solver is added there.
 
 A `LanczosCache` of one (A, b, k_max) holds one Lanczos factorization per
-start kind, built the first time a solver asks for it.  minres and
-hybrid-minres project onto the same K_k(A, b), and mr2 and hybrid-mr2 onto
-the same K_k(A, A b), so a cell that runs both solvers of a pair builds
-that factorization once and shares it, read-only.  The CLI's diagnostics
-ask the cell's cache too, so a diagnostic builds the factorization it
-needs when no listed solver did.  Each trace still reports its own matvec
-counts: what that solver alone would spend.
+start kind and the Golub-Kahan factorization, each built the first time a
+solver asks for it.  minres and hybrid-minres project onto the same
+K_k(A, b), and mr2 and hybrid-mr2 onto the same K_k(A, A b), so a cell that
+runs both solvers of a pair builds that factorization once and shares it,
+read-only.  The CLI's diagnostics ask the cell's cache too, so a diagnostic
+builds the factorization it needs when no listed solver did.  Each trace
+still reports its own matvec counts: what that solver alone would spend.
+`block_caches` fills the caches of a block of cells, the noise draws of one
+operator, with their K_k(A, b) and Golub-Kahan factorizations built in
+lockstep, one block product per step (`krylov.lanczos_block`,
+`krylov.golub_kahan_block`).
 
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
@@ -35,7 +39,14 @@ import numpy as np
 from . import diagnostics
 from .exceptions import ContractViolation
 from .krylov import (
-    START_FILTERED, START_RESIDUAL, LanczosFactorization, finite_rhs, golub_kahan, lanczos
+    START_FILTERED,
+    START_RESIDUAL,
+    LanczosFactorization,
+    finite_rhs,
+    golub_kahan,
+    golub_kahan_block,
+    lanczos,
+    lanczos_block,
 )
 from .linalg import _svd_small, least_squares, rank_cutoff
 
@@ -65,13 +76,18 @@ class IterateTrace:
         return i + 1, float(self.relative_errors[i])
 
 
-class LanczosCache:
-    """The Lanczos factorizations of one (A, b, k_max), one per start kind.
+GOLUB_KAHAN = "golub-kahan"  # the kind of the Golub-Kahan factorization
 
-    Each is built on first use, through the module binding `lanczos`, and
-    its arrays are made read-only before it is shared.  Asking for another
-    operator, right-hand side or k_max is a contract violation, so a
-    factorization never serves a system it was not built for.
+
+class LanczosCache:
+    """The Krylov factorizations of one (A, b, k_max): one Lanczos
+    factorization per start kind and the Golub-Kahan factorization.
+
+    Each is built on first use, through the module bindings `lanczos` and
+    `golub_kahan`, unless `put` stored it first, and its arrays are made
+    read-only before it is shared.  Asking for another operator,
+    right-hand side or k_max is a contract violation, so a factorization
+    never serves a system it was not built for.
     """
 
     def __init__(self, a, b, k_max):
@@ -81,15 +97,70 @@ class LanczosCache:
         self.k_max = k_max
         self._facts = {}
 
-    def factorization(self, a, start, b, k_max):
+    def put(self, kind, fact):
+        """Store fact, the factorization of this cache's system of `kind`
+        (a start kind or GOLUB_KAHAN), read-only."""
+        if kind == GOLUB_KAHAN:
+            arrays = (fact.left, fact.right, fact.alpha, fact.beta, fact.matvec_counts)
+        else:
+            arrays = (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta)
+        for arr in arrays:
+            arr.flags.writeable = False
+        self._facts[kind] = fact
+
+    def _get(self, a, kind, b, k_max, build):
         if a is not self.a or k_max != self.k_max or not np.array_equal(b, self.b):
             raise ContractViolation("the Lanczos cache belongs to another (A, b, k_max)")
-        if start not in self._facts:
-            fact = lanczos(a, start, self.b, k_max)
-            for arr in (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta):
-                arr.flags.writeable = False
-            self._facts[start] = fact
-        return self._facts[start]
+        if kind not in self._facts:
+            self.put(kind, build())
+        return self._facts[kind]
+
+    def factorization(self, a, start, b, k_max):
+        """The Lanczos factorization from `start`."""
+        return self._get(a, start, b, k_max, lambda: lanczos(a, start, self.b, k_max))
+
+    def bidiagonalization(self, a, b, k_max):
+        """The Golub-Kahan factorization."""
+        return self._get(a, GOLUB_KAHAN, b, k_max, lambda: golub_kahan(a, self.b, k_max))
+
+
+# The factorizations that `block_caches` builds for a block of cells, by the
+# solvers that read them, and the bases each holds per cell.  The K_k(A, Ab)
+# factorization of mr2, hybrid-mr2 and the lowrank, decay and angles
+# diagnostics stays per cell, built by the cache on first use: batching it
+# too moved hybrid-mr2's best k on the seed-1 sweep-dense benchmark at
+# eps = 1e-4, seed 1003, from 14 to 15 (best error 0.0239390080897 to
+# 0.0239390080892), on a round-off plateau whose k the benchmark's
+# reference pins, and the breakdown of mr2 at eps = 1e-4, seed 1006, from
+# step 18 to 17.
+_BLOCK_KINDS = {"minres": START_RESIDUAL, "hybrid-minres": START_RESIDUAL, "lsqr": GOLUB_KAHAN}
+_BASES = {START_RESIDUAL: 1, GOLUB_KAHAN: 2}
+
+
+def _block_kinds(names):
+    return sorted({_BLOCK_KINDS[name] for name in names if name in _BLOCK_KINDS})
+
+
+def block_bases(names):
+    """The number of bases of k_max + 1 vectors or fewer that
+    `block_caches` builds per cell for the named solvers."""
+    return sum(_BASES[kind] for kind in _block_kinds(names))
+
+
+def block_caches(a, bs, k_max, names):
+    """One `LanczosCache` of (A, b, k_max) for every b in bs, holding the
+    factorizations the named solvers read from K_k(A, b) and Golub-Kahan,
+    each kind built for the whole block in lockstep."""
+    caches = [LanczosCache(a, b, k_max) for b in bs]
+    rhs = [cache.b for cache in caches]
+    for kind in _block_kinds(names):
+        if kind == GOLUB_KAHAN:
+            facts = golub_kahan_block(a, rhs, k_max)
+        else:
+            facts = lanczos_block(a, kind, rhs, k_max)
+        for cache, fact in zip(caches, facts):
+            cache.put(kind, fact)
+    return caches
 
 
 def _lanczos(a, start, b, k_max, cache):
@@ -217,10 +288,11 @@ def mr2_trace(a, b, k_max, x_true=None, cache=None):
     return _krylov_trace("mr2", fact, b, x_true, _givens_family)
 
 
-def lsqr_trace(a, b, k_max, x_true=None):
+def lsqr_trace(a, b, k_max, x_true=None, cache=None):
     """Least-squares iterates over the Golub-Kahan subspaces (two operator
     products per step)."""
-    return _krylov_trace("lsqr", golub_kahan(a, b, k_max), b, x_true, _givens_family)
+    fact = (cache or LanczosCache(a, b, k_max)).bidiagonalization(a, b, k_max)
+    return _krylov_trace("lsqr", fact, b, x_true, _givens_family)
 
 
 def tsvd_trace(decomp, b, x_true=None, k_max=None):
@@ -283,7 +355,7 @@ def _hybrid(base):
 
 
 # Every solver by name, as a callable (a, b, k_max, x_true, decomp,
-# cache=None); the Lanczos solvers share their factorizations through the
+# cache=None); the Krylov solvers share their factorizations through the
 # `LanczosCache` of (a, b, k_max) when given one.  The entries look the
 # public functions up when called and never hold them, so a wrapper
 # installed on a module attribute sees every call.
@@ -295,7 +367,7 @@ SOLVERS = {
         a, b, k_max, x_true=x_true, cache=cache
     ),
     "lsqr": lambda a, b, k_max, x_true, decomp, cache=None: lsqr_trace(
-        a, b, k_max, x_true=x_true
+        a, b, k_max, x_true=x_true, cache=cache
     ),
     "tsvd": lambda a, b, k_max, x_true, decomp, cache=None: tsvd_trace(
         decomp, b, x_true, k_max

@@ -2,12 +2,12 @@
 
 Everything here deliberately avoids the code paths of the package: the
 eigen oracle is a cyclic Jacobi sweep, the SVD oracle is one-sided
-(Hestenes) Jacobi, and the Krylov least-squares oracles orthonormalize the
-power basis explicitly (or build an Arnoldi basis by modified Gram-Schmidt)
-and solve with numpy's lstsq.  The exceptions are computations the package
-must reproduce bit for bit: `givens_ls`, the per-k Givens solve (it shares
-the package's pseudoinverse fallback for that reason), and the dense set-up
-by `meshgrid_problem` and `polished_eig`, which form every kernel on full
+(Hestenes) Jacobi, and the Krylov least-squares oracles build an Arnoldi
+basis by modified Gram-Schmidt and solve with numpy's lstsq.  The
+exceptions are computations the package must reproduce bit for bit:
+`givens_ls`, the per-k Givens solve (it shares the package's
+pseudoinverse fallback for that reason), and the dense set-up by
+`meshgrid_problem` and `polished_eig`, which form every kernel on full
 meshgrids and the Rayleigh quotients from one full longdouble product.
 `lanczos` and `golub_kahan` are the package's builders as they were before
 the bases moved into one row store: Python lists of columns, re-stacked by
@@ -103,25 +103,16 @@ def jacobi_svd(m, sweeps=60):
     return svals[order]
 
 
-def _power_basis_minimizer(matvec, start, b, k):
-    """Minimizer of ||b - A x|| over span{start, A start, ..., A^{k-1} start}."""
-    cols = [np.asarray(start, dtype=float)]
-    for _ in range(k - 1):
-        cols.append(matvec(cols[-1]))
-    basis, _ = np.linalg.qr(np.column_stack(cols))
-    image = np.column_stack([matvec(basis[:, j]) for j in range(basis.shape[1])])
-    z, *_ = np.linalg.lstsq(image, b, rcond=None)
-    return basis @ z
-
-
 def krylov_subspace_minimizer(matvec, b, k):
-    """Brute-force minimizer of ||b - A x|| over span{Ab, ..., A^k b}."""
-    return _power_basis_minimizer(matvec, matvec(np.asarray(b, dtype=float)), b, k)
+    """Minimizer of ||b - A x|| over span{Ab, ..., A^k b}, on the Arnoldi
+    basis."""
+    return arnoldi_minimizers(matvec, matvec(np.asarray(b, dtype=float)), b, k)[-1]
 
 
 def krylov_residual_minimizer(matvec, b, k):
-    """Brute-force minimizer of ||b - A x|| over span{b, ..., A^{k-1} b}."""
-    return _power_basis_minimizer(matvec, b, b, k)
+    """Minimizer of ||b - A x|| over span{b, ..., A^{k-1} b}, on the Arnoldi
+    basis."""
+    return arnoldi_minimizers(matvec, np.asarray(b, dtype=float), b, k)[-1]
 
 
 def arnoldi_basis(matvec, start, k):

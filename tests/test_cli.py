@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from conftest import traced_peak_n2
 
 import regkrylov
 from regkrylov import cli, diagnostics, linalg, problems, solvers
@@ -525,26 +527,105 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, attr, counted)
 
     for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "hybrid_trace",
-                 "lanczos", "golub_kahan", "_svd_small"):
+                 "lanczos", "golub_kahan", "lanczos_block", "golub_kahan_block", "_svd_small"):
         count(solvers, attr)
     count(diagnostics, "lcurve_corner")
+    monkeypatch.setattr(cli, "_cells_per_block", lambda a, k_max, names: 2)
     cfg = cli.ExperimentConfig.from_dict(
         small_config(tmp_path / "out", n=32, k_max=6, noise_levels=[1e-3, 1e-2], seeds=[1, 2],
                      solvers=list(cli.SOLVER_NAMES), diagnostics=list(cli.DIAG_NAMES))
     )
     summary = cli.run_experiment(cfg)
-    cells = 4
-    for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "golub_kahan"):
+    cells, blocks = 4, 2
+    for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace"):
         assert counts[attr] == cells, attr
     assert counts["hybrid_trace"] == 2 * cells
-    # one factorization per start kind per cell, shared with the hybrid; the
-    # filters diagnostic's extended-precision projection is not among them
-    assert counts["lanczos"] == 2 * cells
+    # one lockstep build per block of the K_k(A, b) Lanczos factorization and
+    # of the Golub-Kahan one, which fill the cells' caches; one lanczos per
+    # cell, for K_k(A, Ab), shared by mr2, hybrid-mr2 and the diagnostics.
+    # The filters diagnostic's extended-precision projection is not among them
+    assert counts["lanczos_block"] == counts["golub_kahan_block"] == blocks
+    assert counts["lanczos"] == cells
+    assert "golub_kahan" not in counts
     # one inner SVD and one projected L-curve corner per hybrid outer step;
     # one corner per trace for the summary, which the lcurve diagnostic copies
     hybrid_steps = sum(c["iterations"] for c in summary["cells"] if c["solver"].startswith("hybrid"))
     assert counts["_svd_small"] == hybrid_steps
     assert counts["lcurve_corner"] == len(summary["cells"]) + hybrid_steps
+
+
+def test_block_size_rule(get_problem):
+    """A block's bases hold no more doubles than the operator's storage:
+    the contract workloads' 11 and 8 cells, and one on Kronecker blur."""
+    every = list(cli.SOLVER_NAMES)
+    assert cli._cells_per_block(get_problem("shaw", 1024).a, 30, every) == 11
+    assert cli._cells_per_block(get_problem("shaw", 256).a, 30, ["tsvd", "minres", "mr2"]) == 8
+    assert cli._cells_per_block(get_problem("blur", 16).a, 30, every) == 1
+    assert cli._cells_per_block(get_problem("shaw", 256).a, 30, ["tsvd", "mr2"]) == 1
+
+
+@pytest.mark.parametrize("count, cap, sizes", [
+    (24, 11, [8, 8, 8]), (32, 8, [8, 8, 8, 8]), (3, 2, [3]), (5, 2, [3, 2]),
+    (4, 1, [1, 1, 1, 1]), (1, 5, [1]), (7, 10, [7]),
+])
+def test_cells_split_into_near_equal_blocks(count, cap, sizes):
+    cells = [(1e-3, seed) for seed in range(count)]
+    blocks = cli._blocks(cells, cap)
+    assert [len(b) for b in blocks] == sizes
+    assert [c for b in blocks for c in b] == cells
+
+
+def test_a_cell_writes_the_same_bytes_whichever_cells_share_its_block(tmp_path, monkeypatch):
+    """Blocks of two and of three put every cell with other cells, and the
+    files are byte-identical (shaw n = 256 breaks down near step 19, so a
+    block runs on past its first breakdown, also with one live column)."""
+    written = []
+    for cap in (2, 3):
+        monkeypatch.setattr(cli, "_cells_per_block", lambda a, k_max, names: cap)
+        cfg = cli.ExperimentConfig.from_dict(
+            small_config(tmp_path / f"cap{cap}", n=256, k_max=30, noise_levels=[1e-2, 1e-4],
+                         seeds=[1, 2, 3], solvers=list(cli.SOLVER_NAMES),
+                         diagnostics=list(cli.DIAG_NAMES))
+        )
+        summary = cli.run_experiment(cfg)
+        assert {c["iterations"] for c in summary["cells"] if c["solver"] == "minres"} != {30}
+        written.append({name: (Path(cfg.output_dir) / name).read_bytes()
+                        for name in summary["manifest"]})
+    assert written[0] == written[1]
+
+
+def test_block_bases_stay_within_the_operator_storage(tmp_path, monkeypatch):
+    """The cell phase of a dense run, from its first add_noise on, grows by
+    at most the operator's storage (n^2 doubles) over one-cell blocks, and
+    stays below the set-up's peak.  tracemalloc sees set-up's numpy arrays
+    but not the 1 + 6n + 2n^2 doubles of workspace that LAPACK's syevd
+    (behind np.linalg.eigh) allocates, so that workspace is added to the
+    traced set-up peak."""
+    n = 600  # above the Rayleigh polish limit, so set-up is eigh alone
+    names = ["minres", "lsqr", "tsvd"]
+    assert cli._cells_per_block(problems.generate("shaw", n).a, 20, names) == 9
+    setup = []
+    add_noise = problems.add_noise
+
+    def marked(*args, **kwargs):
+        if not setup:
+            setup.append(tracemalloc.get_traced_memory()[1] / (8.0 * n * n))
+            tracemalloc.reset_peak()
+        return add_noise(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "add_noise", marked)
+    peaks = {}
+    for cap in ("rule", 1):
+        if cap == 1:
+            monkeypatch.setattr(cli, "_cells_per_block", lambda a, k_max, names: 1)
+        cfg = cli.ExperimentConfig.from_dict(
+            small_config(tmp_path / f"out{cap}", n=n, k_max=20, noise_levels=[1e-2, 1e-3],
+                         seeds=list(range(1, 9)), solvers=names)
+        )
+        setup.clear()
+        peaks[cap] = traced_peak_n2(lambda: cli.run_experiment(cfg), n)
+    assert peaks["rule"] - peaks[1] <= 1.0
+    assert peaks["rule"] <= setup[0] + 2.0
 
 
 def test_diagnostics_repeat_the_summary_entries(tmp_path):

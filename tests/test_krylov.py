@@ -8,7 +8,9 @@ from regkrylov.krylov import (
     START_RESIDUAL,
     Basis,
     golub_kahan,
+    golub_kahan_block,
     lanczos,
+    lanczos_block,
 )
 from regkrylov.linalg import EPS, SymmetricMatrix
 
@@ -189,3 +191,78 @@ def test_basis_grows_by_doubling_and_orthogonalizes_against_its_rows():
     w = np.arange(1.0, 5.0)
     assert store.orthogonalize(w) is w
     assert np.array_equal(w, [0.0, 0.0, 0.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# lockstep builds of a block of right-hand sides
+
+
+def _block_operators():
+    """A dense operator with well-separated eigenvalues of both signs and a
+    positive definite Kronecker one, each with a right-hand side in a
+    three- (two-) dimensional invariant subspace, which breaks down at
+    step 3 (2), and the depth to build: both stay forward stable, so one
+    ulp in a product moves nothing beyond rounding."""
+    n = 60
+    q, _ = np.linalg.qr(rng.normal(1, n * n).reshape(n, n))
+    lam = np.linspace(1.0, 4.0, n) * np.where(np.arange(n) % 3, 1.0, -1.0)
+    yield SymmetricMatrix(dense=(q * lam) @ q.T), q[:, [0, 29, 59]] @ [1.0, -2.0, 0.5], 20
+    kron = SymmetricMatrix(toeplitz_first_col=[2.0, 0.6, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0])
+    _, v = np.linalg.eigh(kron.factor)
+    yield kron, np.kron(v[:, -1], v[:, -2]) + np.kron(v[:, 0], v[:, 0]), 8
+
+
+def _close(got, want, tol):
+    return np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("a, early, k_max", list(_block_operators()), ids=["dense", "kronecker"])
+@pytest.mark.parametrize("width", [2, 4])
+def test_block_builds_match_single_builds(a, early, k_max, width):
+    """Each column of a lockstep build is the build of its own right-hand
+    side: entries to 1e-13, the basis to 1e-12, the same breakdown step
+    and the same matvec counts; the early column's breakdown leaves one
+    live column in the block of two."""
+    bs = [rng.normal(seed, a.n) for seed in range(2, width + 1)] + [early]
+    for kind in (START_RESIDUAL, START_FILTERED, "golub-kahan"):
+        if kind == "golub-kahan":
+            block, single = golub_kahan_block(a, bs, k_max), [golub_kahan(a, b, k_max) for b in bs]
+        else:
+            block, single = lanczos_block(a, kind, bs, k_max), [lanczos(a, kind, b, k_max) for b in bs]
+        for got, want in zip(block, single):
+            assert got.breakdown_step == want.breakdown_step
+            assert np.array_equal(got.matvec_counts, want.matvec_counts)
+            if kind == "golub-kahan":
+                pairs = [(got.alpha, want.alpha), (got.beta, want.beta)]
+                bases = [(got.left, want.left), (got.right, want.right)]
+            else:
+                pairs = [(got.tridiag.alpha, want.tridiag.alpha),
+                         (got.tridiag.beta, want.tridiag.beta)]
+                bases = [(got.basis, want.basis)]
+            assert all(x.shape == y.shape and _close(x, y, 1e-13) for x, y in pairs)
+            assert all(x.shape == y.shape and np.abs(x - y).max() <= 1e-12 for x, y in bases)
+        assert block[-1].breakdown_step == (3 if a.n == 60 else 2)
+
+
+def test_single_start_multiplies_through_matvec(monkeypatch):
+    """One start uses the operator's matvec; a block uses the block product
+    only, on two rows or more, also once one live column is left."""
+    a = SymmetricMatrix(dense=np.diag([2.0, 1.0, 0.5, 0.25]))
+    calls = []
+    for attr in ("matvec", "block_matvec"):
+        fn = getattr(SymmetricMatrix, attr)
+        monkeypatch.setattr(SymmetricMatrix, attr, lambda self, x, fn=fn, attr=attr: (
+            calls.append((attr, np.shape(x))) or fn(self, x)))
+    lanczos(a, START_RESIDUAL, np.ones(4), 3)
+    assert calls == [("matvec", (4,))] * 3
+    calls.clear()
+    lanczos_block(a, START_RESIDUAL, [np.ones(4), np.array([1.0, 0.0, 0.0, 0.0])], 3)
+    assert calls == [("block_matvec", (2, 4))] * 3
+
+
+def test_block_rejects_a_zero_right_hand_side():
+    a = SymmetricMatrix(dense=np.eye(4))
+    with pytest.raises(ContractViolation):
+        lanczos_block(a, START_RESIDUAL, [np.ones(4), np.zeros(4)], 2)
+    with pytest.raises(ContractViolation):
+        golub_kahan_block(a, [np.zeros(4), np.ones(4)], 2)

@@ -74,6 +74,21 @@ def test_kronecker_matvec_matches_densified():
         assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
+@pytest.mark.parametrize("a", [
+    SymmetricMatrix(dense=random_symmetric(60, 4)),
+    SymmetricMatrix(toeplitz_first_col=[1.0, 0.4, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0]),
+], ids=["dense", "kronecker"])
+def test_block_matvec_matches_matvec_of_each_row(a):
+    rows = rng.normal(7, 5 * a.n).reshape(5, a.n)
+    got = a.block_matvec(rows)
+    assert got.shape == rows.shape
+    for x, y in zip(rows, got):
+        want = a.matvec(x)
+        assert np.linalg.norm(y - want) <= 1e-15 * np.linalg.norm(want)
+    with pytest.raises(ContractViolation):
+        a.block_matvec(rows[0])
+
+
 @needs_extended_precision
 @pytest.mark.parametrize("a", [
     SymmetricMatrix(dense=np.ones((4, 4))),

@@ -127,6 +127,18 @@ def test_mr2_matches_brute_force_minimizer():
             assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1e-30)
 
 
+def test_mr2_matches_the_minimizer_oracle_deep_in_the_ill_posed_regime(get_problem):
+    """foxgood n = 1024 at k = 6, where an orthonormalized power basis has
+    lost the Krylov space and its minimizer's error is 64% off."""
+    prob = get_problem("foxgood", 1024)
+    b = problems.add_noise(prob, 1e-3, seed=1).b
+    tr = mr2_trace(prob.a, b, 6, x_true=prob.x_true)
+    want = krylov_subspace_minimizer(prob.a.matvec, b, 6)
+    want_err = np.linalg.norm(want - prob.x_true) / np.linalg.norm(prob.x_true)
+    assert abs(tr.relative_errors[5] - want_err) <= 1e-6 * want_err
+    assert np.linalg.norm(tr.solutions[5] - want) <= 1e-6 * np.linalg.norm(want)
+
+
 def _assert_family_matches_per_k_oracle(t, g):
     # every k of the progressive solve equals a Givens QR of T_k alone, bit for bit
     family = _givens_family(t, g, t.shape[1])

@@ -14,7 +14,6 @@ from .linalg import (
     TridiagonalRect,
     canonical_angles,
     least_squares,
-    small_svd,
     spectral_norm,
     symmetric_eig,
 )

@@ -11,9 +11,10 @@ with a fixed BLAS thread count.
 blocks (`_run_cells`): a block draws its noise, builds the K_k(A, b)
 Lanczos and Golub-Kahan factorizations of all its cells in lockstep, one
 block product per step, and then traces and writes one cell at a time.
-A block's bases hold no more doubles than the operator's storage
-(`_cells_per_block`).  The K_k(A, Ab) factorization stays per cell (see
-`solvers.block_caches`).
+`solvers.cells_per_block` sizes the blocks.  The K_k(A, Ab) factorization
+stays per cell (see `solvers.block_caches`).  Every factorization a
+diagnostic or figure reads comes from the cell's `LanczosCache`, asked for
+by `solvers.KINDS` of the solver whose Krylov space it studies.
 """
 
 import json
@@ -26,12 +27,12 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import click
 import numpy as np
 
-from . import diagnostics, problems, solvers
+from . import diagnostics, linalg, problems, solvers
 from .exceptions import (
     ConfigError, ContractViolation, NumericalError, RegKrylovError, ResourceLimitError,
 )
-from .krylov import START_FILTERED, START_RESIDUAL, lanczos
-from .linalg import small_svd, symmetric_eig
+from .krylov import lanczos
+from .linalg import symmetric_eig
 
 SOLVER_NAMES = tuple(solvers.SOLVERS)
 DIAG_NAMES = ("lowrank", "angles", "filters", "decay", "lcurve", "picard")
@@ -182,18 +183,6 @@ def _make_output_dir(path):
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
 
 
-def _cells_per_block(a, k_max, names):
-    """The most cells a block holds: as many as keep the bases that
-    `solvers.block_caches` builds for the named solvers within the doubles
-    of the operator's storage (at least one cell; one when it builds none).
-    Dense storage has n^2 doubles, so this is n // ((k_max + 1) * bases)."""
-    bases = solvers.block_bases(names)
-    if not bases:
-        return 1
-    storage = (a.factor if a.is_kronecker else a.dense()).size
-    return max(1, storage // ((k_max + 1) * bases * a.n))
-
-
 def _blocks(cells, cap):
     """cells split, in order, into the fewest near-equal blocks of at most
     `cap` cells.  Where that would leave a block of one cell in a run of
@@ -213,7 +202,7 @@ def _run_cells(prob, decomp, cells, k_max, names):
     """Yield ((noise level, seed), (noise, LanczosCache, traces of the
     named solvers by name in the given order)) for every cell, in order.
 
-    The cells go in blocks (`_blocks` of `_cells_per_block`).  A block
+    The cells go in blocks (`_blocks` of `solvers.cells_per_block`).  A block
     draws the noise of its cells, one `add_noise` per cell in cell order,
     fills their caches through `solvers.block_caches`, which builds the
     factorizations of K_k(A, b) and Golub-Kahan in lockstep, and then
@@ -221,7 +210,7 @@ def _run_cells(prob, decomp, cells, k_max, names):
     cell, built by its cache when a solver or diagnostic first asks for
     it (see `solvers.block_caches`).  A cell's cache is released once it
     has been yielded."""
-    for block in _blocks(cells, _cells_per_block(prob.a, k_max, names)):
+    for block in _blocks(cells, solvers.cells_per_block(prob.a, k_max, names)):
         noises = [problems.add_noise(prob, eps, seed) for eps, seed in block]
         caches = solvers.block_caches(prob.a, [noise.b for noise in noises], k_max, names)
         for cell, noise in zip(block, noises):
@@ -269,7 +258,7 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
     if "lcurve" in toggles:
         doc["corner_index"] = {e["solver"]: e["corner_index"] for e in entries}
     if toggles & {"lowrank", "decay", "angles"}:
-        fact = cache.factorization(prob.a, START_FILTERED, noise.b, cfg.k_max)
+        fact = cache.get(solvers.KINDS["mr2"])
     if "lowrank" in toggles or "decay" in toggles:
         gam, sigma_next = _lowrank_series(prob, decomp, fact)
         doc["lowrank_error"] = [float(g) for g in gam]
@@ -298,7 +287,7 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
         # filter factors reproduce the iterate beyond double rounding; its
         # own breakdown, if any, cuts the depth below min(10, k_max)
         extended = prob.a.astype(np.longdouble)
-        tridiag = lanczos(extended, START_RESIDUAL, noise.b, min(10, cfg.k_max)).tridiag
+        tridiag = lanczos(extended, solvers.KINDS["minres"], noise.b, min(10, cfg.k_max)).tridiag
         heads = diagnostics.harmonic_ritz_heads(tridiag)
         doc["harmonic_ritz_values"] = [[float(t) for t in theta] for theta in heads]
         doc["filter_factor_rows"] = [
@@ -392,12 +381,6 @@ def _gnuplot_script(path, files, title):
 _Panel = namedtuple("_Panel", "pname prob decomp k_max cells")
 
 
-def _factorization(panel, eps, start):
-    """The cell's Lanczos factorization from `start`."""
-    noise, cache, _ = panel.cells[eps]
-    return cache.factorization(panel.prob.a, start, noise.b, panel.k_max)
-
-
 def _errors(out_dir, tag, panel):
     """Relative errors per k: one column per solver, or per noise level
     where the figure runs one solver at several."""
@@ -417,14 +400,14 @@ def _errors(out_dir, tag, panel):
 
 
 def _singular_values(out_dir, tag, panel):
-    [eps] = panel.cells
+    [(_, cache, _)] = panel.cells.values()
     name = f"{tag}_projected_singular_values_{panel.pname}.csv"
     _write_series_csv(
         os.path.join(out_dir, name),
         ["j", "minres", "mr2", "operator"],
         [list(range(1, panel.k_max + 1))]
-        + [list(small_svd(_factorization(panel, eps, start).tridiag)[0])
-           for start in (START_RESIDUAL, START_FILTERED)]
+        + [list(linalg._svd_small(cache.get(solvers.KINDS[solver]).tridiag.dense())[0])
+           for solver in ("minres", "mr2")]
         + [list(panel.decomp.sigmas[: panel.k_max])],
     )
     return [(name, [(2, "minres"), (3, "mr2"), (4, "operator")])]
@@ -446,8 +429,8 @@ def _lcurves(out_dir, tag, panel):
 
 def _rank_k_errors(out_dir, tag, panel):
     files = []
-    for eps in panel.cells:
-        fact = _factorization(panel, eps, START_FILTERED)
+    for eps, (_, cache, _) in panel.cells.items():
+        fact = cache.get(solvers.KINDS["mr2"])
         gam, sigma_next = _lowrank_series(panel.prob, panel.decomp, fact)
         name = f"{tag}_lowrank_{panel.pname}_{eps:g}.csv"
         _write_series_csv(
@@ -460,8 +443,8 @@ def _rank_k_errors(out_dir, tag, panel):
 
 
 def _decay(out_dir, tag, panel):
-    [eps] = panel.cells
-    fact = _factorization(panel, eps, START_FILTERED)
+    [(_, cache, _)] = panel.cells.values()
+    fact = cache.get(solvers.KINDS["mr2"])
     alpha, beta = fact.tridiag.alpha, fact.tridiag.beta
     ks = list(range(2, fact.k))
     name = f"{tag}_decay_{panel.pname}.csv"

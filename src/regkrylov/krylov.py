@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractViolation
+from .exceptions import ContractViolation, NumericalError
 from .linalg import EPS, TridiagonalRect
 
 START_RESIDUAL = "b"  # Krylov space K_k(A, b)
@@ -123,10 +123,15 @@ def finite_rhs(b):
 
 
 def _checked_rhs(a, b, k_max):
-    """finite_rhs(b), after checking 1 <= k_max <= n."""
+    """finite_rhs(b), after checking 1 <= k_max <= n and ||b|| != 0.  A
+    nonzero b whose A b is zero as a builder computes it (its squares
+    underflow, or A b = 0) is a NumericalError of that builder instead."""
     if k_max < 1 or k_max > a.n:
         raise ContractViolation("need 1 <= k_max <= n")
-    return finite_rhs(b)
+    b = finite_rhs(b)
+    if np.linalg.norm(b) == 0.0:
+        raise ContractViolation("right-hand side is zero")
+    return b
 
 
 def _lockstep(a, columns):
@@ -192,8 +197,8 @@ def _lanczos_steps(a, start, b, k_max):
         q1 = yield b
         matvecs += 1
     nq = np.linalg.norm(q1)
-    if nq == 0.0:
-        raise ContractViolation("starting vector is zero")
+    if nq == 0.0:  # b is not zero (checked above), so A b is
+        raise NumericalError("A b is zero in working precision, though b is not")
     q = Basis(a.n, k_max + 1, a.dtype)
     q.append(q1 / nq)
 
@@ -246,8 +251,6 @@ def _golub_kahan_steps(a, b, k_max):
     generator."""
     b = _checked_rhs(a, b, k_max)
     nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        raise ContractViolation("right-hand side is zero")
     u = Basis(a.n, k_max + 1)
     v = Basis(a.n, k_max)
     u.append(b / nb)
@@ -279,8 +282,8 @@ def _golub_kahan_steps(a, b, k_max):
             break
         u.append(w / beta)
 
-    if not alphas:
-        raise ContractViolation("bidiagonalization broke down before one step")
+    if not alphas:  # the first alpha, ||A b|| / ||b||, is zero
+        raise NumericalError("A b is zero in working precision, though b is not")
     return BidiagFactorization(
         left=u.columns,
         right=v.columns,

@@ -4,9 +4,9 @@ Every factorization goes to LAPACK through numpy: the full
 eigendecomposition of an operator (`symmetric_eig`, on the dense matrix or
 on the Kronecker factor), the Gram eigensolve of `spectral_norm` (the norm
 of a small dense matrix, such as the angle diagnostic's coupling matrix),
-the SVD behind `canonical_angles`, and the small SVDs of `small_svd`,
-`least_squares` and the hybrid solvers' inner truncation (projected
-matrices of at most k_max + 1 rows).  Rectangular SVDs are computed
+the SVD behind `canonical_angles`, and the small SVDs of `_svd_small`
+and `least_squares` (projected matrices of at most k_max + 1 rows, as in
+the hybrid solvers' inner truncation).  Rectangular SVDs are computed
 directly, without squaring into a Gram matrix, which keeps small singular
 values accurate to eps times the largest.
 """
@@ -317,17 +317,6 @@ def _svd_small(m_mat):
     """
     u, s, vt = np.linalg.svd(np.asarray(m_mat, dtype=float), full_matrices=False)
     return s, u, vt.T
-
-
-def small_svd(t):
-    """SVD of a TridiagonalRect (or small dense array), as `_svd_small`.
-
-    Returns (s, u, v): singular values non-increasing, u of shape
-    (rows, k) and v of shape (k, k).
-    """
-    if isinstance(t, TridiagonalRect):
-        t = t.dense()
-    return _svd_small(t)
 
 
 # ---------------------------------------------------------------------------

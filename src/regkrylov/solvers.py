@@ -4,18 +4,17 @@
 decomp, cache=None); the CLI, the figure reproduction and the acceptance
 suite run solvers only through it, so a new solver is added there.
 
-A `LanczosCache` of one (A, b, k_max) holds one Lanczos factorization per
-start kind and the Golub-Kahan factorization, each built the first time a
-solver asks for it.  minres and hybrid-minres project onto the same
-K_k(A, b), and mr2 and hybrid-mr2 onto the same K_k(A, A b), so a cell that
-runs both solvers of a pair builds that factorization once and shares it,
-read-only.  The CLI's diagnostics ask the cell's cache too, so a diagnostic
-builds the factorization it needs when no listed solver did.  Each trace
-still reports its own matvec counts: what that solver alone would spend.
-`block_caches` fills the caches of a block of cells, the noise draws of one
-operator, with their K_k(A, b) and Golub-Kahan factorizations built in
-lockstep, one block product per step (`krylov.lanczos_block`,
-`krylov.golub_kahan_block`).
+`KINDS` alone says which factorization each Krylov solver reads, and a
+`LanczosCache` of one (A, b, k_max) builds each kind on its first `get`.
+minres and hybrid-minres project onto the same K_k(A, b), and mr2 and
+hybrid-mr2 onto the same K_k(A, A b), so a cell that runs both solvers of
+a pair builds that factorization once and shares it, read-only.  The CLI's
+diagnostics ask the cell's cache too, by `KINDS`, so a diagnostic builds
+the factorization it needs when no listed solver did.  Each trace still
+reports its own matvec counts: what that solver alone would spend.
+`block_caches` fills the caches of a block of cells, the noise draws of
+one operator, with their K_k(A, b) and Golub-Kahan factorizations built in
+lockstep, one block product per step, and `cells_per_block` sizes blocks.
 
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
@@ -41,7 +40,6 @@ from .exceptions import ContractViolation
 from .krylov import (
     START_FILTERED,
     START_RESIDUAL,
-    LanczosFactorization,
     finite_rhs,
     golub_kahan,
     golub_kahan_block,
@@ -78,16 +76,19 @@ class IterateTrace:
 
 GOLUB_KAHAN = "golub-kahan"  # the kind of the Golub-Kahan factorization
 
+# The factorization each Krylov solver reads: the Lanczos factorization of
+# K_k(A, b) or of K_k(A, A b), or the Golub-Kahan one.
+KINDS = {"minres": START_RESIDUAL, "hybrid-minres": START_RESIDUAL, "mr2": START_FILTERED,
+         "hybrid-mr2": START_FILTERED, "lsqr": GOLUB_KAHAN}
+
 
 class LanczosCache:
-    """The Krylov factorizations of one (A, b, k_max): one Lanczos
+    """The Krylov factorizations of one (A, b, k_max), by kind: one Lanczos
     factorization per start kind and the Golub-Kahan factorization.
 
-    Each is built on first use, through the module bindings `lanczos` and
-    `golub_kahan`, unless `put` stored it first, and its arrays are made
-    read-only before it is shared.  Asking for another operator,
-    right-hand side or k_max is a contract violation, so a factorization
-    never serves a system it was not built for.
+    `get` builds each on first use, through the module bindings `lanczos`
+    and `golub_kahan`, unless `put` stored it first, and its arrays are
+    made read-only before it is shared.
     """
 
     def __init__(self, a, b, k_max):
@@ -108,43 +109,56 @@ class LanczosCache:
             arr.flags.writeable = False
         self._facts[kind] = fact
 
-    def _get(self, a, kind, b, k_max, build):
-        if a is not self.a or k_max != self.k_max or not np.array_equal(b, self.b):
-            raise ContractViolation("the Lanczos cache belongs to another (A, b, k_max)")
+    def get(self, kind):
+        """The factorization of `kind` (a start kind or GOLUB_KAHAN)."""
         if kind not in self._facts:
-            self.put(kind, build())
+            if kind == GOLUB_KAHAN:
+                self.put(kind, golub_kahan(self.a, self.b, self.k_max))
+            else:
+                self.put(kind, lanczos(self.a, kind, self.b, self.k_max))
         return self._facts[kind]
 
-    def factorization(self, a, start, b, k_max):
-        """The Lanczos factorization from `start`."""
-        return self._get(a, start, b, k_max, lambda: lanczos(a, start, self.b, k_max))
 
-    def bidiagonalization(self, a, b, k_max):
-        """The Golub-Kahan factorization."""
-        return self._get(a, GOLUB_KAHAN, b, k_max, lambda: golub_kahan(a, self.b, k_max))
+def _factorization(solver, a, b, k_max, cache):
+    """The factorization `solver` reads of (A, b, k_max), shared through
+    `cache` when one is given; a cache of another system is refused, so a
+    factorization never serves a system it was not built for."""
+    if cache is None:
+        cache = LanczosCache(a, b, k_max)
+    elif a is not cache.a or k_max != cache.k_max or not np.array_equal(b, cache.b):
+        raise ContractViolation("the Lanczos cache belongs to another (A, b, k_max)")
+    return cache.get(KINDS[solver])
 
 
-# The factorizations that `block_caches` builds for a block of cells, by the
-# solvers that read them, and the bases each holds per cell.  The K_k(A, Ab)
-# factorization of mr2, hybrid-mr2 and the lowrank, decay and angles
-# diagnostics stays per cell, built by the cache on first use: batching it
-# too moved hybrid-mr2's best k on the seed-1 sweep-dense benchmark at
-# eps = 1e-4, seed 1003, from 14 to 15 (best error 0.0239390080897 to
-# 0.0239390080892), on a round-off plateau whose k the benchmark's
-# reference pins, and the breakdown of mr2 at eps = 1e-4, seed 1006, from
-# step 18 to 17.
-_BLOCK_KINDS = {"minres": START_RESIDUAL, "hybrid-minres": START_RESIDUAL, "lsqr": GOLUB_KAHAN}
-_BASES = {START_RESIDUAL: 1, GOLUB_KAHAN: 2}
+# The kinds that `block_caches` builds for a block of cells, and the bases
+# each holds per cell.  The K_k(A, Ab) factorization of mr2, hybrid-mr2 and
+# the lowrank, decay and angles diagnostics stays per cell, built by the
+# cache on first use: batching it too moved hybrid-mr2's best k on the
+# seed-1 sweep-dense benchmark at eps = 1e-4, seed 1003, from 14 to 15
+# (best error 0.0239390080897 to 0.0239390080892), on a round-off plateau
+# whose k the benchmark's reference pins, and the breakdown of mr2 at
+# eps = 1e-4, seed 1006, from step 18 to 17.
+_BATCHED = {START_RESIDUAL: 1, GOLUB_KAHAN: 2}
 
 
 def _block_kinds(names):
-    return sorted({_BLOCK_KINDS[name] for name in names if name in _BLOCK_KINDS})
+    return sorted({KINDS[name] for name in names if KINDS.get(name) in _BATCHED})
 
 
-def block_bases(names):
-    """The number of bases of k_max + 1 vectors or fewer that
-    `block_caches` builds per cell for the named solvers."""
-    return sum(_BASES[kind] for kind in _block_kinds(names))
+def cells_per_block(a, k_max, names):
+    """The cap on a block's cells: as many as keep the bases that
+    `block_caches` builds for the named solvers within the doubles of the
+    operator's storage (n // ((k_max + 1) * bases) for dense storage), at
+    least one, and one when it builds none.  The CLI's `_blocks` takes one
+    cell over a cap of 2 rather than leave a block of one, so a block's
+    bases can exceed the storage by one cell's, at most half of it; the
+    cell phase of a run grows by at most the storage over one-cell blocks
+    (`test_block_bases_stay_within_the_operator_storage`)."""
+    bases = sum(_BATCHED[kind] for kind in _block_kinds(names))
+    if not bases:
+        return 1
+    storage = (a.factor if a.is_kronecker else a.dense()).size
+    return max(1, storage // ((k_max + 1) * bases * a.n))
 
 
 def block_caches(a, bs, k_max, names):
@@ -161,12 +175,6 @@ def block_caches(a, bs, k_max, names):
         for cache, fact in zip(caches, facts):
             cache.put(kind, fact)
     return caches
-
-
-def _lanczos(a, start, b, k_max, cache):
-    """The factorization of (A, b, k_max) from `start`, shared through
-    `cache` when one is given."""
-    return (cache or LanczosCache(a, b, k_max)).factorization(a, start, b, k_max)
 
 
 def _projected(t, g, k):
@@ -244,8 +252,8 @@ def _assemble(solver, solutions, res, x_true, fact=None):
     )
 
 
-def _krylov_trace(solver, fact, b, x_true, solve):
-    """Iterates x_k = V_k y_k of a Lanczos or Golub-Kahan factorization.
+def _krylov_trace(solver, a, b, k_max, x_true, cache, solve):
+    """Iterates x_k = V_k y_k of the factorization `solver` reads.
 
     The projected problem at step k (`_projected`) takes the rows of T that
     the left basis spans (at a breakdown the basis has one column fewer
@@ -255,12 +263,14 @@ def _krylov_trace(solver, fact, b, x_true, solve):
     of g past its rows and of b - Q g (zero for a basis started at b), adds
     to that norm in quadrature.
     """
-    if isinstance(fact, LanczosFactorization):
-        t, left, basis = fact.tridiag.dense(), fact.basis, fact.basis
-    else:
+    kind = KINDS[solver]
+    fact = _factorization(solver, a, b, k_max, cache)
+    if kind == GOLUB_KAHAN:
         t, left, basis = fact.dense(), fact.left, fact.right
+    else:
+        t, left, basis = fact.tridiag.dense(), fact.basis, fact.basis
     t = t[: left.shape[1]]
-    if getattr(fact, "start", None) == START_FILTERED:
+    if kind == START_FILTERED:
         g = left.T @ b
         outside2 = float(np.sum((b - left @ g) ** 2))
     else:  # the left basis starts at b / ||b||
@@ -277,22 +287,19 @@ def _krylov_trace(solver, fact, b, x_true, solve):
 
 def minres_trace(a, b, k_max, x_true=None, cache=None):
     """Minimum-residual iterates over the Krylov spaces K_k(A, b)."""
-    fact = _lanczos(a, START_RESIDUAL, b, k_max, cache)
-    return _krylov_trace("minres", fact, b, x_true, _givens_family)
+    return _krylov_trace("minres", a, b, k_max, x_true, cache, _givens_family)
 
 
 def mr2_trace(a, b, k_max, x_true=None, cache=None):
     """Minimum-residual iterates over K_k(A, A b), which excludes the noisy
     right-hand side from the search space."""
-    fact = _lanczos(a, START_FILTERED, b, k_max, cache)
-    return _krylov_trace("mr2", fact, b, x_true, _givens_family)
+    return _krylov_trace("mr2", a, b, k_max, x_true, cache, _givens_family)
 
 
 def lsqr_trace(a, b, k_max, x_true=None, cache=None):
     """Least-squares iterates over the Golub-Kahan subspaces (two operator
     products per step)."""
-    fact = (cache or LanczosCache(a, b, k_max)).bidiagonalization(a, b, k_max)
-    return _krylov_trace("lsqr", fact, b, x_true, _givens_family)
+    return _krylov_trace("lsqr", a, b, k_max, x_true, cache, _givens_family)
 
 
 def tsvd_trace(decomp, b, x_true=None, k_max=None):
@@ -340,11 +347,10 @@ def hybrid_trace(base, a, b, k_max, x_true=None, cache=None):
     (no truncation when no corner exists).  The outer factorization is the
     one minres (or mr2) uses, shared through `cache` when one is given.
     """
-    if base not in ("minres", "mr2"):
+    solver = f"hybrid-{base}"
+    if solver not in KINDS:
         raise ContractViolation(f"unknown hybrid base {base!r}")
-    start = START_RESIDUAL if base == "minres" else START_FILTERED
-    fact = _lanczos(a, start, b, k_max, cache)
-    return _krylov_trace(f"hybrid-{base}", fact, b, x_true, lambda t, g, count: [
+    return _krylov_trace(solver, a, b, k_max, x_true, cache, lambda t, g, count: [
         _lcurve_truncation(*_projected(t, g, k)) for k in range(1, count + 1)])
 
 

@@ -370,6 +370,25 @@ def test_numpy_numbers_in_a_config_are_written_as_json_numbers(tmp_path):
     assert [c["seed"] for c in written["cells"]] == [1] * 4
 
 
+@pytest.mark.parametrize("extra", [
+    {"solvers": ["mr2"]}, {"solvers": ["hybrid-mr2"]},
+    {"solvers": ["minres"], "diagnostics": ["lowrank"]},
+], ids=["mr2", "hybrid-mr2", "minres-lowrank"])
+def test_vanishing_a_b_exits_3_without_a_traceback(tmp_path, extra):
+    """||b|| is about 4e-131, but the squares of A b underflow: K_k(A, Ab)
+    has no start in double precision, a numerical failure, not a bad input."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(
+        tmp_path / "out", problem="synthetic", n=8, noise_levels=[0.0], k_max=3,
+        synthetic={"decay": "severe", "alpha": 300.0, "beta": 0.001},
+        **{"diagnostics": [], **extra})))
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: A b is zero in working precision" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_failing_diagnostics_leave_no_empty_file(tmp_path, monkeypatch):
     """A document's text is built before its file is opened."""
     def fails(*args, **kwargs):
@@ -530,7 +549,7 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
                  "lanczos", "golub_kahan", "lanczos_block", "golub_kahan_block", "_svd_small"):
         count(solvers, attr)
     count(diagnostics, "lcurve_corner")
-    monkeypatch.setattr(cli, "_cells_per_block", lambda a, k_max, names: 2)
+    monkeypatch.setattr(solvers, "cells_per_block", lambda a, k_max, names: 2)
     cfg = cli.ExperimentConfig.from_dict(
         small_config(tmp_path / "out", n=32, k_max=6, noise_levels=[1e-3, 1e-2], seeds=[1, 2],
                      solvers=list(cli.SOLVER_NAMES), diagnostics=list(cli.DIAG_NAMES))
@@ -558,10 +577,10 @@ def test_block_size_rule(get_problem):
     """A block's bases hold no more doubles than the operator's storage:
     the contract workloads' 11 and 8 cells, and one on Kronecker blur."""
     every = list(cli.SOLVER_NAMES)
-    assert cli._cells_per_block(get_problem("shaw", 1024).a, 30, every) == 11
-    assert cli._cells_per_block(get_problem("shaw", 256).a, 30, ["tsvd", "minres", "mr2"]) == 8
-    assert cli._cells_per_block(get_problem("blur", 16).a, 30, every) == 1
-    assert cli._cells_per_block(get_problem("shaw", 256).a, 30, ["tsvd", "mr2"]) == 1
+    assert solvers.cells_per_block(get_problem("shaw", 1024).a, 30, every) == 11
+    assert solvers.cells_per_block(get_problem("shaw", 256).a, 30, ["tsvd", "minres", "mr2"]) == 8
+    assert solvers.cells_per_block(get_problem("blur", 16).a, 30, every) == 1
+    assert solvers.cells_per_block(get_problem("shaw", 256).a, 30, ["tsvd", "mr2"]) == 1
 
 
 @pytest.mark.parametrize("count, cap, sizes", [
@@ -581,7 +600,7 @@ def test_a_cell_writes_the_same_bytes_whichever_cells_share_its_block(tmp_path, 
     block runs on past its first breakdown, also with one live column)."""
     written = []
     for cap in (2, 3):
-        monkeypatch.setattr(cli, "_cells_per_block", lambda a, k_max, names: cap)
+        monkeypatch.setattr(solvers, "cells_per_block", lambda a, k_max, names: cap)
         cfg = cli.ExperimentConfig.from_dict(
             small_config(tmp_path / f"cap{cap}", n=256, k_max=30, noise_levels=[1e-2, 1e-4],
                          seeds=[1, 2, 3], solvers=list(cli.SOLVER_NAMES),
@@ -603,7 +622,7 @@ def test_block_bases_stay_within_the_operator_storage(tmp_path, monkeypatch):
     traced set-up peak."""
     n = 600  # above the Rayleigh polish limit, so set-up is eigh alone
     names = ["minres", "lsqr", "tsvd"]
-    assert cli._cells_per_block(problems.generate("shaw", n).a, 20, names) == 9
+    assert solvers.cells_per_block(problems.generate("shaw", n).a, 20, names) == 9
     setup = []
     add_noise = problems.add_noise
 
@@ -617,7 +636,7 @@ def test_block_bases_stay_within_the_operator_storage(tmp_path, monkeypatch):
     peaks = {}
     for cap in ("rule", 1):
         if cap == 1:
-            monkeypatch.setattr(cli, "_cells_per_block", lambda a, k_max, names: 1)
+            monkeypatch.setattr(solvers, "cells_per_block", lambda a, k_max, names: 1)
         cfg = cli.ExperimentConfig.from_dict(
             small_config(tmp_path / f"out{cap}", n=n, k_max=20, noise_levels=[1e-2, 1e-3],
                          seeds=list(range(1, 9)), solvers=names)
@@ -730,8 +749,8 @@ def test_shared_factorizations_change_no_output(tmp_path, monkeypatch):
     own = solvers.LanczosCache
 
     class Unshared(own):
-        def factorization(self, a, start, b, k_max):
-            return own(a, b, k_max).factorization(a, start, b, k_max)
+        def get(self, kind):
+            return own(self.a, self.b, self.k_max).get(kind)
 
     with monkeypatch.context() as m:
         m.setattr(solvers, "LanczosCache", Unshared)

@@ -44,7 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regkrylov.exceptions import ContractViolation
+from regkrylov.exceptions import ContractViolation, NumericalError
 from regkrylov.linalg import SymmetricMatrix, symmetric_eig
 from regkrylov.solvers import SOLVERS, minres_trace, tsvd_trace
 
@@ -72,17 +72,21 @@ def systems(draw):
 
 
 def _run(name, a_mat, b):
-    """The trace of one solver, or None where it refuses a zero start."""
+    """The trace of one solver, or None where it refuses a zero b or a
+    vanishing A b."""
     a = SymmetricMatrix(dense=a_mat)
     try:
         return SOLVERS[name](a, b, a.n, None, symmetric_eig(a))
     except ContractViolation:
-        # only a zero starting vector may be refused: b, or A b for the
-        # solvers that start from it, zero as lanczos and golub_kahan see
-        # it, so a norm that underflows counts
-        start = b if name in ("minres", "hybrid-minres", "tsvd") else a_mat @ b
-        assert np.linalg.norm(start) == 0.0, name
-        return None
+        # a zero b is refused as a bad input, zero as the builders see it,
+        # so a norm that underflows counts
+        assert np.linalg.norm(b) == 0.0, name
+    except NumericalError:
+        # a nonzero b whose A b is zero: K_k(A, A b), and the first
+        # Golub-Kahan step, have no start in working precision
+        assert name in ("mr2", "hybrid-mr2", "lsqr"), name
+        assert np.linalg.norm(b) != 0.0 and np.linalg.norm(a_mat @ b) == 0.0, name
+    return None
 
 
 def _roundoff_pivot(a_mat, b, x):

@@ -6,6 +6,7 @@ from regkrylov.exceptions import ContractViolation
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, golub_kahan, lanczos
 from regkrylov.linalg import SymmetricMatrix, least_squares, symmetric_eig
 from regkrylov.solvers import (
+    KINDS,
     SOLVERS,
     LanczosCache,
     _givens_family,
@@ -275,13 +276,17 @@ def _shaw_system(n=48, seed=1):
 def test_lanczos_cache_shares_one_read_only_factorization_per_start():
     prob, b = _shaw_system()
     cache = LanczosCache(prob.a, b, 10)
-    names = ("hybrid-mr2", "minres", "mr2", "hybrid-minres")
+    names = ("hybrid-mr2", "minres", "mr2", "hybrid-minres", "lsqr")
     shared = {name: SOLVERS[name](prob.a, b, 10, prob.x_true, None, cache) for name in names}
     assert shared["hybrid-minres"].factorization is shared["minres"].factorization
     assert shared["hybrid-mr2"].factorization is shared["mr2"].factorization
     assert shared["minres"].factorization is not shared["mr2"].factorization
+    for name in names:
+        assert cache.get(KINDS[name]) is shared[name].factorization, name
     fact = shared["mr2"].factorization
-    for arr in (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta):
+    bidiag = shared["lsqr"].factorization
+    for arr in (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta,
+                bidiag.left, bidiag.right, bidiag.alpha, bidiag.beta, bidiag.matvec_counts):
         with pytest.raises(ValueError):
             arr[0] = 0.0
     for name in names:
@@ -299,6 +304,7 @@ def test_lanczos_cache_refuses_another_system():
     for call in (
         lambda: minres_trace(prob.a, other_b, 10, cache=cache),
         lambda: mr2_trace(prob.a, other_b, 10, cache=cache),
+        lambda: lsqr_trace(prob.a, other_b, 10, cache=cache),
         lambda: hybrid_trace("minres", prob.a, b, 9, cache=cache),
         lambda: minres_trace(problems.generate("shaw", 48).a, b, 10, cache=cache),
     ):

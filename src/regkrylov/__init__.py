@@ -33,9 +33,7 @@ from .krylov import (
     BidiagFactorization,
     LanczosFactorization,
     golub_kahan,
-    golub_kahan_block,
     lanczos,
-    lanczos_block,
 )
 from .solvers import (
     IterateTrace,

@@ -9,8 +9,8 @@ with a fixed BLAS thread count.
 
 `run` and `reproduce` go through their (noise level, seed) cells in
 blocks (`_run_cells`): a block draws its noise, builds the K_k(A, b)
-Lanczos and Golub-Kahan factorizations of all its cells in lockstep, one
-block product per step, and then traces and writes one cell at a time.
+Lanczos and Golub-Kahan factorizations of all its cells in one lockstep,
+one block product per round, then traces and writes one cell at a time.
 `solvers.cells_per_block` sizes the blocks.  The K_k(A, Ab) factorization
 stays per cell (see `solvers.block_caches`).  Every factorization a
 diagnostic or figure reads comes from the cell's `LanczosCache`, asked for
@@ -205,8 +205,8 @@ def _run_cells(prob, decomp, cells, k_max, names):
     The cells go in blocks (`_blocks` of `solvers.cells_per_block`).  A block
     draws the noise of its cells, one `add_noise` per cell in cell order,
     fills their caches through `solvers.block_caches`, which builds the
-    factorizations of K_k(A, b) and Golub-Kahan in lockstep, and then
-    traces one cell at a time.  The K_k(A, Ab) factorization stays per
+    factorizations of K_k(A, b) and Golub-Kahan of every cell in one
+    lockstep, and then traces one cell at a time.  The K_k(A, Ab) factorization stays per
     cell, built by its cache when a solver or diagnostic first asks for
     it (see `solvers.block_caches`).  A cell's cache is released once it
     has been yielded."""

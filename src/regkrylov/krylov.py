@@ -10,15 +10,17 @@ each new one is orthogonalized against them by classical Gram-Schmidt
 applied twice, and a factorization holds the (n, size) view of the rows,
 so no step copies the vectors built so far.
 
-`lanczos_block` and `golub_kahan_block` build the factorizations of a
-block of right-hand sides of one operator in lockstep (`_lockstep`): each
-step takes one block product A X over the live columns, a GEMM where one
-matrix-vector product per column would be a memory-bound GEMV, while each
-column keeps its own entries, basis, reorthogonalization, breakdown test
-and matvec counts.  `lanczos` and `golub_kahan` are their one-column case,
+`lockstep` runs Krylov builds of one operator side by side, each a step
+generator (`lanczos_steps`, `golub_kahan_steps`): each round takes one
+block product A X over the vectors of the live builds, a GEMM where one
+matrix-vector product per build would be a memory-bound GEMV, while each
+build keeps its own entries, basis, reorthogonalization, breakdown test
+and matvec counts.  A lockstep can mix Lanczos builds of either start and
+Golub-Kahan builds.  `lanczos` and `golub_kahan` are the one-build case,
 which multiplies through the operator's `matvec` as a single build always
 has.  The CLI builds the K_k(A, b) Lanczos and the Golub-Kahan
-factorizations of a block of run cells this way; see `solvers.block_caches`.
+factorizations of all the run cells of a block in one lockstep; see
+`solvers.block_caches`.
 
 `lanczos` works in the precision of the operator's storage: on
 `a.astype(np.longdouble)` its vectors, products and entries are extended
@@ -134,25 +136,26 @@ def _checked_rhs(a, b, k_max):
     return b
 
 
-def _lockstep(a, columns):
-    """Run Krylov builds side by side and return their results in order.
+def lockstep(a, builds):
+    """Run Krylov builds of the operator a side by side and return their
+    factorizations in order.
 
-    Each build is a generator: it yields the vector it needs multiplied by
-    A, is sent the product and returns its factorization.  Every round
-    multiplies the vectors of all live builds at once; a build that breaks
-    down leaves the block.  A single build multiplies through the
-    operator's `matvec`.  A block of two or more uses `block_matvec`
+    Each build is a step generator: it yields the vector it needs
+    multiplied by A, is sent the product and returns its factorization.
+    Every round multiplies the vectors of all live builds at once; a build
+    that breaks down leaves the block.  A single build multiplies through
+    the operator's `matvec`.  A block of two or more uses `block_matvec`
     throughout, and doubles the vector once one build is left: OpenBLAS
     sends a one-row product to GEMV, which rounds differently from a GEMM
     row.  So where every GEMM of two or more rows rounds each row alike
     (n = 256 and n = 1024 with OpenBLAS 0.3.31 on one thread, though not
-    n = 512), a build's bytes do not depend on the builds beside it.
+    n = 129 or 512), a build's bytes do not depend on the builds beside it.
     """
-    results = [None] * len(columns)
-    live = {j: next(col) for j, col in enumerate(columns)}
+    results = [None] * len(builds)
+    live = {j: next(build) for j, build in enumerate(builds)}
     while live:
         rows = np.stack(list(live.values()))
-        if len(columns) == 1:
+        if len(builds) == 1:
             products = a.matvec(rows[0])[None]
         elif len(rows) == 1:
             products = a.block_matvec(np.concatenate([rows, rows]))
@@ -160,35 +163,28 @@ def _lockstep(a, columns):
             products = a.block_matvec(rows)
         for j, w in zip(list(live), products):
             try:
-                live[j] = columns[j].send(w)
+                live[j] = builds[j].send(w)
             except StopIteration as done:
                 results[j] = done.value
                 del live[j]
     return results
 
 
-def lanczos_block(a, start, bs, k_max):
-    """Up to k_max symmetric Lanczos steps from each b in bs, or from each
-    A b, in lockstep: one factorization per right-hand side, each with its
-    own entries, basis, reorthogonalization, breakdown and matvec counts.
+def lanczos(a, start, b, k_max):
+    """Up to k_max symmetric Lanczos steps from b, or from A b.
 
     The start vector, the basis and the tridiagonal take the dtype of the
     operator's storage.  Breakdown returns the truncated factorization
     with a flag rather than raising; the subspace is then exactly
     invariant to working precision.
     """
+    return lockstep(a, [lanczos_steps(a, start, b, k_max)])[0]
+
+
+def lanczos_steps(a, start, b, k_max):
+    """The Lanczos build of `lanczos`, as a `lockstep` generator."""
     if start not in (START_RESIDUAL, START_FILTERED):
         raise ContractViolation(f"unknown start kind {start!r}")
-    return _lockstep(a, [_lanczos_steps(a, start, b, k_max) for b in bs])
-
-
-def lanczos(a, start, b, k_max):
-    """`lanczos_block` of the one right-hand side b."""
-    return lanczos_block(a, start, [b], k_max)[0]
-
-
-def _lanczos_steps(a, start, b, k_max):
-    """The Lanczos build of one right-hand side, as a `_lockstep` generator."""
     b = _checked_rhs(a, b, k_max)
     matvecs = 0
     if start == START_RESIDUAL:
@@ -234,21 +230,14 @@ def _lanczos_steps(a, start, b, k_max):
     )
 
 
-def golub_kahan_block(a, bs, k_max):
-    """Golub-Kahan bidiagonalizations of every b in bs in lockstep, with
-    full reorthogonalization of both bases; each uses exactly two operator
-    products per step."""
-    return _lockstep(a, [_golub_kahan_steps(a, b, k_max) for b in bs])
-
-
 def golub_kahan(a, b, k_max):
-    """`golub_kahan_block` of the one right-hand side b."""
-    return golub_kahan_block(a, [b], k_max)[0]
+    """Golub-Kahan bidiagonalization of b, with full reorthogonalization of
+    both bases; it uses exactly two operator products per step."""
+    return lockstep(a, [golub_kahan_steps(a, b, k_max)])[0]
 
 
-def _golub_kahan_steps(a, b, k_max):
-    """The bidiagonalization of one right-hand side, as a `_lockstep`
-    generator."""
+def golub_kahan_steps(a, b, k_max):
+    """The bidiagonalization of `golub_kahan`, as a `lockstep` generator."""
     b = _checked_rhs(a, b, k_max)
     nb = float(np.linalg.norm(b))
     u = Basis(a.n, k_max + 1)

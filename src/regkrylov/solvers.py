@@ -13,8 +13,8 @@ diagnostics ask the cell's cache too, by `KINDS`, so a diagnostic builds
 the factorization it needs when no listed solver did.  Each trace still
 reports its own matvec counts: what that solver alone would spend.
 `block_caches` fills the caches of a block of cells, the noise draws of
-one operator, with their K_k(A, b) and Golub-Kahan factorizations built in
-lockstep, one block product per step, and `cells_per_block` sizes blocks.
+one operator, with their K_k(A, b) and Golub-Kahan factorizations built
+in one `krylov.lockstep`, and `cells_per_block` sizes blocks.
 
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
@@ -42,9 +42,10 @@ from .krylov import (
     START_RESIDUAL,
     finite_rhs,
     golub_kahan,
-    golub_kahan_block,
+    golub_kahan_steps,
     lanczos,
-    lanczos_block,
+    lanczos_steps,
+    lockstep,
 )
 from .linalg import _svd_small, least_squares, rank_cutoff
 
@@ -162,18 +163,19 @@ def cells_per_block(a, k_max, names):
 
 
 def block_caches(a, bs, k_max, names):
-    """One `LanczosCache` of (A, b, k_max) for every b in bs, holding the
-    factorizations the named solvers read from K_k(A, b) and Golub-Kahan,
-    each kind built for the whole block in lockstep."""
+    """One `LanczosCache` of (A, b, k_max) for every b in bs.  A block of two
+    or more builds the factorizations the named solvers read from K_k(A, b)
+    and Golub-Kahan for all its cells in one `lockstep`; a lone cell's cache
+    builds each kind on first use, through `matvec`."""
     caches = [LanczosCache(a, b, k_max) for b in bs]
-    rhs = [cache.b for cache in caches]
-    for kind in _block_kinds(names):
-        if kind == GOLUB_KAHAN:
-            facts = golub_kahan_block(a, rhs, k_max)
-        else:
-            facts = lanczos_block(a, kind, rhs, k_max)
-        for cache, fact in zip(caches, facts):
-            cache.put(kind, fact)
+    if len(caches) < 2:
+        return caches
+    builds = [(cache, kind) for kind in _block_kinds(names) for cache in caches]
+    facts = lockstep(a, [
+        golub_kahan_steps(a, cache.b, k_max) if kind == GOLUB_KAHAN
+        else lanczos_steps(a, kind, cache.b, k_max) for cache, kind in builds])
+    for (cache, kind), fact in zip(builds, facts):
+        cache.put(kind, fact)
     return caches
 
 

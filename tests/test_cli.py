@@ -546,7 +546,7 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
         monkeypatch.setattr(owner, attr, counted)
 
     for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace", "hybrid_trace",
-                 "lanczos", "golub_kahan", "lanczos_block", "golub_kahan_block", "_svd_small"):
+                 "lanczos", "golub_kahan", "lockstep", "_svd_small"):
         count(solvers, attr)
     count(diagnostics, "lcurve_corner")
     monkeypatch.setattr(solvers, "cells_per_block", lambda a, k_max, names: 2)
@@ -559,11 +559,12 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
     for attr in ("minres_trace", "mr2_trace", "lsqr_trace", "tsvd_trace"):
         assert counts[attr] == cells, attr
     assert counts["hybrid_trace"] == 2 * cells
-    # one lockstep build per block of the K_k(A, b) Lanczos factorization and
-    # of the Golub-Kahan one, which fill the cells' caches; one lanczos per
-    # cell, for K_k(A, Ab), shared by mr2, hybrid-mr2 and the diagnostics.
-    # The filters diagnostic's extended-precision projection is not among them
-    assert counts["lanczos_block"] == counts["golub_kahan_block"] == blocks
+    # one lockstep per block, which builds the K_k(A, b) Lanczos and the
+    # Golub-Kahan factorizations of its cells and fills their caches; one
+    # lanczos per cell, for K_k(A, Ab), shared by mr2, hybrid-mr2 and the
+    # diagnostics.  The filters diagnostic's extended-precision projection
+    # is not among them
+    assert counts["lockstep"] == blocks
     assert counts["lanczos"] == cells
     assert "golub_kahan" not in counts
     # one inner SVD and one projected L-curve corner per hybrid outer step;
@@ -571,6 +572,40 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
     hybrid_steps = sum(c["iterations"] for c in summary["cells"] if c["solver"].startswith("hybrid"))
     assert counts["_svd_small"] == hybrid_steps
     assert counts["lcurve_corner"] == len(summary["cells"]) + hybrid_steps
+
+
+@pytest.mark.parametrize("problem, n, seeds, names, fused", [
+    ("shaw", 64, [1], list(cli.SOLVER_NAMES), False),
+    ("blur", 16, [1, 2], list(cli.SOLVER_NAMES), False),
+    ("shaw", 256, [1, 2], ["minres", "lsqr"], True),
+])
+def test_a_block_takes_one_product_per_round(tmp_path, monkeypatch, problem, n, seeds, names,
+                                             fused):
+    """A one-cell block and Kronecker blur (one cell per block) build through
+    matvec alone; a block of two builds its K_k(A, b) Lanczos and Golub-Kahan
+    factorizations in one lockstep, one block product per round, as many as
+    its longest build's products."""
+    calls = []
+    block_matvec = linalg.SymmetricMatrix.block_matvec
+    monkeypatch.setattr(linalg.SymmetricMatrix, "block_matvec",
+                        lambda self, rows: calls.append(len(rows)) or block_matvec(self, rows))
+    built = []
+    lockstep = solvers.lockstep
+    monkeypatch.setattr(solvers, "lockstep",
+                        lambda a, builds: built.append(lockstep(a, builds)) or built[-1])
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", problem=problem, n=n, k_max=30,
+                     noise_levels=[1e-3], seeds=seeds, solvers=names)
+    )
+    cli.run_experiment(cfg)
+    if not fused:
+        assert calls == [] and built == []
+        return
+    assert solvers.cells_per_block(problems.generate(problem, n).a, 30, names) == 2
+    [facts] = built
+    assert len(facts) == 4
+    assert len(calls) == max(fact.matvec_count for fact in facts)
+    assert max(calls) == 4
 
 
 def test_block_size_rule(get_problem):

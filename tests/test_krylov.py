@@ -8,9 +8,10 @@ from regkrylov.krylov import (
     START_RESIDUAL,
     Basis,
     golub_kahan,
-    golub_kahan_block,
+    golub_kahan_steps,
     lanczos,
-    lanczos_block,
+    lanczos_steps,
+    lockstep,
 )
 from regkrylov.linalg import EPS, SymmetricMatrix
 
@@ -216,37 +217,49 @@ def _close(got, want, tol):
     return np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
+def _steps(a, kind, b, k_max):
+    if kind == "golub-kahan":
+        return golub_kahan_steps(a, b, k_max)
+    return lanczos_steps(a, kind, b, k_max)
+
+
+def _single(a, kind, b, k_max):
+    if kind == "golub-kahan":
+        return golub_kahan(a, b, k_max)
+    return lanczos(a, kind, b, k_max)
+
+
 @pytest.mark.parametrize("a, early, k_max", list(_block_operators()), ids=["dense", "kronecker"])
 @pytest.mark.parametrize("width", [2, 4])
 def test_block_builds_match_single_builds(a, early, k_max, width):
-    """Each column of a lockstep build is the build of its own right-hand
-    side: entries to 1e-13, the basis to 1e-12, the same breakdown step
-    and the same matvec counts; the early column's breakdown leaves one
-    live column in the block of two."""
+    """Each build of a lockstep that mixes b-start, Ab-start and
+    Golub-Kahan builds is the single build of its own kind and right-hand
+    side: entries to 1e-13, the bases to 1e-12, the same breakdown step and
+    the same matvec counts; the early right-hand side's breakdowns leave
+    fewer live builds, down to one, in the block."""
     bs = [rng.normal(seed, a.n) for seed in range(2, width + 1)] + [early]
-    for kind in (START_RESIDUAL, START_FILTERED, "golub-kahan"):
+    builds = [(kind, b) for kind in (START_RESIDUAL, START_FILTERED, "golub-kahan") for b in bs]
+    block = lockstep(a, [_steps(a, kind, b, k_max) for kind, b in builds])
+    for (kind, b), got in zip(builds, block):
+        want = _single(a, kind, b, k_max)
+        assert got.breakdown_step == want.breakdown_step
+        assert np.array_equal(got.matvec_counts, want.matvec_counts)
         if kind == "golub-kahan":
-            block, single = golub_kahan_block(a, bs, k_max), [golub_kahan(a, b, k_max) for b in bs]
+            pairs = [(got.alpha, want.alpha), (got.beta, want.beta)]
+            bases = [(got.left, want.left), (got.right, want.right)]
         else:
-            block, single = lanczos_block(a, kind, bs, k_max), [lanczos(a, kind, b, k_max) for b in bs]
-        for got, want in zip(block, single):
-            assert got.breakdown_step == want.breakdown_step
-            assert np.array_equal(got.matvec_counts, want.matvec_counts)
-            if kind == "golub-kahan":
-                pairs = [(got.alpha, want.alpha), (got.beta, want.beta)]
-                bases = [(got.left, want.left), (got.right, want.right)]
-            else:
-                pairs = [(got.tridiag.alpha, want.tridiag.alpha),
-                         (got.tridiag.beta, want.tridiag.beta)]
-                bases = [(got.basis, want.basis)]
-            assert all(x.shape == y.shape and _close(x, y, 1e-13) for x, y in pairs)
-            assert all(x.shape == y.shape and np.abs(x - y).max() <= 1e-12 for x, y in bases)
-        assert block[-1].breakdown_step == (3 if a.n == 60 else 2)
+            pairs = [(got.tridiag.alpha, want.tridiag.alpha),
+                     (got.tridiag.beta, want.tridiag.beta)]
+            bases = [(got.basis, want.basis)]
+        assert all(x.shape == y.shape and _close(x, y, 1e-13) for x, y in pairs)
+        assert all(x.shape == y.shape and np.abs(x - y).max() <= 1e-12 for x, y in bases)
+        if b is early:
+            assert got.breakdown_step == (3 if a.n == 60 else 2)
 
 
 def test_single_start_multiplies_through_matvec(monkeypatch):
     """One start uses the operator's matvec; a block uses the block product
-    only, on two rows or more, also once one live column is left."""
+    only, on two rows or more, also once one live build is left."""
     a = SymmetricMatrix(dense=np.diag([2.0, 1.0, 0.5, 0.25]))
     calls = []
     for attr in ("matvec", "block_matvec"):
@@ -256,13 +269,20 @@ def test_single_start_multiplies_through_matvec(monkeypatch):
     lanczos(a, START_RESIDUAL, np.ones(4), 3)
     assert calls == [("matvec", (4,))] * 3
     calls.clear()
-    lanczos_block(a, START_RESIDUAL, [np.ones(4), np.array([1.0, 0.0, 0.0, 0.0])], 3)
+    lockstep(a, [lanczos_steps(a, START_RESIDUAL, b, 3)
+                 for b in (np.ones(4), np.array([1.0, 0.0, 0.0, 0.0]))])
     assert calls == [("block_matvec", (2, 4))] * 3
 
 
 def test_block_rejects_a_zero_right_hand_side():
     a = SymmetricMatrix(dense=np.eye(4))
     with pytest.raises(ContractViolation):
-        lanczos_block(a, START_RESIDUAL, [np.ones(4), np.zeros(4)], 2)
+        lockstep(a, [lanczos_steps(a, START_RESIDUAL, b, 2) for b in (np.ones(4), np.zeros(4))])
     with pytest.raises(ContractViolation):
-        golub_kahan_block(a, [np.zeros(4), np.ones(4)], 2)
+        lockstep(a, [golub_kahan_steps(a, b, 2) for b in (np.zeros(4), np.ones(4))])
+
+
+def test_unknown_start_kind_is_refused():
+    a = SymmetricMatrix(dense=np.eye(4))
+    with pytest.raises(ContractViolation, match="start kind"):
+        lanczos(a, "x", np.ones(4), 2)

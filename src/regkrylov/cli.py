@@ -11,10 +11,11 @@ with a fixed BLAS thread count.
 blocks (`_run_cells`): a block draws its noise, builds the K_k(A, b)
 Lanczos and Golub-Kahan factorizations of all its cells in one lockstep,
 one block product per round, then traces and writes one cell at a time.
-`solvers.cells_per_block` sizes the blocks.  The K_k(A, Ab) factorization
-stays per cell (see `solvers.block_caches`).  Every factorization a
-diagnostic or figure reads comes from the cell's `LanczosCache`, asked for
-by `solvers.KINDS` of the solver whose Krylov space it studies.
+`solvers.blocks` holds the block rule (one cell per block on blur).  The
+K_k(A, Ab) factorization stays per cell (see `solvers.block_caches`).
+Every factorization a diagnostic or figure reads comes from the cell's
+`LanczosCache`, asked for by `solvers.KINDS` of the solver whose Krylov
+space it studies.
 """
 
 import json
@@ -54,6 +55,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(doc).__name__}")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -183,34 +186,19 @@ def _make_output_dir(path):
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
 
 
-def _blocks(cells, cap):
-    """cells split, in order, into the fewest near-equal blocks of at most
-    `cap` cells.  Where that would leave a block of one cell in a run of
-    several, a block takes one cell more than `cap` instead: a lone cell
-    multiplies through the operator's matvec, which rounds differently
-    from a block product, and a cell's bytes should not depend on how its
-    run is split."""
-    count = -(-len(cells) // cap)
-    if cap > 1:
-        count = max(1, min(count, len(cells) // 2))
-    size, extra = divmod(len(cells), count)
-    bounds = np.cumsum([0] + [size + (i < extra) for i in range(count)])
-    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-
-
 def _run_cells(prob, decomp, cells, k_max, names):
     """Yield ((noise level, seed), (noise, LanczosCache, traces of the
     named solvers by name in the given order)) for every cell, in order.
 
-    The cells go in blocks (`_blocks` of `solvers.cells_per_block`).  A block
-    draws the noise of its cells, one `add_noise` per cell in cell order,
-    fills their caches through `solvers.block_caches`, which builds the
-    factorizations of K_k(A, b) and Golub-Kahan of every cell in one
-    lockstep, and then traces one cell at a time.  The K_k(A, Ab) factorization stays per
+    The cells go in the blocks of `solvers.blocks`.  A block draws the
+    noise of its cells, one `add_noise` per cell in cell order, fills their
+    caches through `solvers.block_caches`, which builds the factorizations
+    of K_k(A, b) and Golub-Kahan of every cell in one lockstep, and then
+    traces one cell at a time.  The K_k(A, Ab) factorization stays per
     cell, built by its cache when a solver or diagnostic first asks for
     it (see `solvers.block_caches`).  A cell's cache is released once it
     has been yielded."""
-    for block in _blocks(cells, solvers.cells_per_block(prob.a, k_max, names)):
+    for block in solvers.blocks(prob.a, cells, k_max, names):
         noises = [problems.add_noise(prob, eps, seed) for eps, seed in block]
         caches = solvers.block_caches(prob.a, [noise.b for noise in noises], k_max, names)
         for cell, noise in zip(block, noises):
@@ -546,13 +534,16 @@ def _exit_on_error(action, *args, **kwargs):
 
 
 @main.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 def run_command(config_path):
     """Run the solver sweep described by a JSON config file."""
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise click.exceptions.UsageError(f"cannot read config: {exc.strerror or exc}")
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
         raise click.exceptions.UsageError(f"config is not valid JSON: {exc}")
     summary = _exit_on_error(lambda: run_experiment(ExperimentConfig.from_dict(doc)))
     click.echo(f"wrote {len(summary['manifest']) + 1} files to {summary['config']['output_dir']}")

@@ -293,7 +293,7 @@ def tail_coupling(decomp, b, k):
     return delta
 
 
-def angle_sine(decomp, k, mode="direct", fact=None, b=None, coupling=None):
+def angle_sine(decomp, k, mode="direct", fact=None, b=None):
     """Sine of the largest principal angle between the k-dimensional dominant
     eigenspace and the k-dimensional Krylov subspace K_k(A, Ab).
 
@@ -309,11 +309,9 @@ def angle_sine(decomp, k, mode="direct", fact=None, b=None, coupling=None):
         q_k = fact.basis[:, :k]
         return float(canonical_angles(v_k, q_k)[0])
     if mode == "formula":
-        if coupling is None:
-            if b is None:
-                raise ContractViolation("formula mode needs b or a coupling matrix")
-            coupling = tail_coupling(decomp, b, k)
-        d = spectral_norm(coupling)
+        if b is None:
+            raise ContractViolation("formula mode needs b")
+        d = spectral_norm(tail_coupling(decomp, b, k))
         return float(d / math.hypot(1.0, d))
     raise ContractViolation(f"unknown mode {mode!r}")
 

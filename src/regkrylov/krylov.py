@@ -20,7 +20,7 @@ Golub-Kahan builds.  `lanczos` and `golub_kahan` are the one-build case,
 which multiplies through the operator's `matvec` as a single build always
 has.  The CLI builds the K_k(A, b) Lanczos and the Golub-Kahan
 factorizations of all the run cells of a block in one lockstep; see
-`solvers.block_caches`.
+`solvers.blocks`.
 
 `lanczos` works in the precision of the operator's storage: on
 `a.astype(np.longdouble)` its vectors, products and entries are extended
@@ -144,12 +144,13 @@ def lockstep(a, builds):
     multiplied by A, is sent the product and returns its factorization.
     Every round multiplies the vectors of all live builds at once; a build
     that breaks down leaves the block.  A single build multiplies through
-    the operator's `matvec`.  A block of two or more uses `block_matvec`
-    throughout, and doubles the vector once one build is left: OpenBLAS
-    sends a one-row product to GEMV, which rounds differently from a GEMM
-    row.  So where every GEMM of two or more rows rounds each row alike
-    (n = 256 and n = 1024 with OpenBLAS 0.3.31 on one thread, though not
-    n = 129 or 512), a build's bytes do not depend on the builds beside it.
+    the operator's `matvec`.  A block of two or more needs dense storage:
+    it uses `block_matvec` throughout, and doubles the vector once one build
+    is left: OpenBLAS sends a one-row product to GEMV, which rounds
+    differently from a GEMM row.  So where every GEMM of two or more rows
+    rounds each row alike (n = 256 and n = 1024 with OpenBLAS 0.3.31 on one
+    thread, though not n = 129 or 512), a build's bytes do not depend on the
+    builds beside it.
     """
     results = [None] * len(builds)
     live = {j: next(build) for j, build in enumerate(builds)}

@@ -40,9 +40,9 @@ class SymmetricMatrix:
     The dense form never retains the caller's array: it keeps one
     C-contiguous symmetrized copy (A + A^T) / 2, built in a single work
     array.  The Kronecker form keeps a banded symmetric Toeplitz factor T of
-    order m and acts as the order-m**2 product T (x) T without materializing
-    it.  Vectors interact with the Kronecker form in column-stacked order.
-    Entries must be finite.
+    order m and acts as the order-m**2 product T (x) T one vector at a time:
+    `dense` and `block_matvec` refuse it.  Vectors interact with the
+    Kronecker form in column-stacked order.  Entries must be finite.
     """
 
     def __init__(self, dense=None, toeplitz_first_col=None):
@@ -118,27 +118,19 @@ class SymmetricMatrix:
 
     def block_matvec(self, rows):
         """A x for every row x of a (c, n) array, as the rows of one (c, n)
-        array, computed in the storage dtype.  The dense form is one matrix
-        product rows @ A (the stored A is exactly symmetric); the Kronecker
-        form is a batched T X T, whose C-ordered slices X are the transposes
-        of the column-stacked images, so T X T is transposed alike."""
+        array, computed in the storage dtype: one matrix product rows @ A
+        (the stored A is exactly symmetric).  Dense storage only."""
         rows = np.asarray(rows, dtype=self.dtype)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ContractViolation(f"expected rows of length {self.n}")
-        if self._dense is not None:
-            return rows @ self._dense
-        t = self._factor
-        return (t @ rows.reshape(-1, self.m, self.m) @ t).reshape(rows.shape)
+        return rows @ self.dense()
 
     def dense(self):
-        if self._dense is not None:
-            return self._dense
-        if self.m > 64:
-            raise ResourceLimitError(
-                f"dense materialization of a Kronecker operator with factor order "
-                f"{self.m} > 64 is not allowed"
-            )
-        return np.kron(self._factor, self._factor)
+        """The stored dense matrix.  Dense storage only."""
+        if self._dense is None:
+            raise ContractViolation("a Kronecker operator has no dense form or block "
+                                    "product: it acts one vector at a time, through matvec")
+        return self._dense
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +187,6 @@ class SpectralDecomposition:
         self.n = self.eigenvalues.size
         self._v = v
         self._kron = kron  # (factor_v, left_index, right_index)
-
-    @property
-    def is_kronecker(self):
-        return self._kron is not None
 
     def project(self, vec):
         """Coefficients V^T vec of a vector in the eigenbasis."""

@@ -12,9 +12,10 @@ a pair builds that factorization once and shares it, read-only.  The CLI's
 diagnostics ask the cell's cache too, by `KINDS`, so a diagnostic builds
 the factorization it needs when no listed solver did.  Each trace still
 reports its own matvec counts: what that solver alone would spend.
-`block_caches` fills the caches of a block of cells, the noise draws of
-one operator, with their K_k(A, b) and Golub-Kahan factorizations built
-in one `krylov.lockstep`, and `cells_per_block` sizes blocks.
+`blocks` splits a run's cells, the noise draws of one operator, into blocks
+(of one cell on Kronecker storage), and `block_caches` fills a block's
+caches with their K_k(A, b) and Golub-Kahan factorizations built in one
+`krylov.lockstep`.
 
 Each solver returns the full per-iteration history, assembled on one path.
 The Krylov solvers (minres, mr2, lsqr and the hybrids) share one outer
@@ -149,17 +150,33 @@ def _block_kinds(names):
 def cells_per_block(a, k_max, names):
     """The cap on a block's cells: as many as keep the bases that
     `block_caches` builds for the named solvers within the doubles of the
-    operator's storage (n // ((k_max + 1) * bases) for dense storage), at
-    least one, and one when it builds none.  The CLI's `_blocks` takes one
-    cell over a cap of 2 rather than leave a block of one, so a block's
-    bases can exceed the storage by one cell's, at most half of it; the
-    cell phase of a run grows by at most the storage over one-cell blocks
-    (`test_block_bases_stay_within_the_operator_storage`)."""
+    operator's dense storage, n // ((k_max + 1) * bases), at least one, and
+    one when it builds none.  A Kronecker operator multiplies one vector at
+    a time, so its cap is one: one cell's bases, (k_max + 1) * bases * m^2
+    doubles, always exceed its factor's m^2."""
     bases = sum(_BATCHED[kind] for kind in _block_kinds(names))
-    if not bases:
+    if a.is_kronecker or not bases:
         return 1
-    storage = (a.factor if a.is_kronecker else a.dense()).size
-    return max(1, storage // ((k_max + 1) * bases * a.n))
+    return max(1, a.n // ((k_max + 1) * bases))
+
+
+def blocks(a, cells, k_max, names):
+    """cells split, in order, into the fewest near-equal blocks of at most
+    `cells_per_block` cells.  Where that would leave a block of one cell in
+    a run of several, a block takes one cell more than the cap instead: a
+    lone cell multiplies through the operator's matvec, which rounds
+    differently from a block product, and a cell's bytes should not depend
+    on how its run is split.  So a block's bases can exceed the operator's
+    storage by one cell's, at most half of it, and the cell phase of a run
+    grows by at most the storage over one-cell blocks
+    (`test_block_bases_stay_within_the_operator_storage`)."""
+    cap = cells_per_block(a, k_max, names)
+    count = -(-len(cells) // cap)
+    if cap > 1:
+        count = max(1, min(count, len(cells) // 2))
+    size, extra = divmod(len(cells), count)
+    bounds = np.cumsum([0] + [size + (i < extra) for i in range(count)])
+    return [cells[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def block_caches(a, bs, k_max, names):

@@ -9,6 +9,7 @@ exceptions are computations the package must reproduce bit for bit:
 pseudoinverse fallback for that reason), and the dense set-up by
 `meshgrid_problem` and `polished_eig`, which form every kernel on full
 meshgrids and the Rayleigh quotients from one full longdouble product.
+`dense` forms a Kronecker operator's matrix, which the package refuses to.
 `lanczos` and `golub_kahan` are the package's builders as they were before
 the bases moved into one row store: Python lists of columns, re-stacked by
 `np.column_stack` at every step.  They agree with the package to rounding,
@@ -211,6 +212,12 @@ def meshgrid_problem(name, n):
     a, x = _meshgrid_kernel(name, n)
     a = 0.5 * (a + a.T)
     return a, x, np.dot(a, x)
+
+
+def dense(a):
+    """The dense matrix of a SymmetricMatrix; a Kronecker operator's is
+    np.kron(T, T) of its factor, which the package never forms."""
+    return np.kron(a.factor, a.factor) if a.is_kronecker else a.dense()
 
 
 def polished_eig(a):

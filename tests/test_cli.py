@@ -93,12 +93,17 @@ def test_filters_diagnostic_uses_extended_projection(tmp_path):
 
 
 def test_lowrank_and_decay_run_above_the_dense_limit(tmp_path):
-    # m = 65 gives order 4225, above what SymmetricMatrix.dense() allows
+    """Kronecker blur runs every solver and diagnostic matrix-free: its
+    operator refuses a dense form and block products at every order, so a
+    path that needed either would fail here.  m = 65 gives order 4225,
+    above the dense eigensolve's limit."""
     cfg = cli.ExperimentConfig.from_dict(small_config(
-        tmp_path / "out", problem="blur", n=65, noise_levels=[5e-3], solvers=["mr2"],
-        k_max=3, diagnostics=["lowrank", "decay"],
+        tmp_path / "out", problem="blur", n=65, noise_levels=[5e-3],
+        solvers=list(cli.SOLVER_NAMES), k_max=3, diagnostics=list(cli.DIAG_NAMES),
     ))
+    assert cfg.n**2 > linalg.DENSE_EIG_LIMIT
     summary = cli.run_experiment(cfg)
+    assert len(summary["cells"]) == len(cli.SOLVER_NAMES)
     doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
     assert len(doc["lowrank_error"]) == 3 and len(doc["decay_rows"]) == 1
     assert doc["decay_violations"] == 0
@@ -140,9 +145,9 @@ def _diagnostics_by_solvers(out, solver_lists, names):
     return docs
 
 
-def test_lowrank_without_mr2_leaves_a_note(tmp_path):
-    """Without mr2 the cell once wrote a note here; now lowrank and decay
-    build the cell's factorization themselves and write no note."""
+def test_lowrank_without_mr2_writes_no_note(tmp_path):
+    """Without mr2, lowrank and decay build the cell's factorization
+    themselves: no note, and the values of a run with mr2."""
     got, want = _diagnostics_by_solvers(
         tmp_path, [["minres"], ["minres", "mr2"]], ["lowrank", "decay"]
     )
@@ -152,9 +157,9 @@ def test_lowrank_without_mr2_leaves_a_note(tmp_path):
         assert got[key] == want[key], key
 
 
-def test_angles_without_mr2_leave_a_note(tmp_path):
-    """Without mr2 the cell once wrote a note and an empty angle_direct;
-    now angles builds the cell's factorization and writes both angle lists."""
+def test_angles_without_mr2_write_no_note(tmp_path):
+    """Without mr2, angles builds the cell's factorization itself: no note,
+    both angle lists, and the values of a run with mr2."""
     got, want = _diagnostics_by_solvers(
         tmp_path, [["minres"], ["minres", "mr2"]], ["angles"]
     )
@@ -249,6 +254,26 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, key, value):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'[{"a": 1}]', "JSON object"), (b"5", "JSON object"), (b"null", "JSON object"),
+    (b'"abc"', "JSON object"), (b'{"problem": "\xff"}', "not valid JSON"),
+    (None, "is a directory"),
+], ids=["list", "number", "null", "string", "not-utf8", "directory"])
+def test_config_that_is_not_a_json_object_is_usage_error(tmp_path, content, message):
+    """A config file that holds no JSON object, or is no file, exits 2 with
+    an error line that says so and no traceback."""
+    cfg_path = tmp_path / "cfg.json"
+    if content is None:
+        cfg_path.mkdir()
+    else:
+        cfg_path.write_bytes(content)
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and message in result.output
+    assert "Traceback" not in result.output
 
 
 def test_cli_exit_codes(tmp_path):
@@ -622,9 +647,10 @@ def test_block_size_rule(get_problem):
     (24, 11, [8, 8, 8]), (32, 8, [8, 8, 8, 8]), (3, 2, [3]), (5, 2, [3, 2]),
     (4, 1, [1, 1, 1, 1]), (1, 5, [1]), (7, 10, [7]),
 ])
-def test_cells_split_into_near_equal_blocks(count, cap, sizes):
+def test_cells_split_into_near_equal_blocks(monkeypatch, count, cap, sizes):
+    monkeypatch.setattr(solvers, "cells_per_block", lambda a, k_max, names: cap)
     cells = [(1e-3, seed) for seed in range(count)]
-    blocks = cli._blocks(cells, cap)
+    blocks = solvers.blocks(None, cells, 30, [])
     assert [len(b) for b in blocks] == sizes
     assert [c for b in blocks for c in b] == cells
 

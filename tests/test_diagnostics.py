@@ -12,6 +12,7 @@ from regkrylov.exceptions import ContractViolation, NumericalError
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
 from regkrylov.linalg import SymmetricMatrix, TridiagonalRect
 
+import oracles
 from conftest import needs_extended_precision
 
 
@@ -222,7 +223,7 @@ def test_lowrank_error_vanishes_at_exact_capture():
 
 def _dense_lowrank_errors(a, fact):
     """The dense form: ||A - (A Q_k) Q_k^T||_2 for every k the basis spans."""
-    a_mat = a.dense()
+    a_mat = oracles.dense(a)
     q = fact.basis
     return np.array([
         np.linalg.norm(a_mat - (a_mat @ q[:, :k]) @ q[:, :k].T, 2)
@@ -262,7 +263,7 @@ def test_lowrank_error_matches_dense_form(case, start):
     fact = lanczos(a, start, b, k_max)
     got = diagnostics.lowrank_error_sequence(a, fact)
     want = _dense_lowrank_errors(a, fact)
-    sig1 = np.linalg.norm(a.dense(), 2)
+    sig1 = np.linalg.norm(oracles.dense(a), 2)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * sig1, case
 
@@ -406,10 +407,14 @@ def test_coupling_preconditions():
 
 
 def test_angle_formula_monotone_in_coupling_scale():
-    delta = rng.normal(3, 12).reshape(4, 3)
+    # scaling b's trailing spectral coefficients by t scales Delta by t
+    spec = problems.SyntheticSpec(n=8, decay="severe", alpha=1.0, beta=1.0)
+    _, decomp = problems.generate_synthetic(spec)
+    coeffs = rng.normal(3, 8)
     prev = -1.0
     for t in (0.1, 1.0, 10.0, 1e8):
-        val = diagnostics.angle_sine(None, 3, mode="formula", coupling=t * delta)
+        b = decomp.lincomb(np.append(coeffs[:3], t * coeffs[3:]))
+        val = diagnostics.angle_sine(decomp, 3, mode="formula", b=b)
         assert prev < val <= 1.0
         prev = val
 

@@ -12,7 +12,6 @@ from .linalg import (
     SpectralDecomposition,
     SymmetricMatrix,
     TridiagonalRect,
-    canonical_angles,
     least_squares,
     spectral_norm,
     symmetric_eig,

@@ -486,7 +486,7 @@ FIGURES = {
 FIGURE_IDS = tuple(FIGURES)
 
 
-def reproduce_figure(figure_id, out_dir, full=False, n=None):
+def reproduce_figure(figure_id, out_dir, n=None):
     """Emit the data series (CSV + gnuplot script) for a canonical figure.
 
     Every cell is computed before the output directory is made, so a
@@ -494,8 +494,8 @@ def reproduce_figure(figure_id, out_dir, full=False, n=None):
     if figure_id not in FIGURES:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
     fig = FIGURES[figure_id]
-    if n is None:  # for blur, n is the image side m: 64, or 256 with --full
-        n = (256 if full else 64) if fig.blur else 1024
+    if n is None:  # for blur, n is the image side m
+        n = 64 if fig.blur else 1024
     k_max = min(fig.k_cap, n - 2)
     if k_max < 1:
         raise ConfigError(f"problem size {n} is too small: {figure_id} needs at least 3")
@@ -551,12 +551,12 @@ def run_command(config_path):
 
 @main.command("reproduce")
 @click.argument("figure_id")
-@click.option("--full", is_flag=True, help="blur figures at full image size (m=256)")
 @click.option("--out", "out_dir", default="figures", type=click.Path())
-@click.option("--n", default=None, type=int, help="override problem size (smoke runs)")
-def reproduce_command(figure_id, full, out_dir, n):
+@click.option("--n", default=None, type=int,
+              help="problem size n, or the blur image side m (default 1024; blur 64)")
+def reproduce_command(figure_id, out_dir, n):
     """Emit the data series for one canonical figure."""
-    written = _exit_on_error(reproduce_figure, figure_id, out_dir, full=full, n=n)
+    written = _exit_on_error(reproduce_figure, figure_id, out_dir, n=n)
     click.echo(f"wrote {len(written)} files to {out_dir}")
 
 

@@ -76,7 +76,6 @@ class LanczosFactorization:
     is the cumulative number of operator products after step i+1.
     """
 
-    start: str
     basis: np.ndarray
     tridiag: TridiagonalRect
     breakdown: bool
@@ -220,7 +219,6 @@ def lanczos_steps(a, start, b, k_max):
         prev_beta = beta
 
     return LanczosFactorization(
-        start=start,
         basis=q.columns,
         tridiag=TridiagonalRect(alphas, betas),
         breakdown=breakdown_step is not None,

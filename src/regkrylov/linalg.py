@@ -4,11 +4,11 @@ Every factorization goes to LAPACK through numpy: the full
 eigendecomposition of an operator (`symmetric_eig`, on the dense matrix or
 on the Kronecker factor), the Gram eigensolve of `spectral_norm` (the norm
 of a small dense matrix, such as the angle diagnostic's coupling matrix),
-the SVD behind `canonical_angles`, and the small SVDs of `_svd_small`
-and `least_squares` (projected matrices of at most k_max + 1 rows, as in
-the hybrid solvers' inner truncation).  Rectangular SVDs are computed
-directly, without squaring into a Gram matrix, which keeps small singular
-values accurate to eps times the largest.
+and the small SVDs of `_svd_small` and `least_squares` (projected
+matrices of at most k_max + 1 rows, as in the hybrid solvers' inner
+truncation).  Rectangular SVDs are computed directly, without squaring
+into a Gram matrix, which keeps small singular values accurate to eps
+times the largest.
 """
 
 import copy
@@ -183,7 +183,6 @@ class SpectralDecomposition:
             raise ContractViolation("exactly one basis form must be given")
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.sigmas = np.abs(self.eigenvalues)
-        self.signs = np.where(self.eigenvalues >= 0.0, 1.0, -1.0)
         self.n = self.eigenvalues.size
         self._v = v
         self._kron = kron  # (factor_v, left_index, right_index)
@@ -332,28 +331,7 @@ def spectral_norm(m_mat):
 
 
 # ---------------------------------------------------------------------------
-# canonical angles and least squares
-
-
-def canonical_angles(x, y):
-    """Sines of the canonical angles between two orthonormal bases.
-
-    Returns the singular values of (I - X X^T) Y in non-increasing order;
-    the first entry is the sine of the largest principal angle.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape != y.shape:
-        raise ContractViolation("bases must be 2-d arrays of identical shape")
-    k = x.shape[1]
-    for name, b in (("first", x), ("second", y)):
-        gram_err = np.linalg.norm(b.T @ b - np.eye(k))
-        if gram_err > 1e-8:
-            raise ContractViolation(
-                f"{name} basis is not orthonormal (defect {gram_err:.2e})"
-            )
-    z = y - x @ (x.T @ y)
-    return np.clip(np.linalg.svd(z, compute_uv=False), 0.0, 1.0)
+# least squares
 
 
 def rank_cutoff(s, shape):

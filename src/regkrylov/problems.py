@@ -49,8 +49,6 @@ class NoiseRealization:
     """A noise vector rescaled to an exact relative level, plus the noisy rhs."""
 
     e: np.ndarray
-    eps: float
-    seed: int
     b: np.ndarray
 
 
@@ -344,13 +342,13 @@ def add_noise(problem, eps, seed):
     b_hat = problem.b_hat
     check_noise_level(eps, b_hat)
     if eps == 0.0:
-        return NoiseRealization(e=np.zeros(b_hat.size), eps=eps, seed=seed, b=b_hat.copy())
+        return NoiseRealization(e=np.zeros(b_hat.size), b=b_hat.copy())
     target = float(eps) * float(np.linalg.norm(b_hat))  # in double for a numpy eps too
     e = rng.normal(rng.derive(seed, 0x4015E), b_hat.size)
     # two rescales pin the ratio to the last ulp
     e *= target / float(np.linalg.norm(e))
     e *= target / float(np.linalg.norm(e))
-    return NoiseRealization(e=e, eps=eps, seed=seed, b=b_hat + e)
+    return NoiseRealization(e=e, b=b_hat + e)
 
 
 def transition_index(decomp, b_hat, e):

@@ -296,7 +296,6 @@ def lanczos(a, start, b, k_max):
         prev_beta = beta
 
     return LanczosFactorization(
-        start=start,
         basis=np.column_stack(cols),
         tridiag=TridiagonalRect(alphas, betas),
         breakdown=breakdown,

@@ -152,6 +152,18 @@ def test_criterion_04_angle_formula_consistency():
     _verdict(4, worst <= 1e-8, "angle formula consistency", f"worst gap {worst:.3e}")
 
 
+def _ordering_rule(tm, t2):
+    """(k, gap) where minres's k-step error exceeds mr2's (k-1)-step error
+    before minres semi-converges."""
+    violations = []
+    for k in range(2, diagnostics.semiconvergence_index(tm)):
+        lhs = tm.relative_errors[k - 1]
+        rhs = t2.relative_errors[k - 2]
+        if lhs > rhs + 1e-12:
+            violations.append((k, float(lhs - rhs)))
+    return violations
+
+
 def _ordering_violations(get_problem):
     """(problem, seed, k, gap) where the k-step residual-space error exceeds
     the (k-1)-step filtered-space one before semi-convergence."""
@@ -161,12 +173,7 @@ def _ordering_violations(get_problem):
         for seed in range(5):
             tm = _trace("minres", prob, None, 1e-3, seed, 25)
             t2 = _trace("mr2", prob, None, 1e-3, seed, 25)
-            k_star = diagnostics.semiconvergence_index(tm)
-            for k in range(2, k_star):
-                lhs = tm.relative_errors[k - 1]
-                rhs = t2.relative_errors[k - 2]
-                if lhs > rhs + 1e-12:
-                    violations.append((name, seed, k, float(lhs - rhs)))
+            violations += [(name, seed, k, gap) for k, gap in _ordering_rule(tm, t2)]
     return violations
 
 
@@ -205,6 +212,30 @@ def test_criterion_05_violations_are_exact_minimizer_properties(get_problem):
     print(f"[criterion 05 evidence] {len(violations) - len(unconfirmed)} of "
           f"{len(violations)} violations reproduced by brute-force minimizers")
     assert not unconfirmed, unconfirmed
+
+
+def test_criterion_05_rule_depends_on_the_signs_of_the_spectrum():
+    """05's rule on synthetic problems with the same spectra but different
+    signs (n = 256, random basis, spec seeds 0-2, noise draws 0-4,
+    eps = 1e-3, k_max 25): a definite spectrum breaks it under no decay,
+    alternating signs break it under severe and moderate decay."""
+    counts = {}
+    for signs in ("definite", "alternating"):
+        for decay, alpha in (("severe", 1.0), ("moderate", 2.0), ("mild", 0.8)):
+            count = 0
+            for seed in range(3):
+                prob, _ = problems.generate_synthetic(problems.SyntheticSpec(
+                    n=256, decay=decay, alpha=alpha, sign_pattern=signs, basis="random",
+                    seed=seed))
+                for draw in range(5):
+                    b = problems.add_noise(prob, 1e-3, draw).b
+                    tm = solvers.minres_trace(prob.a, b, 25, prob.x_true)
+                    t2 = solvers.mr2_trace(prob.a, b, 25, prob.x_true)
+                    count += len(_ordering_rule(tm, t2))
+            counts[signs, decay] = count
+    print(f"[criterion 05 evidence] synthetic violations by (signs, decay): {counts}")
+    assert not any(counts["definite", decay] for decay in ("severe", "moderate", "mild"))
+    assert counts["alternating", "severe"] and counts["alternating", "moderate"]
 
 
 def test_criterion_06_semiconvergence_indices(get_problem):

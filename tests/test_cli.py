@@ -536,13 +536,14 @@ def test_generate_into_a_missing_directory_is_usage_error(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
-@pytest.mark.parametrize("figure_id,n,full,size", [
+@pytest.mark.parametrize("figure_id,n,through_cli,size", [
     ("fig11", 1024, False, 1024), ("fig12", 1024, True, 1024), ("fig11", 32, True, 32),
-    ("fig11", None, False, 64), ("fig12", None, True, 256), ("fig1", None, False, 1024),
+    ("fig11", None, False, 64), ("fig12", None, True, 64), ("fig1", None, False, 1024),
 ])
-def test_reproduce_problem_size(tmp_path, monkeypatch, figure_id, n, full, size):
+def test_reproduce_problem_size(tmp_path, monkeypatch, figure_id, n, through_cli, size):
     """An explicit n is the size built, also for blur, where n = 1024 is
-    not the default; only a missing n takes the figure's default."""
+    not the default; only a missing n takes the figure's default (the blur
+    side m = 64, else n = 1024).  `reproduce --n` passes n through as is."""
     built = []
 
     def refuse(name, n, *args):
@@ -550,10 +551,45 @@ def test_reproduce_problem_size(tmp_path, monkeypatch, figure_id, n, full, size)
         raise ConfigError("stop before building")
 
     monkeypatch.setattr(cli, "_build_problem", refuse)
-    with pytest.raises(ConfigError):
-        cli.reproduce_figure(figure_id, str(tmp_path / "fig"), full=full, n=n)
+    out = tmp_path / "fig"
+    if through_cli:
+        size_args = [] if n is None else ["--n", str(n)]
+        result = CliRunner().invoke(cli.main, ["reproduce", figure_id, *size_args, "--out", str(out)])
+        assert result.exit_code == 2 and "stop before building" in result.output
+    else:
+        with pytest.raises(ConfigError):
+            cli.reproduce_figure(figure_id, str(out), n=n)
     assert built == [size]
-    assert not (tmp_path / "fig").exists()
+    assert not out.exists()
+
+
+def test_reproduce_reports_the_files_it_wrote(tmp_path):
+    out = tmp_path / "fig"
+    result = CliRunner().invoke(cli.main, ["reproduce", "fig1", "--n", "16", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    count = len(list(out.iterdir()))
+    assert count > 1
+    assert result.output == f"wrote {count} files to {out}\n"
+
+
+def test_reproduce_has_no_full_option(tmp_path):
+    out = tmp_path / "fig"
+    result = CliRunner().invoke(cli.main, ["reproduce", "fig11", "--full", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "No such option '--full'" in result.output
+    assert not out.exists()
+
+
+def test_generate_unknown_problem_is_usage_error(tmp_path):
+    out = tmp_path / "nope.json"
+    result = CliRunner().invoke(
+        cli.main, ["generate", "--problem", "nope", "--n", "8", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Error:" in result.output and "nope" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
 
 
 def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import types
 
 import mpmath
 import numpy as np
@@ -389,9 +390,7 @@ def test_coupling_spans_krylov_subspace():
         w = prob.a.matvec(w)
         cols.append(w.copy())
     kq, _ = np.linalg.qr(np.column_stack(cols))
-    from regkrylov.linalg import canonical_angles
-
-    assert canonical_angles(zq, kq)[0] <= 1e-8
+    assert np.linalg.svd(kq - zq @ (zq.T @ kq), compute_uv=False)[0] <= 1e-8
 
 
 def test_coupling_preconditions():
@@ -429,6 +428,20 @@ def test_angle_direct_vs_formula():
         direct = diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
         formula = diagnostics.angle_sine(decomp, k, mode="formula", b=nz.b)
         assert abs(direct - formula) <= 1e-8, k
+
+
+def test_direct_angle_is_exact_on_an_identity_basis():
+    # with V = I the dominant eigenspace is the first k coordinates, so
+    # sin theta_k = ||Q_k[k:, :]||_2; the direct mode keeps it to a few ulps
+    # of itself, far below eps absolute when the angle is small
+    spec = problems.SyntheticSpec(n=32, decay="severe", alpha=2.0, beta=1.0)
+    prob, decomp = problems.generate_synthetic(spec)
+    nz = problems.add_noise(prob, 1e-6, seed=2)
+    fact = lanczos(prob.a, START_FILTERED, nz.b, 8)
+    for k in range(1, 9):
+        exact = np.linalg.norm(fact.basis[k:, :k], 2)
+        direct = diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
+        assert abs(direct - exact) <= 8 * np.finfo(float).eps * exact, k
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +509,26 @@ def test_decay_table_inequalities_hold(get_problem, get_decomp):
     gam = diagnostics.lowrank_error_sequence(prob.a, fact)
     rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
     assert rows and not violations
+
+
+def test_decay_table_lists_exactly_the_violations_above_the_floor():
+    # at n = 65536 the round-off floor 10 n eps sigma_1 (1.46e-10) exceeds
+    # the slack DECAY_TOL sigma_1 (1e-10), so a row can break a bound below it
+    n, tol = 65536, diagnostics.DECAY_TOL
+    floor = diagnostics.roundoff_floor(n, 1.0)
+    assert floor > 1.2e-10 > tol
+    gam = [0.5, 0.1, 0.05, 0.02, 0.0, 0.0]
+    alpha = [1.0, 0.8, 0.1, 0.05, -(0.05 + 2 * tol), 0.01, 0.0, 0.0]
+    beta = [0.6, 0.3, 0.1 + 2 * tol, 0.04, 0.02 + tol / 2, 1.2e-10, 3e-10, 0.0]
+    fact = types.SimpleNamespace(tridiag=TridiagonalRect(alpha, beta),
+                                 basis=np.empty((n, 0)), k=len(alpha))
+    sigmas = 0.5 ** np.arange(8)
+    rows, violations = diagnostics.lanczos_decay_table(fact, gam, sigmas)
+    assert [r.k for r in rows] == [1, 2, 3, 4, 5, 6]
+    # row 2 breaks the off-diagonal bound, row 3 the diagonal one, row 6 the
+    # off-diagonal one just above the floor; row 4 is within the slack and
+    # row 5 breaks the off-diagonal bound below the floor
+    assert [r.k for r in violations] == [2, 3, 6]
 
 
 def test_phillips_offdiagonal_tracks_sigma(get_problem, get_decomp):

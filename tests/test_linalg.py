@@ -2,20 +2,21 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regkrylov
-from regkrylov import linalg, rng
+from regkrylov import diagnostics, linalg, rng
 from regkrylov.exceptions import ContractViolation, ResourceLimitError
 from regkrylov.krylov import START_FILTERED, lanczos
 from regkrylov.linalg import (
     EPS,
+    SpectralDecomposition,
     SymmetricMatrix,
     TridiagonalRect,
-    canonical_angles,
     least_squares,
     _svd_small,
     spectral_norm,
@@ -131,7 +132,7 @@ def test_diagonal_ordering_and_signature():
     d = symmetric_eig(SymmetricMatrix(dense=np.diag([3.0, -2.0, 1.0])))
     assert np.array_equal(d.eigenvalues, [3.0, -2.0, 1.0])
     assert np.array_equal(d.sigmas, [3.0, 2.0, 1.0])
-    assert np.array_equal(d.signs, [1.0, -1.0, 1.0])
+    assert np.array_equal(np.sign(d.eigenvalues), [1.0, -1.0, 1.0])
 
 
 def test_tie_breaking_positive_sign_first():
@@ -321,50 +322,38 @@ def test_spectral_norm_clustered_values():
 
 
 # ---------------------------------------------------------------------------
-# canonical_angles
+# principal-angle sine: the direct mode of diagnostics.angle_sine, the sine of
+# the largest angle between the eigenbasis columns and a factorization basis
+
+
+def _direct_sine(x_full, y):
+    """angle_sine's direct mode between the leading columns of the
+    orthogonal x_full and the orthonormal columns of y."""
+    decomp = SpectralDecomposition(np.arange(x_full.shape[1], 0, -1.0), v=x_full)
+    return diagnostics.angle_sine(decomp, y.shape[1], mode="direct", fact=types.SimpleNamespace(basis=y))
 
 
 def test_identical_bases_have_zero_angles():
-    q, _ = np.linalg.qr(rng.normal(8, 30).reshape(10, 3))
-    s = canonical_angles(q, q)
-    assert np.all(s < 1e-13)
+    q, _ = np.linalg.qr(rng.normal(8, 100).reshape(10, 10))
+    assert _direct_sine(q, q[:, :3]) < 1e-13
 
 
 def test_orthogonal_lines():
-    x = np.array([[1.0], [0.0]])
-    y = np.array([[0.0], [1.0]])
-    assert abs(canonical_angles(x, y)[0] - 1.0) < 1e-14
+    assert abs(_direct_sine(np.eye(2), np.array([[0.0], [1.0]])) - 1.0) < 1e-14
 
 
 def test_plane_rotation_angle():
     t = 0.3
-    x = np.array([[1.0], [0.0]])
     y = np.array([[np.cos(t)], [np.sin(t)]])
-    assert abs(canonical_angles(x, y)[0] - np.sin(t)) < 1e-14
+    assert abs(_direct_sine(np.eye(2), y) - np.sin(t)) < 1e-14
 
 
 def test_tiny_rotation_angle_keeps_absolute_accuracy():
     t = 1e-10
-    q, _ = np.linalg.qr(rng.normal(33, 40).reshape(10, 4))
-    x = q[:, :3]
-    y = x.copy()
+    q, _ = np.linalg.qr(rng.normal(33, 100).reshape(10, 10))
+    y = q[:, :3].copy()
     y[:, 0] = np.cos(t) * q[:, 0] + np.sin(t) * q[:, 3]
-    s = canonical_angles(x, y)
-    assert abs(s[0] - np.sin(t)) <= 1e-15
-    assert np.all(s[1:] <= 1e-15)
-
-
-def test_angles_symmetric_in_arguments():
-    qx, _ = np.linalg.qr(rng.normal(31, 40).reshape(10, 4))
-    qy, _ = np.linalg.qr(rng.normal(32, 40).reshape(10, 4))
-    sx = canonical_angles(qx, qy)
-    sy = canonical_angles(qy, qx)
-    assert np.abs(sx - sy).max() < 1e-12
-
-
-def test_non_orthonormal_input_rejected():
-    with pytest.raises(ContractViolation):
-        canonical_angles(np.ones((4, 2)), np.eye(4)[:, :2])
+    assert abs(_direct_sine(q, y) - np.sin(t)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

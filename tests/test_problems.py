@@ -188,7 +188,7 @@ def test_number_predicates():
 def test_synthetic_alternating_signs():
     spec = problems.SyntheticSpec(n=5, sign_pattern="alternating")
     _, decomp = problems.generate_synthetic(spec)
-    assert np.array_equal(decomp.signs, [1.0, -1.0, 1.0, -1.0, 1.0])
+    assert np.array_equal(np.sign(decomp.eigenvalues), [1.0, -1.0, 1.0, -1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

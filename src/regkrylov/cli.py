@@ -141,17 +141,6 @@ def _write_trace_csv(path, trace):
     )
 
 
-def read_trace_csv(path):
-    """Parse a trace CSV back into per-iteration float arrays."""
-    with open(path) as fh:
-        header, *rows = fh.read().strip().split("\n")
-    cells = [row.split(",") for row in rows]
-    out = {name: np.asarray([float(c[j]) if c[j] else math.nan for c in cells])
-           for j, name in enumerate(header.split(","))}
-    out["k"] = out["k"].astype(int)
-    return out
-
-
 def _build_problem(name, n, band=3, sigma=0.7, synthetic=None):
     """The named problem (and its decomposition, when the generator knows
     it); contract errors from config values become ConfigError."""

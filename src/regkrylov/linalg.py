@@ -228,15 +228,16 @@ def symmetric_eig(a):
     extended-precision Rayleigh polish of the eigenvalues up to order 512.
     Kronecker operators only decompose the Toeplitz factor; the pair
     products give the full spectrum exactly.  The output is byte-identical
-    from run to run on one machine with a fixed BLAS thread count.
+    from run to run on one machine with a fixed BLAS thread count.  An
+    eigensolve of order above DENSE_EIG_LIMIT, n or the factor's m, raises
+    ResourceLimitError.
     """
-    if not isinstance(a, SymmetricMatrix):
-        a = SymmetricMatrix(dense=a)
+    size = a.m if a.is_kronecker else a.n
+    if size > DENSE_EIG_LIMIT:
+        raise ResourceLimitError(
+            f"dense eigensolve of order {size} exceeds limit {DENSE_EIG_LIMIT}"
+        )
     if not a.is_kronecker:
-        if a.n > DENSE_EIG_LIMIT:
-            raise ResourceLimitError(
-                f"dense eigensolve of order {a.n} exceeds limit {DENSE_EIG_LIMIT}"
-            )
         lams, q = np.linalg.eigh(a.dense())
         if a.n <= _RQ_POLISH_LIMIT:
             lams = _rayleigh_polish(a.dense(), q)
@@ -323,8 +324,6 @@ def spectral_norm(m_mat):
     LAPACK; squaring is harmless for the largest singular value.
     """
     m_mat = np.asarray(m_mat, dtype=float)
-    if m_mat.ndim == 1:
-        m_mat = m_mat[None, :]
     if m_mat.size == 0 or not np.any(m_mat):
         return 0.0
     return math.sqrt(_gram_top_eigenvalue(m_mat))

@@ -55,14 +55,12 @@ from .linalg import _svd_small, least_squares, rank_cutoff
 class IterateTrace:
     """Per-iteration solutions and summary norms for one solver run."""
 
-    solver: str
     solutions: list
     residual_norms: np.ndarray
     solution_norms: np.ndarray
     relative_errors: np.ndarray | None
     matvecs: np.ndarray
     factorization: object = None
-    breakdown: bool = False
 
     @property
     def iterations(self):
@@ -251,14 +249,13 @@ def _givens_family(t, g, count):
     return family
 
 
-def _assemble(solver, solutions, res, x_true, fact=None):
+def _assemble(solutions, res, x_true, fact=None):
     """The trace of `solutions` with reported residual norms `res`."""
     rel = None
     if x_true is not None:
         nx = float(np.linalg.norm(x_true))
         rel = np.array([np.linalg.norm(x - x_true) / nx for x in solutions])
     return IterateTrace(
-        solver=solver,
         solutions=solutions,
         residual_norms=np.asarray(res),
         solution_norms=np.asarray([float(np.linalg.norm(x)) for x in solutions]),
@@ -267,7 +264,6 @@ def _assemble(solver, solutions, res, x_true, fact=None):
             np.zeros(len(solutions), dtype=int) if fact is None else fact.matvec_counts.copy()
         ),
         factorization=fact,
-        breakdown=fact is not None and fact.breakdown,
     )
 
 
@@ -301,7 +297,7 @@ def _krylov_trace(solver, a, b, k_max, x_true, cache, solve):
     for k, (y, proj) in enumerate(solve(t, g, fact.k), start=1):
         solutions.append(basis[:, :k] @ y)
         res.append(math.hypot(proj, tail[min(k + 1, t.shape[0])]))
-    return _assemble(solver, solutions, res, x_true, fact)
+    return _assemble(solutions, res, x_true, fact)
 
 
 def minres_trace(a, b, k_max, x_true=None, cache=None):
@@ -338,7 +334,7 @@ def tsvd_trace(decomp, b, x_true=None, k_max=None):
             break
         x = x + (c[k - 1] / lam) * decomp.column(k - 1)
         solutions.append(x)
-    return _assemble("tsvd", solutions, _tail_norms(c)[1 : len(solutions) + 1], x_true)
+    return _assemble(solutions, _tail_norms(c)[1 : len(solutions) + 1], x_true)
 
 
 def _lcurve_truncation(t_block, rhs):

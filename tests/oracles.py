@@ -14,8 +14,12 @@ meshgrids and the Rayleigh quotients from one full longdouble product.
 the bases moved into one row store: Python lists of columns, re-stacked by
 `np.column_stack` at every step.  They agree with the package to rounding,
 not bit for bit.
+`spectral_twin` rebuilds a problem from its eigenpairs with the
+eigenvalues mapped, as evidence for what the acceptance criteria's misses
+depend on, and `read_trace_csv` parses the package's trace CSVs.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +32,13 @@ from regkrylov.krylov import (
     LanczosFactorization,
     finite_rhs,
 )
-from regkrylov.linalg import EPS, TridiagonalRect, least_squares
+from regkrylov.linalg import (
+    EPS,
+    SpectralDecomposition,
+    SymmetricMatrix,
+    TridiagonalRect,
+    least_squares,
+)
 
 
 def jacobi_eigh(a, sweeps=60, tol=1e-15):
@@ -367,3 +377,28 @@ def golub_kahan(a, b, k_max):
         matvec_count=matvecs,
         matvec_counts=np.asarray(counts),
     )
+
+
+def spectral_twin(problem, decomp, f):
+    """A dense problem's twin with eigenvalues f(lambda), and its
+    decomposition: the operator V diag(f(lambda)) V^T from decomp's
+    eigenvectors, problem's x_true, and b_hat recomputed as the twin's
+    product with x_true.  Its eigenvalues keep decomp's order, so
+    f = np.abs keeps its sigmas.  With f the identity the twin is the
+    problem itself up to rounding."""
+    lams = f(decomp.eigenvalues)
+    v = decomp.columns(decomp.n)
+    a = SymmetricMatrix(dense=(v * lams) @ v.T)
+    twin = dataclasses.replace(problem, a=a, b_hat=a.matvec(problem.x_true))
+    return twin, SpectralDecomposition(lams, v=v)
+
+
+def read_trace_csv(path):
+    """Parse a trace CSV back into per-iteration float arrays."""
+    with open(path) as fh:
+        header, *rows = fh.read().strip().split("\n")
+    cells = [row.split(",") for row in rows]
+    out = {name: np.asarray([float(c[j]) if c[j] else math.nan for c in cells])
+           for j, name in enumerate(header.split(","))}
+    out["k"] = out["k"].astype(int)
+    return out

@@ -8,6 +8,7 @@ independent oracle and fails if the miss is not reproduced.
 """
 
 import numpy as np
+import pytest
 
 from regkrylov import cli, diagnostics, problems, rng, solvers
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
@@ -19,6 +20,7 @@ from oracles import (
     arnoldi_minimizers,
     krylov_residual_minimizer,
     krylov_subspace_minimizer,
+    spectral_twin,
 )
 
 SEVERE_MODERATE = ("shaw", "foxgood", "gravity", "phillips")
@@ -48,6 +50,18 @@ def _trace(kind, prob, decomp, eps, seed, k_max):
 
 def _rel_error(x, x_true):
     return float(np.linalg.norm(x - x_true) / np.linalg.norm(x_true))
+
+
+# The eigenvalue maps of the spectral twins: signed eigenvalues give the
+# problem itself up to rounding, |lambda| the same eigenvectors and
+# singular values with a definite spectrum.
+TWIN_MAPS = {"signed": np.positive, "abs": np.abs}
+
+
+def _twin(get_problem, get_decomp, name, label):
+    """The n = 1024 kernel's spectral twin and its decomposition, rebuilt
+    on each call so that no dense twin outlives its test."""
+    return spectral_twin(get_problem(name, 1024), get_decomp(name, 1024), TWIN_MAPS[label])
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +252,31 @@ def test_criterion_05_rule_depends_on_the_signs_of_the_spectrum():
     assert counts["alternating", "severe"] and counts["alternating", "moderate"]
 
 
+def test_criterion_05_violations_follow_the_signs_of_the_spectrum(get_problem, get_decomp):
+    """05's rule on the spectral twins of its five dense kernels: the signed
+    twin gives the criterion's violations, the |lambda| twin none.  blur's
+    spectrum has no negative eigenvalue, so its |lambda| twin is blur."""
+    found = {label: [] for label in TWIN_MAPS}
+    for name, n in ORDERING_PROBLEMS.items():
+        if name == "blur":
+            assert np.all(get_decomp(name, n).eigenvalues >= 0.0)
+            continue
+        for label in TWIN_MAPS:
+            prob, _ = _twin(get_problem, get_decomp, name, label)
+            for seed in range(5):
+                b = problems.add_noise(prob, 1e-3, seed).b
+                tm = solvers.minres_trace(prob.a, b, 25, prob.x_true)
+                t2 = solvers.mr2_trace(prob.a, b, 25, prob.x_true)
+                found[label] += [(name, seed, k, gap) for k, gap in _ordering_rule(tm, t2)]
+    listed = _ordering_violations(get_problem)
+    print(f"[criterion 05 evidence] spectral twins: {len(found['signed'])} violations "
+          f"signed, {len(found['abs'])} with |lambda|")
+    assert [v[:3] for v in found["signed"]] == [v[:3] for v in listed]
+    np.testing.assert_allclose([v[3] for v in found["signed"]], [v[3] for v in listed],
+                               rtol=1e-6)
+    assert not found["abs"]
+
+
 def test_criterion_06_semiconvergence_indices(get_problem):
     """Semi-convergence lands where expected across ten noise draws."""
     shaw = get_problem("shaw", 1024)
@@ -255,6 +294,12 @@ def test_criterion_06_semiconvergence_indices(get_problem):
     _verdict(6, ok, "semi-convergence indices", f"shaw {shaw_idx}, foxgood {fox_idx}")
 
 
+def _parity_miss(e2, es):
+    """mr2's best error e2 over TSVD's es, to 4 digits, where it breaks
+    criterion 07's parity clause (e2 above 1.1 es); else None."""
+    return round(e2 / es, 4) if e2 > 1.1 * es else None
+
+
 def _full_regularization_misses(get_problem, get_decomp):
     """TSVD-parity misses (mr2 best error above 1.1 x TSVD's) and hybrid
     misses (hybrid-mr2 more than 2% below the best-possible level, the
@@ -268,8 +313,8 @@ def _full_regularization_misses(get_problem, get_decomp):
             e2 = _trace("mr2", prob, decomp, 1e-3, seed, 30).best()[1]
             es = _trace("tsvd", prob, decomp, 1e-3, seed, 30).best()[1]
             eh = _trace("hybrid-mr2", prob, decomp, 1e-3, seed, 30).best()[1]
-            if e2 > 1.1 * es:
-                tsvd_bad.append((name, seed, round(e2 / es, 4)))
+            if ratio := _parity_miss(e2, es):
+                tsvd_bad.append((name, seed, ratio))
             best_possible = min(e2, es)
             if eh < 0.98 * best_possible:
                 hybrid_bad.append((name, seed, round(eh / best_possible, 4)))
@@ -326,6 +371,28 @@ def test_criterion_07_parity_misses_match_independent_solves(get_problem, get_de
     print(f"[criterion 07 evidence] {len(tsvd_bad) - len(unconfirmed)} of "
           f"{len(tsvd_bad)} parity misses reproduced by independent solves")
     assert not unconfirmed, unconfirmed
+
+
+def test_criterion_07_parity_misses_follow_the_signs_of_the_spectrum(get_problem, get_decomp):
+    """07's parity clause on the spectral twins of its four kernels: the
+    signed twin gives the criterion's misses; with |lambda| both foxgood
+    misses are gone and phillips misses on seeds 1 and 3 only."""
+    found = {label: [] for label in TWIN_MAPS}
+    for name in SEVERE_MODERATE:
+        for label in TWIN_MAPS:
+            prob, decomp = _twin(get_problem, get_decomp, name, label)
+            for seed in range(5):
+                b = problems.add_noise(prob, 1e-3, seed).b
+                e2 = solvers.mr2_trace(prob.a, b, 30, prob.x_true).best()[1]
+                es = solvers.tsvd_trace(decomp, b, prob.x_true, min(80, prob.n)).best()[1]
+                if ratio := _parity_miss(e2, es):
+                    found[label].append((name, seed, ratio))
+    tsvd_bad, _ = _full_regularization_misses(get_problem, get_decomp)
+    print(f"[criterion 07 evidence] spectral twins: parity misses signed {found['signed']}, "
+          f"with |lambda| {found['abs']}")
+    assert found["signed"] == tsvd_bad
+    assert [miss[:2] for miss in found["abs"]] == [("phillips", 1), ("phillips", 3)]
+    assert [miss[2] for miss in found["abs"]] == pytest.approx([1.736, 1.592], abs=1e-3)
 
 
 def test_criterion_08_partial_regularization(get_problem, get_decomp):
@@ -487,3 +554,4 @@ def test_criterion_12_infrastructure_determinism(tmp_path):
     )
     _verdict(12, same_bytes and roundtrip, "byte determinism and container round-trip",
              f"identical bytes: {same_bytes}, bitwise round-trip: {roundtrip}")
+

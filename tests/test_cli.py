@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import traced_peak_n2
+from oracles import read_trace_csv
 
 import regkrylov
 from regkrylov import cli, diagnostics, linalg, problems, solvers
@@ -55,7 +56,7 @@ def test_summary_recomputable_from_traces(tmp_path):
     cfg = cli.ExperimentConfig.from_dict(small_config(tmp_path / "out"))
     summary = cli.run_experiment(cfg)
     for cell in summary["cells"]:
-        data = cli.read_trace_csv(Path(cfg.output_dir) / cell["trace_file"])
+        data = read_trace_csv(Path(cfg.output_dir) / cell["trace_file"])
         errs = data["relative_error"]
         best = int(np.nanargmin(errs)) + 1
         assert best == cell["best_k"]
@@ -74,7 +75,7 @@ def test_manifest_files_exist_and_parse(tmp_path):
         if name.endswith(".json"):
             json.loads(path.read_text())
         else:
-            cli.read_trace_csv(path)
+            read_trace_csv(path)
 
 
 def test_filters_diagnostic_uses_extended_projection(tmp_path):
@@ -633,6 +634,19 @@ def test_layer_bindings_are_reached_at_call_time(tmp_path, monkeypatch):
     hybrid_steps = sum(c["iterations"] for c in summary["cells"] if c["solver"].startswith("hybrid"))
     assert counts["_svd_small"] == hybrid_steps
     assert counts["lcurve_corner"] == len(summary["cells"]) + hybrid_steps
+
+
+def test_the_benchmark_tracer_installs():
+    """perfbench's tracer replaces package bindings by name, in a fresh
+    interpreter as the benchmark runs it; a binding renamed or removed
+    makes `install` raise."""
+    src = Path(regkrylov.__file__).resolve().parents[1]
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    script = (f"import sys; sys.path[:0] = [{str(perfbench)!r}, {str(src)!r}]; "
+              "import tracer; tracer.Tracer(spans=True).install()")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("problem, n, seeds, names, fused", [

@@ -582,7 +582,7 @@ def test_corner_tracks_semiconvergence_on_deriv2(get_problem):
 
 def test_semiconvergence_trivial_cases():
     tr = solvers.IterateTrace(
-        solver="x", solutions=[None] * 4,
+        solutions=[None] * 4,
         residual_norms=np.zeros(4), solution_norms=np.zeros(4),
         relative_errors=np.array([1.0, 0.5, 0.2, 0.4]), matvecs=np.zeros(4),
     )

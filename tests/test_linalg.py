@@ -225,6 +225,10 @@ def test_dense_limit_error(monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 4)
     with pytest.raises(ResourceLimitError):
         symmetric_eig(a)
+    # a Kronecker operator's eigensolve has the order m of its factor
+    with pytest.raises(ResourceLimitError, match="order 5 exceeds limit 4"):
+        symmetric_eig(SymmetricMatrix(toeplitz_first_col=[1.0, 0.5, 0.0, 0.0, 0.0]))
+    assert symmetric_eig(SymmetricMatrix(toeplitz_first_col=[1.0, 0.5, 0.0, 0.0])).n == 16
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_pinned_roundoff_pivot_at_breakdown():
     # null component |b_3| = 1, yet the square projected system at the
     # breakdown is solved through a round-off pivot and reports 0
     tr = minres_trace(SymmetricMatrix(dense=np.diag([2.0, 1.0, 0.0])), np.ones(3), 3)
-    assert tr.breakdown and tr.iterations == 3
+    assert tr.factorization.breakdown and tr.iterations == 3
     assert tr.residual_norms[-1] < 1.0
     assert tr.solution_norms[-1] > 1e14
     # TSVD stops only at exactly zero eigenvalues; ones(3, 3) has two at round-off
@@ -243,6 +243,6 @@ def test_pinned_squares_out_of_range():
     a_mat = np.diag([0.0, -3.4e-246])
     b = np.full(2, 1.3e-123)
     tr = minres_trace(SymmetricMatrix(dense=a_mat), b, 2)
-    assert tr.breakdown and tr.factorization.tridiag.beta[0] == 0.0
+    assert tr.factorization.breakdown and tr.factorization.tridiag.beta[0] == 0.0
     assert tr.residual_norms[0] == 0.0
     assert np.linalg.norm(b - a_mat @ tr.solutions[0]) > 0.5 * np.linalg.norm(b)

@@ -6,11 +6,13 @@ from regkrylov.exceptions import ContractViolation
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, golub_kahan, lanczos
 from regkrylov.linalg import SymmetricMatrix, least_squares, symmetric_eig
 from regkrylov.solvers import (
+    GOLUB_KAHAN,
     KINDS,
     SOLVERS,
     LanczosCache,
     _givens_family,
     _lcurve_truncation,
+    block_caches,
     hybrid_trace,
     lsqr_trace,
     minres_trace,
@@ -294,6 +296,26 @@ def test_lanczos_cache_shares_one_read_only_factorization_per_start():
         assert np.array_equal(shared[name].matvecs, alone.matvecs), name
         assert np.array_equal(shared[name].relative_errors, alone.relative_errors), name
         assert np.array_equal(shared[name].residual_norms, alone.residual_norms), name
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("kind", [START_RESIDUAL, START_FILTERED, GOLUB_KAHAN])
+def test_shared_factorizations_are_read_only(kind, blocked):
+    """Every array `LanczosCache.put` lists, and the cache's b, is read-only
+    once the cache holds the factorization, whether `get` built it or a
+    block's lockstep did (K_k(A, b) and Golub-Kahan in a block of two)."""
+    prob, b = _shaw_system()
+    bs = [b, _shaw_system(seed=2)[1]] if blocked else [b]
+    cache = block_caches(prob.a, bs, 10, list(SOLVERS))[0]
+    assert (kind in cache._facts) == (blocked and kind != START_FILTERED)
+    fact = cache.get(kind)
+    if kind == GOLUB_KAHAN:
+        arrays = (fact.left, fact.right, fact.alpha, fact.beta, fact.matvec_counts)
+    else:
+        arrays = (fact.basis, fact.matvec_counts, fact.tridiag.alpha, fact.tridiag.beta)
+    for arr in (*arrays, cache.b):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_lanczos_cache_refuses_another_system():

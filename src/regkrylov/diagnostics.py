@@ -6,6 +6,14 @@ approximation, principal angles between Krylov and dominant eigenspaces
 (measured directly from the two orthonormal bases and through the
 coupling-matrix formula), coefficient decay profiles, and the stopping
 heuristics used by the experiment harness.
+
+The rank-k errors of a factorization are matrix-free Golub-Kahan builds,
+one per k, that run in batches: each batch is one `krylov.lockstep` build
+that multiplies the vectors of all its live k's as one block, shares one
+product with the factorization's basis among them, and takes one stacked
+SVD of their bidiagonals per step.  The coupling-matrix formula reads its
+Lagrange products, which depend on the eigenvalues alone, from the
+decomposition, where they are computed once per k.
 """
 
 import math
@@ -13,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import rng, solvers
 from .exceptions import ContractViolation, NumericalError
-from .krylov import Basis
+from .krylov import lockstep
 from .linalg import EPS, spectral_norm
 
 COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
@@ -195,55 +203,140 @@ def lowrank_error_sequence(a, fact):
     from the Lanczos factorization: ||A (I - Q_k Q_k^T)|| for every k the
     basis spans.
 
-    Matrix-free (`_deflated_norm`), so dense and Kronecker operators take
-    the same path; every k starts from the same pseudo-random vector.
+    Matrix-free, so dense and Kronecker operators take the same path, and
+    every k starts from the same pseudo-random vector.  The k's run in
+    batches of at most `solvers.builds_per_block(a, fact.k, 1)`, each one
+    `krylov.lockstep` build (`_rank_k_steps`).
     """
     q = fact.basis
-    start = rng.normal(LOWRANK_START_SEED, q.shape[0])
-    return np.array([_deflated_norm(a, q[:, :k], start, fact.norm_estimate)
-                     for k in range(1, min(fact.k, q.shape[1]) + 1)])
+    n = q.shape[0]
+    ks = np.arange(1, min(fact.k, q.shape[1]) + 1)
+    start = rng.normal(LOWRANK_START_SEED, n)
+    errors = np.zeros(ks.size)  # zero where Q_k spans everything, k = n
+    open_ks = ks[ks < n]
+    cap = solvers.builds_per_block(a, fact.k, 1)
+    for lo in range(0, open_ks.size, cap):
+        batch = open_ks[lo : lo + cap]
+        [errors[batch - 1]] = lockstep(
+            a, [_rank_k_steps(q, batch, start, fact.norm_estimate)])
+    return errors
 
 
-def _deflated_norm(a, q_k, start, norm_a):
-    """||A (I - Q_k Q_k^T)|| for orthonormal Q_k, given norm_a ~ ||A||.
+def _row_norms(rows):
+    """The 2-norm of every row, each from one dot product, as
+    np.linalg.norm takes it of a vector."""
+    return np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0, 0])
 
-    Golub-Kahan on B = A (I - P), P = Q_k Q_k^T, from `start` projected off
-    Q_k: u = A v, then v = (I - P) A u.  One `Basis` holds Q_k and then the
-    v's, so orthogonalizing a new v against it also applies I - P; a second
-    holds the u's; nothing is squared.  After j steps B V_j = U_j B_j, and
-    the top singular triplet (s, x, y) of the upper bidiagonal B_j leaves
-    the Ritz residual beta_j |x_j|.  The loop stops once that is at most
-    LOWRANK_RITZ_TOL * s or eps * norm_a (a product's rounding; an absolute
-    1e-13 * norm_a would stop early near the round-off floor), at a zero
-    alpha, or when the complement of Q_k is exhausted.
+
+def _rank_k_steps(q, ks, start, norm_a):
+    """||A (I - Q_k Q_k^T)|| for every k in ks, ascending and each below n,
+    with Q_k the first k columns of the orthonormal q and norm_a ~ ||A||: a
+    `lockstep` build that yields the (live, n) block of its live k's
+    vectors.
+
+    For each k, Golub-Kahan on B = A (I - P), P = Q_k Q_k^T, from `start`
+    projected off Q_k: u = A v, then v = (I - P) A u.  Each v is
+    orthogonalized against Q_k and the k's own v's, which also applies
+    I - P, and each u against the k's own u's, by classical Gram-Schmidt
+    applied twice: against the shared Q one GEMM for every k, with the
+    columns past k masked, and against the k's own vectors one batched
+    product.  A lone k keeps Q_k in front of its own v's instead, one
+    product per pass, and so writes the bytes of a build of one k.
+    Nothing is squared.  After j steps B V_j = U_j B_j, and the top
+    singular triplet (s, x, y) of the upper bidiagonal B_j, from one
+    stacked SVD of every live k's, leaves the Ritz residual beta_j |x_j|.
+    A k stops once that is at most LOWRANK_RITZ_TOL * s or eps * norm_a (a
+    product's rounding; an absolute 1e-13 * norm_a would stop early near
+    the round-off floor), at a zero alpha, or when the complement of Q_k
+    is exhausted, and leaves the block before its next product: its rows
+    are moved out of the bases in place.
     """
-    n, k = q_k.shape
-    if k == n:
-        return 0.0
-    vs = Basis(n, k + 8)
-    for q in q_k.T:
-        vs.append(q)
-    us = Basis(n, 8)
-    v = vs.orthogonalize(start.copy())
-    v /= np.linalg.norm(v)
-    alphas, betas = [], []
-    for j in range(n - k):
-        vs.append(v)
-        u = a.matvec(v)
+    n, width = q.shape
+    count = ks.size
+    errors = np.empty(count)
+    live = np.arange(count)  # the index in ks of each live slot
+    masks = (np.arange(width) < ks[:, None]).astype(float)
+    last = n - 1 - ks  # the step at which each slot's complement is exhausted
+    lead = ks[0] if count == 1 else 0  # rows of Q in front of each slot's v's
+    vs, us = np.empty((count, lead + 8, n)), np.empty((count, 8, n))  # each slot's v's and u's
+    vs[:, :lead] = q[:, :lead].T
+    alphas, betas = np.empty((2, count, n))
+
+    def orthogonalize(w, basis, top=0):
+        """w, in place, minus its components along each live slot's first
+        vectors in basis and along its Q_k past the lead, given the deepest
+        live k."""
+        basis_t = basis.transpose(0, 2, 1)
+        q_top = q[:, lead:top]
+        # the mask is all ones where every live slot has the deepest k
+        mask = masks[: len(w), :top] if top > lead and ks[live[0]] < top else None
+        for _ in range(2):
+            proj = ((w[:, None] @ basis_t) @ basis)[:, 0]
+            if top > lead:
+                c = w @ q_top
+                if mask is not None:
+                    c *= mask
+                proj += c @ q_top.T
+            w -= proj
+        return w
+
+    def grown(basis, m, rows):
+        """The first m slots of basis, in an array of `rows` more rows.
+        Growing by half: doubling, whose copy holds the old bases and twice
+        them at once, took deriv2 at n = 512, k_max 40 past 2 n^2 doubles."""
+        out = np.empty((m, basis.shape[1] + rows, n))
+        out[:, : basis.shape[1]] = basis[:m]
+        return out
+
+    def close(done, values, *rows):
+        """Record the values of the slots that are done, move the others to
+        the front of every per-slot array in place, and return the rows
+        of this round's arrays that they keep."""
+        nonlocal live
+        errors[live[done]] = values[done]
+        kept = np.flatnonzero(~done)
+        rows = [r[kept] for r in rows]
+        for dst, src in enumerate(kept):
+            if dst != src:
+                for arr in (vs, us, alphas, betas, masks, last):
+                    arr[dst] = arr[src]
+        live = live[kept]
+        return rows
+
+    w = orthogonalize(np.tile(start, (count, 1)), vs[:, :lead], ks[-1])
+    v = np.divide(w, _row_norms(w)[:, None], out=vs[:, lead])
+    for j in range(n):
+        m = live.size
+        u = yield v
         if j:
-            u -= betas[-1] * us.rows[j - 1]
-            us.orthogonalize(u)
-        alphas.append(float(np.linalg.norm(u)))
-        x, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
-        if alphas[-1] == 0.0:
-            break
-        us.append(u / alphas[-1])
-        v = vs.orthogonalize(a.matvec(us.rows[j]) - alphas[-1] * v)
-        betas.append(float(np.linalg.norm(v)))
-        if betas[-1] * abs(x[-1, 0]) <= max(LOWRANK_RITZ_TOL * s[0], EPS * norm_a):
-            break
-        v /= betas[-1]
-    return float(s[0])
+            u -= beta[:, None] * us[:m, j - 1]
+            orthogonalize(u, us[:m, :j])
+        alpha = alphas[:m, j] = _row_norms(u)
+        bidiag = np.zeros((m, (j + 1) ** 2))  # flattened; diagonal, then superdiagonal
+        bidiag[:, :: j + 2] = alphas[:m, : j + 1]
+        bidiag[:, 1 :: j + 2] = betas[:m, :j]
+        x, s, _ = np.linalg.svd(bidiag.reshape(m, j + 1, j + 1))
+        if j >= last[m - 1] or not alpha.all():  # last[m - 1] is the least
+            done = (alpha == 0.0) | (last[:m] == j)
+            u, v, x, s, alpha = close(done, s[:, 0], u, v, x, s, alpha)
+            if not live.size:
+                return errors
+            m = live.size
+        w = yield np.divide(u, alpha[:, None], out=us[:m, j])
+        w -= alpha[:, None] * v
+        orthogonalize(w, vs[:m, : lead + j + 1], ks[live[-1]])
+        beta = betas[:m, j] = _row_norms(w)
+        done = beta * np.abs(x[:, -1, 0]) <= np.maximum(LOWRANK_RITZ_TOL * s[:, 0], EPS * norm_a)
+        if done.any():
+            w, beta = close(done, s[:, 0], w, beta)
+            if not live.size:
+                return errors
+            m = live.size
+        if j + 1 == us.shape[1]:
+            extra = us.shape[1] // 2
+            vs, us = grown(vs, m, extra), grown(us, m, extra)
+        v = np.divide(w, beta[:, None], out=vs[:m, lead + j + 1])
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +360,6 @@ def tail_coupling(decomp, b, k):
     n = lams.size
     if not 1 <= k <= n - 1:
         raise ContractViolation("need 1 <= k <= n - 1")
-    head = lams[:k]
     if np.unique(lams[: k + 1]).size != k + 1:
         raise ContractViolation("leading eigenvalues must be distinct")
     c = decomp.project(b)
@@ -278,20 +370,33 @@ def tail_coupling(decomp, b, k):
             "a leading spectral coefficient of b is at noise level; "
             "the coupling matrix is not computable"
         )
-    tail = lams[k:]
-    # column i of l_vals is L_i on the tail: one pass per node j multiplies
-    # every column by its factor; the j = i factor divides by zero and is
-    # set to 1
-    l_vals = np.ones((n - k, k))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(k):
-            factor = (tail - head[j])[:, None] / (head - head[j])
-            factor[:, j] = 1.0
-            l_vals *= factor
-    delta = (d[k:, None] * l_vals) / d[None, :k]
+    delta = (d[k:, None] * _lagrange_on_tail(decomp, k)) / d[None, :k]
     if not np.all(np.isfinite(delta)):
         raise NumericalError("coupling matrix overflowed; reduce k")
     return delta
+
+
+def _lagrange_on_tail(decomp, k):
+    """L_i(lambda_{k+j}) at row j, column i: the Lagrange basis polynomials
+    on the k leading eigenvalues, distinct, evaluated on the others.  They
+    depend on the eigenvalues alone, so they are computed once per
+    decomposition and k, kept read-only in `decomp.lagrange`."""
+    l_vals = decomp.lagrange.get(k)
+    if l_vals is None:
+        lams = decomp.eigenvalues
+        head, tail = lams[:k], lams[k:]
+        # column i is L_i on the tail: one pass per node j multiplies every
+        # column by its factor; the j = i factor divides by zero and is set
+        # to 1
+        l_vals = np.ones((tail.size, k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(k):
+                factor = (tail - head[j])[:, None] / (head - head[j])
+                factor[:, j] = 1.0
+                l_vals *= factor
+        l_vals.flags.writeable = False
+        decomp.lagrange[k] = l_vals
+    return l_vals
 
 
 def angle_sine(decomp, k, mode="direct", fact=None, b=None):

@@ -4,11 +4,11 @@ Both builders touch the operator through matrix-vector products only and
 count every product, which is what the solver efficiency comparisons rest
 on.  Every build reorthogonalizes fully, which emulates exact arithmetic,
 and stops at a breakdown: a new off-diagonal at or below n * eps times the
-running estimate of ||A||.  Every basis, here and in the rank-k error
-diagnostic, is a `Basis`: the vectors are the leading rows of one array,
-each new one is orthogonalized against them by classical Gram-Schmidt
-applied twice, and a factorization holds the (n, size) view of the rows,
-so no step copies the vectors built so far.
+running estimate of ||A||.  Every basis here is a `Basis`: the vectors are
+the leading rows of one array, each new one is orthogonalized against
+them by classical Gram-Schmidt applied twice, and a factorization holds
+the (n, size) view of the rows, so no step copies the vectors built so
+far.
 
 `lockstep` runs Krylov builds of one operator side by side, each a step
 generator (`lanczos_steps`, `golub_kahan_steps`): each round takes one
@@ -16,11 +16,13 @@ block product A X over the vectors of the live builds, a GEMM where one
 matrix-vector product per build would be a memory-bound GEMV, while each
 build keeps its own entries, basis, reorthogonalization, breakdown test
 and matvec counts.  A lockstep can mix Lanczos builds of either start and
-Golub-Kahan builds.  `lanczos` and `golub_kahan` are the one-build case,
-which multiplies through the operator's `matvec` as a single build always
-has.  The CLI builds the K_k(A, b) Lanczos and the Golub-Kahan
-factorizations of all the run cells of a block in one lockstep; see
-`solvers.blocks`.
+Golub-Kahan builds, and a build may yield a block of vectors instead of
+one: the rank-k error diagnostic runs a batch of k's as one such build
+(`diagnostics.lowrank_error_sequence`).  `lanczos` and `golub_kahan` are
+the one-build case, which multiplies through the operator's `matvec` as a
+single build always has.  The CLI builds the K_k(A, b) Lanczos and the
+Golub-Kahan factorizations of all the run cells of a block in one
+lockstep; see `solvers.blocks`.
 
 `lanczos` works in the precision of the operator's storage: on
 `a.astype(np.longdouble)` its vectors, products and entries are extended
@@ -140,28 +142,37 @@ def lockstep(a, builds):
     factorizations in order.
 
     Each build is a step generator: it yields the vector it needs
-    multiplied by A, is sent the product and returns its factorization.
-    Every round multiplies the vectors of all live builds at once; a build
-    that breaks down leaves the block.  A single build multiplies through
-    the operator's `matvec`.  A block of two or more needs dense storage:
-    it uses `block_matvec` throughout, and doubles the vector once one build
-    is left: OpenBLAS sends a one-row product to GEMV, which rounds
-    differently from a GEMM row.  So where every GEMM of two or more rows
-    rounds each row alike (n = 256 and n = 1024 with OpenBLAS 0.3.31 on one
-    thread, though not n = 129 or 512), a build's bytes do not depend on the
-    builds beside it.
+    multiplied by A, is sent the product and returns its factorization.  A
+    build may instead yield an (r, n) block of vectors and is then sent
+    the (r, n) block of their products (the rank-k error diagnostic runs
+    several k's as one such build).  Every round multiplies the vectors of
+    all live builds at once; a build that returns leaves the block.  A lone
+    row from a lone build multiplies through the operator's `matvec`, so a
+    single build of one vector per step, and a block build down to its
+    last vector, touch A as a single build always has (a Kronecker
+    operator needs this: it has no block product).  Two or more rows need
+    dense storage: they use `block_matvec`, and a lone row left in a
+    lockstep of two or more builds is doubled: OpenBLAS sends a one-row
+    product to GEMV, which rounds differently from a GEMM row.  So where
+    every GEMM of two or more rows rounds each row alike (n = 256 and
+    n = 1024 with OpenBLAS 0.3.31 on one thread, though not n = 129 or
+    512), a build's bytes do not depend on the builds beside it.
     """
     results = [None] * len(builds)
     live = {j: next(build) for j, build in enumerate(builds)}
     while live:
-        rows = np.stack(list(live.values()))
-        if len(builds) == 1:
-            products = a.matvec(rows[0])[None]
-        elif len(rows) == 1:
-            products = a.block_matvec(np.concatenate([rows, rows]))
-        else:
+        blocks = [x if x.ndim == 2 else x[None] for x in live.values()]
+        rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        if len(rows) > 1:
             products = a.block_matvec(rows)
-        for j, w in zip(list(live), products):
+        elif len(builds) == 1:
+            products = a.matvec(rows[0])[None]
+        else:
+            products = a.block_matvec(np.concatenate([rows, rows]))
+        start = 0
+        for (j, x), block in zip(list(live.items()), blocks):
+            w = products[start : start + len(block)] if x.ndim == 2 else products[start]
+            start += len(block)
             try:
                 live[j] = builds[j].send(w)
             except StopIteration as done:

@@ -186,6 +186,9 @@ class SpectralDecomposition:
         self.n = self.eigenvalues.size
         self._v = v
         self._kron = kron  # (factor_v, left_index, right_index)
+        # k -> the read-only Lagrange products on the eigenvalues past the
+        # k-th, which diagnostics.tail_coupling computes once per k
+        self.lagrange = {}
 
     def project(self, vec):
         """Coefficients V^T vec of a vector in the eigenbasis."""

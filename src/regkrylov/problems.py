@@ -373,15 +373,47 @@ def _dec(text):
     return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
 
 
+_JSON_SCALARS = (str, int, float, type(None))  # bool is an int
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def json_text(doc):
     """A document as JSON text, keys sorted and indented by one; a numpy
-    number is written as the plain number it holds."""
+    number is written as the plain number it holds.
+
+    The bytes are those of json.dumps(doc, sort_keys=True, indent=1), whose
+    indented layout only the pure-Python encoder writes.  So a non-empty
+    list, or dict of string keys, whose members are all plain scalars (of
+    the built-in types themselves) goes to the C encoder whole, with the item separator carrying the newline
+    and indent of its members, and only the containers around such flat
+    ones are walked here.
+    """
     def plain(x):
         if isinstance(x, (np.integer, np.floating)):
             return x.item()
         raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
-    return json.dumps(doc, sort_keys=True, indent=1, default=plain)
+    def write(x, pad):
+        if isinstance(x, _JSON_SCALARS):
+            return json.dumps(x)
+        inner = pad + " "
+        sep = ",\n" + inner
+        is_list = isinstance(x, (list, tuple))
+        if not (is_list or isinstance(x, dict) and {str}.issuperset(map(type, x))) or not x:
+            # a numpy number, an empty container or a dict with a key that
+            # is not a string; JSON text holds no raw newline outside its
+            # layout
+            return json.dumps(x, sort_keys=True, indent=1, default=plain).replace("\n", "\n" + pad)
+        if _PLAIN_TYPES.issuperset(map(type, x if is_list else x.values())):
+            body = json.dumps(x, sort_keys=True, separators=(sep, ": "))[1:-1]
+        elif is_list:
+            body = sep.join(write(v, inner) for v in x)
+        else:
+            body = sep.join(f"{json.dumps(k)}: {write(x[k], inner)}" for k in sorted(x))
+        opening, closing = "[]" if is_list else "{}"
+        return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+    return write(doc, "")
 
 
 def problem_to_json(problem):

@@ -145,17 +145,25 @@ def _block_kinds(names):
     return sorted({KINDS[name] for name in names if KINDS.get(name) in _BATCHED})
 
 
-def cells_per_block(a, k_max, names):
-    """The cap on a block's cells: as many as keep the bases that
-    `block_caches` builds for the named solvers within the doubles of the
-    operator's dense storage, n // ((k_max + 1) * bases), at least one, and
-    one when it builds none.  A Kronecker operator multiplies one vector at
-    a time, so its cap is one: one cell's bases, (k_max + 1) * bases * m^2
-    doubles, always exceed its factor's m^2."""
-    bases = sum(_BATCHED[kind] for kind in _block_kinds(names))
-    if a.is_kronecker or not bases:
+def builds_per_block(a, k_max, bases):
+    """How many Krylov builds of k_max + 1 vectors in each of `bases` bases
+    one lockstep runs side by side: as many as keep their bases within the
+    doubles of the operator's dense storage, n // ((k_max + 1) * bases), at
+    least one.  A Kronecker operator multiplies one vector at a time, so
+    its cap is one: one build's bases, (k_max + 1) * bases * m^2 doubles,
+    always exceed its factor's m^2.  The rank-k error diagnostic batches
+    its k's by this rule with one basis and the factorization's order."""
+    if a.is_kronecker:
         return 1
     return max(1, a.n // ((k_max + 1) * bases))
+
+
+def cells_per_block(a, k_max, names):
+    """The cap on a block's cells: `builds_per_block` for the bases that
+    `block_caches` builds for the named solvers, and one when it builds
+    none."""
+    bases = sum(_BATCHED[kind] for kind in _block_kinds(names))
+    return builds_per_block(a, k_max, bases) if bases else 1
 
 
 def blocks(a, cells, k_max, names):

@@ -14,6 +14,8 @@ meshgrids and the Rayleigh quotients from one full longdouble product.
 the bases moved into one row store: Python lists of columns, re-stacked by
 `np.column_stack` at every step.  They agree with the package to rounding,
 not bit for bit.
+`deflated_norm` is the rank-k error's build of one k as it was before the
+k's ran in batches; a batch of one k must reproduce it bit for bit.
 `spectral_twin` rebuilds a problem from its eigenpairs with the
 eigenvalues mapped, as evidence for what the acceptance criteria's misses
 depend on, and `read_trace_csv` parses the package's trace CSVs.
@@ -28,6 +30,7 @@ from regkrylov.exceptions import ContractViolation
 from regkrylov.krylov import (
     START_FILTERED,
     START_RESIDUAL,
+    Basis,
     BidiagFactorization,
     LanczosFactorization,
     finite_rhs,
@@ -377,6 +380,40 @@ def golub_kahan(a, b, k_max):
         matvec_count=matvecs,
         matvec_counts=np.asarray(counts),
     )
+
+
+def deflated_norm(a, q_k, start, norm_a):
+    """||A (I - Q_k Q_k^T)|| by Golub-Kahan on A (I - Q_k Q_k^T) from `start`:
+    one `Basis` holds Q_k and then the v's, a second the u's, and the loop
+    stops on the Ritz residual beta_j |x_j| <= max(LOWRANK_RITZ_TOL * s,
+    eps * norm_a), at a zero alpha, or when the complement is exhausted."""
+    from regkrylov.diagnostics import LOWRANK_RITZ_TOL
+
+    n, k = q_k.shape
+    vs = Basis(n, k + 8)
+    for q in q_k.T:
+        vs.append(q)
+    us = Basis(n, 8)
+    v = vs.orthogonalize(start.copy())
+    v /= np.linalg.norm(v)
+    alphas, betas = [], []
+    for j in range(n - k):
+        vs.append(v)
+        u = a.matvec(v)
+        if j:
+            u -= betas[-1] * us.rows[j - 1]
+            us.orthogonalize(u)
+        alphas.append(float(np.linalg.norm(u)))
+        x, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        if alphas[-1] == 0.0:
+            break
+        us.append(u / alphas[-1])
+        v = vs.orthogonalize(a.matvec(us.rows[j]) - alphas[-1] * v)
+        betas.append(float(np.linalg.norm(v)))
+        if betas[-1] * abs(x[-1, 0]) <= max(LOWRANK_RITZ_TOL * s[0], EPS * norm_a):
+            break
+        v /= betas[-1]
+    return float(s[0])
 
 
 def spectral_twin(problem, decomp, f):

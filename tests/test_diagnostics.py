@@ -11,10 +11,10 @@ from regkrylov import diagnostics, problems, rng, solvers
 from regkrylov.diagnostics import LCurvePoint
 from regkrylov.exceptions import ContractViolation, NumericalError
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
-from regkrylov.linalg import SymmetricMatrix, TridiagonalRect
+from regkrylov.linalg import SpectralDecomposition, SymmetricMatrix, TridiagonalRect, symmetric_eig
 
 import oracles
-from conftest import needs_extended_precision
+from conftest import needs_extended_precision, traced_peak_n2
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,15 @@ def test_lowrank_error_vanishes_at_exact_capture():
     assert gam[-1] <= 1e-12 * 0.9
 
 
+def test_lowrank_error_stops_at_a_zero_alpha():
+    """Q_1 = e_1 leaves a complement that A maps to exactly zero: the
+    build stops at its zero alpha instead of dividing by it."""
+    a = SymmetricMatrix(dense=np.diag([2.0, 0.0, 0.0, 0.0]))
+    fact = lanczos(a, START_RESIDUAL, np.array([1.0, 0.0, 0.0, 0.0]), 2)
+    assert fact.k == 1 and np.array_equal(fact.basis[:, 0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(diagnostics.lowrank_error_sequence(a, fact), [0.0])
+
+
 def _dense_lowrank_errors(a, fact):
     """The dense form: ||A - (A Q_k) Q_k^T||_2 for every k the basis spans."""
     a_mat = oracles.dense(a)
@@ -291,6 +300,64 @@ def test_lowrank_error_matches_dense_form_property(system, start):
     got = diagnostics.lowrank_error_sequence(a, fact)
     want = _dense_lowrank_errors(a, fact)
     assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(a.dense(), 2)
+
+
+DENSE_LOWRANK_CASES = [case for case in LOWRANK_ORACLE_CASES if not case.startswith("blur")]
+
+
+@pytest.mark.parametrize("case", DENSE_LOWRANK_CASES)
+@pytest.mark.parametrize("cap", [1, 2])
+def test_lowrank_error_in_small_batches(monkeypatch, case, cap):
+    """With the batch cap below the number of k's, the k's run alone or in
+    pairs, in several lockstep batches, and still
+    matches the dense form; it agrees with one batch of every k to
+    rounding.  Kronecker operators run one k at a time whatever the cap
+    (they have no block product), so the blur cases are left out."""
+    a, b, k_max = LOWRANK_ORACLE_CASES[case]()
+    fact = lanczos(a, START_FILTERED, b, k_max)
+    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: a.n)
+    whole = diagnostics.lowrank_error_sequence(a, fact)
+    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: cap)
+    got = diagnostics.lowrank_error_sequence(a, fact)
+    assert got.size > cap
+    sig1 = np.linalg.norm(a.dense(), 2)
+    assert np.abs(got - _dense_lowrank_errors(a, fact)).max() <= 1e-12 * sig1, case
+    assert np.abs(got - whole).max() <= 1e-14 * sig1, case
+
+
+@pytest.mark.parametrize("case", ["exact-capture", "shaw-48", "deriv2-32", "blur-12"])
+def test_a_lone_k_writes_the_bytes_of_the_one_k_build(monkeypatch, case):
+    """With one k a batch, as on every Kronecker operator, each rank-k error
+    is bit for bit that of the k's build alone, `oracles.deflated_norm`."""
+    a, b, k_max = LOWRANK_ORACLE_CASES[case]()
+    fact = lanczos(a, START_FILTERED, b, k_max)
+    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: 1)
+    got = diagnostics.lowrank_error_sequence(a, fact)
+    start = rng.normal(diagnostics.LOWRANK_START_SEED, a.n)
+    want = [oracles.deflated_norm(a, fact.basis[:, :k], start, fact.norm_estimate)
+            if k < a.n else 0.0 for k in range(1, got.size + 1)]
+    assert np.array_equal(got, want), case
+
+
+def test_lowrank_error_batch_rule():
+    """A batch of k's holds the builds of one basis of k_max + 1 vectors
+    that fit in the operator's storage; a Kronecker operator runs one k at
+    a time."""
+    assert solvers.builds_per_block(problems.generate("shaw", 256).a, 30, 1) == 8
+    assert solvers.builds_per_block(problems.generate("shaw", 512).a, 40, 1) == 12
+    assert solvers.builds_per_block(problems.generate("blur", 32).a, 20, 1) == 1
+
+
+@pytest.mark.parametrize("name", ["phillips", "deriv2"])
+def test_lowrank_error_memory_stays_within_twice_the_operator(name):
+    """The batched builds keep their bases in the slots they were given
+    (finished k's are moved out in place, and the bases grow by half), so
+    the diagnostic's traced peak at n = 512, k_max 40 (12 k's a batch)
+    stays within 2 n^2 doubles."""
+    n = 512
+    prob = problems.generate(name, n)
+    fact = lanczos(prob.a, START_FILTERED, problems.add_noise(prob, 1e-3, seed=1).b, 40)
+    assert traced_peak_n2(lambda: diagnostics.lowrank_error_sequence(prob.a, fact), n) <= 2.0
 
 
 def test_lowrank_error_lower_bound(get_problem, get_decomp):
@@ -403,6 +470,46 @@ def test_coupling_preconditions():
     b = decomp.lincomb(coeffs)
     with pytest.raises(NumericalError):
         diagnostics.tail_coupling(decomp, b, 3)
+
+
+def _fresh_shaw(n=64):
+    prob = problems.generate("shaw", n)
+    return prob, symmetric_eig(prob.a), problems.add_noise(prob, 1e-3, seed=2).b
+
+
+def test_lagrange_products_are_read_only_and_kept_once():
+    _, decomp, b = _fresh_shaw()
+    diagnostics.tail_coupling(decomp, b, 4)
+    held = decomp.lagrange[4]
+    diagnostics.tail_coupling(decomp, 2 * b, 4)
+    assert decomp.lagrange[4] is held and list(decomp.lagrange) == [4]
+    with pytest.raises(ValueError, match="read-only"):
+        held[0, 0] = 0.0
+
+
+def test_formula_sines_do_not_depend_on_the_order_of_the_ks():
+    """The formula sines are byte-identical whether the k's are asked for
+    in order, out of order, or each on a fresh decomposition."""
+    _, decomp, b = _fresh_shaw()
+    ks = range(1, diagnostics.COUPLING_K_CAP + 1)
+    in_order = {k: diagnostics.angle_sine(decomp, k, mode="formula", b=b) for k in ks}
+    _, shuffled, _ = _fresh_shaw()
+    out_of_order = {k: diagnostics.angle_sine(shuffled, k, mode="formula", b=b)
+                    for k in (7, 2, 12, 1, 9, 4, 11, 3, 6, 10, 5, 8)}
+    fresh = {k: diagnostics.angle_sine(_fresh_shaw()[1], k, mode="formula", b=b) for k in ks}
+    assert in_order == out_of_order == fresh
+
+
+def test_repeated_eigenvalues_are_refused_on_every_call():
+    """The distinct-eigenvalue check runs before the kept products are
+    read, so it refuses every call, not only the first."""
+    decomp = SpectralDecomposition(np.array([3.0, 2.0, 2.0, 1.0, 0.5]), v=np.eye(5))
+    b = np.ones(5)
+    diagnostics.tail_coupling(decomp, b, 1)
+    for _ in range(2):
+        with pytest.raises(ContractViolation, match="distinct"):
+            diagnostics.tail_coupling(decomp, b, 2)
+    assert list(decomp.lagrange) == [1]
 
 
 def test_angle_formula_monotone_in_coupling_scale():

@@ -271,6 +271,36 @@ def test_single_start_multiplies_through_matvec(monkeypatch):
     assert calls == [("block_matvec", (2, 4))] * 3
 
 
+def _block_recorder(rows, sent):
+    """A lockstep build that yields each (r, n) block of `rows` in turn and
+    records what it is sent."""
+    for block in rows:
+        sent.append((yield block))
+    return len(sent)
+
+
+def test_a_block_build_is_sent_the_block_product_of_its_rows():
+    """A build that yields (r, n) blocks is sent exactly `block_matvec` of
+    each, and a Lanczos build beside it writes the same bytes as beside a
+    build of one row per step.  n = 256, where every GEMM row of two or
+    more rounds alike (see `lockstep`); the block build stops first, so the
+    Lanczos build also runs on alone."""
+    a = problems.generate("shaw", 256).a
+    rows = [rng.normal(seed, r * a.n).reshape(r, a.n) for seed, r in ((3, 3), (4, 2), (5, 2))]
+    sent = []
+    beside_block = lockstep(a, [_block_recorder(rows, sent),
+                                lanczos_steps(a, START_RESIDUAL, rng.normal(6, a.n), 8)])
+    assert beside_block[0] == len(rows)
+    for block, got in zip(rows, sent):
+        assert got.shape == block.shape and np.array_equal(got, a.block_matvec(block))
+    beside_row = lockstep(a, [lanczos_steps(a, START_RESIDUAL, rng.normal(7, a.n), 3),
+                              lanczos_steps(a, START_RESIDUAL, rng.normal(6, a.n), 8)])
+    got, want = beside_block[1], beside_row[1]
+    assert np.array_equal(got.basis, want.basis)
+    assert np.array_equal(got.tridiag.alpha, want.tridiag.alpha)
+    assert np.array_equal(got.tridiag.beta, want.tridiag.beta)
+
+
 def test_block_rejects_a_zero_right_hand_side():
     a = SymmetricMatrix(dense=np.eye(4))
     with pytest.raises(ContractViolation):

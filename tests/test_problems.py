@@ -290,6 +290,50 @@ def test_transition_flat_noise_in_eigenbasis():
 # JSON container
 
 
+def _stdlib_json(doc):
+    def plain(x):
+        if isinstance(x, (np.integer, np.floating)):
+            return x.item()
+        raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+    return json.dumps(doc, sort_keys=True, indent=1, default=plain)
+
+
+_JSON_LEAVES = st.one_of(
+    st.floats(),  # NaN, +-inf, -0.0 and subnormals included
+    st.integers(), st.none(), st.booleans(), st.text(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.lists(st.floats(), min_size=1), st.lists(st.floats().map(np.float64)),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_JSON_DOCS)
+def test_json_text_writes_the_bytes_of_the_standard_encoder(doc):
+    """json_text sends flat lists and dicts to the C encoder and walks the
+    rest; its text is that of json.dumps(doc, sort_keys=True, indent=1)."""
+    assert problems.json_text(doc) == _stdlib_json(doc)
+
+
+def test_json_text_keys_that_are_not_strings():
+    doc = {"a": {1: [1.5, -0.0], 2.5: {"b": None}, True: []}, "c": [{}, [[]], {3: "\u00e9"}]}
+    assert problems.json_text(doc) == _stdlib_json(doc)
+
+
+def test_json_text_refuses_what_the_standard_encoder_refuses():
+    for doc in ({"a": [np.arange(3)]}, [object()], {"a": {1: np.bool_(True)}}):
+        with pytest.raises(TypeError):
+            _stdlib_json(doc)
+        with pytest.raises(TypeError):
+            problems.json_text(doc)
+
+
 @pytest.mark.parametrize("name", ("gravity", "blur"))
 def test_problem_json_roundtrip_bitwise(tmp_path, name):
     n = 8 if name == "blur" else 24

@@ -10,7 +10,9 @@ with a fixed BLAS thread count.
 `run` and `reproduce` go through their (noise level, seed) cells in
 blocks (`_run_cells`): a block draws its noise, builds the K_k(A, b)
 Lanczos and Golub-Kahan factorizations of all its cells in one lockstep,
-one block product per round, then traces and writes one cell at a time.
+one block product per round, takes the harmonic Ritz values of the
+`filters` diagnostic for all its cells in one pass (`_block_ritz`), then
+traces and writes one cell at a time.
 `solvers.blocks` holds the block rule (one cell per block on blur).  The
 K_k(A, Ab) factorization stays per cell (see `solvers.block_caches`).
 Every factorization a diagnostic or figure reads comes from the cell's
@@ -175,27 +177,56 @@ def _make_output_dir(path):
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
 
 
-def _run_cells(prob, decomp, cells, k_max, names):
+def _run_cells(prob, decomp, cells, k_max, names, ritz_depth=0):
     """Yield ((noise level, seed), (noise, LanczosCache, traces of the
-    named solvers by name in the given order)) for every cell, in order.
+    named solvers by name in the given order), harmonic Ritz values) for
+    every cell, in order.
 
     The cells go in the blocks of `solvers.blocks`.  A block draws the
     noise of its cells, one `add_noise` per cell in cell order, fills their
     caches through `solvers.block_caches`, which builds the factorizations
-    of K_k(A, b) and Golub-Kahan of every cell in one lockstep, and then
-    traces one cell at a time.  The K_k(A, Ab) factorization stays per
-    cell, built by its cache when a solver or diagnostic first asks for
-    it (see `solvers.block_caches`).  A cell's cache is released once it
-    has been yielded."""
+    of K_k(A, b) and Golub-Kahan of every cell in one lockstep, takes the
+    harmonic Ritz values of the cells when ritz_depth is positive
+    (`_block_ritz`; None otherwise), and then traces one cell at a time.
+    The K_k(A, Ab) factorization stays per cell, built by its cache when a
+    solver or diagnostic first asks for it (see `solvers.block_caches`).  A
+    cell's cache is released once it has been yielded."""
     for block in solvers.blocks(prob.a, cells, k_max, names):
         noises = [problems.add_noise(prob, eps, seed) for eps, seed in block]
         caches = solvers.block_caches(prob.a, [noise.b for noise in noises], k_max, names)
-        for cell, noise in zip(block, noises):
+        ritz = _block_ritz(prob.a, noises, ritz_depth) if ritz_depth else [None] * len(block)
+        for cell, noise, heads in zip(block, noises, ritz):
             cache = caches.pop(0)
             yield cell, (noise, cache, {
                 name: solvers.SOLVERS[name](prob.a, noise.b, k_max, prob.x_true, decomp, cache)
                 for name in names
-            })
+            }), heads
+
+
+def _block_ritz(a, noises, depth):
+    """For each cell, the harmonic Ritz values of every head of its minres
+    projection of `depth` steps, built again in extended precision so that
+    the filter factors reproduce the iterate beyond double rounding; its
+    own breakdown, if any, cuts the depth.
+
+    The block casts the operator to np.longdouble once, builds each cell's
+    projection on it in turn, keeps only the tridiagonals, and releases the
+    cast before the block's traces run; `diagnostics.harmonic_ritz_block`
+    then takes the values of every cell together.  A cell whose build fails
+    gets its error instead, which `_cell_diagnostics` raises where that
+    cell's filters are computed, so a failing run stops after the same
+    files as a cell-by-cell pass."""
+    extended = a.astype(np.longdouble)
+    tridiags = []
+    for noise in noises:
+        try:
+            tridiags.append(lanczos(extended, solvers.KINDS["minres"], noise.b, depth).tridiag)
+        except RegKrylovError as exc:
+            tridiags.append(exc)
+    del extended
+    built = [t for t in tridiags if not isinstance(t, RegKrylovError)]
+    heads = iter(diagnostics.harmonic_ritz_block(built))
+    return [t if isinstance(t, RegKrylovError) else next(heads) for t in tridiags]
 
 
 def _lowrank_series(prob, decomp, fact):
@@ -224,12 +255,13 @@ def _cell_summary(solver, eps, seed, trace, csv_name):
     }
 
 
-def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
+def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
     """The diagnostics document of one cell as JSON text, keyed by quantity
     name; arrays are k-indexed from 1 and an unrequested quantity has no
     key.  `entries` are the cell's summary entries, whose L-curve corners
     and best k it repeats.  The Lanczos factorization of K_k(A, Ab) comes
-    from the cell's `cache`, built there on first use whichever solvers ran."""
+    from the cell's `cache`, built there on first use whichever solvers ran.
+    `ritz` is the cell's entry from `_block_ritz` when filters is on."""
     toggles = set(cfg.diagnostics)
     doc = {"semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries}}
     if "lcurve" in toggles:
@@ -238,8 +270,8 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
         fact = cache.get(solvers.KINDS["mr2"])
     if "lowrank" in toggles or "decay" in toggles:
         gam, sigma_next = _lowrank_series(prob, decomp, fact)
-        doc["lowrank_error"] = [float(g) for g in gam]
-        doc["sigma_next"] = [float(s) for s in sigma_next]
+        doc["lowrank_error"] = gam.tolist()
+        doc["sigma_next"] = sigma_next.tolist()
         if "decay" in toggles:
             rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
             doc["decay_rows"] = [
@@ -248,36 +280,24 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries):
             ]
             doc["decay_violations"] = len(violations)
     if "angles" in toggles:
-        direct = []
-        formula = []
-        for k in range(1, min(cfg.k_max, diagnostics.COUPLING_K_CAP) + 1):
-            try:
-                formula.append(diagnostics.angle_sine(decomp, k, mode="formula", b=noise.b))
-            except RegKrylovError:
-                formula.append(None)
-            if k <= fact.basis.shape[1]:
-                direct.append(diagnostics.angle_sine(decomp, k, mode="direct", fact=fact))
-        doc["angle_direct"] = direct
-        doc["angle_formula"] = formula
+        count = min(cfg.k_max, diagnostics.COUPLING_K_CAP)
+        doc["angle_direct"] = [diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
+                               for k in range(1, min(count, fact.basis.shape[1]) + 1)]
+        doc["angle_formula"] = diagnostics.formula_sines(decomp, noise.b, count)
     if "filters" in toggles:
-        # the minres projection again, in extended precision, so that the
-        # filter factors reproduce the iterate beyond double rounding; its
-        # own breakdown, if any, cuts the depth below min(10, k_max)
-        extended = prob.a.astype(np.longdouble)
-        tridiag = lanczos(extended, solvers.KINDS["minres"], noise.b, min(10, cfg.k_max)).tridiag
-        heads = diagnostics.harmonic_ritz_heads(tridiag)
-        doc["harmonic_ritz_values"] = [[float(t) for t in theta] for theta in heads]
+        if isinstance(ritz, RegKrylovError):
+            raise ritz
+        doc["harmonic_ritz_values"] = [theta.tolist() for theta in ritz]
         doc["filter_factor_rows"] = [
-            [float(f) for f in diagnostics.filter_factors(theta, decomp.eigenvalues)]
-            for theta in heads
+            diagnostics.filter_factors(theta, decomp.eigenvalues).tolist() for theta in ritz
         ]
     if "picard" in toggles:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
-        doc["picard_clean"] = [float(x) for x in profile.clean]
-        doc["picard_noise"] = [float(x) for x in profile.noise]
-        doc["picard_noisy"] = [float(x) for x in profile.noisy]
+        doc["picard_clean"] = profile.clean.tolist()
+        doc["picard_noise"] = profile.noise.tolist()
+        doc["picard_noisy"] = profile.noisy.tolist()
         doc["tail_head_ratio"] = [
-            (None if not math.isfinite(x) else float(x)) for x in profile.tail_head_ratio
+            x if math.isfinite(x) else None for x in profile.tail_head_ratio.tolist()
         ]
         doc["transition_index"] = problems.transition_index(decomp, prob.b_hat, noise.e)
     return problems.json_text(doc)
@@ -304,8 +324,9 @@ def run_experiment(cfg):
     manifest = []
     diag_files = []
     keys = [(eps, seed) for eps in cfg.noise_levels for seed in cfg.seeds]
-    for (eps, seed), (noise, cache, traces) in _run_cells(prob, decomp, keys, cfg.k_max,
-                                                          cfg.solvers):
+    ritz_depth = min(10, cfg.k_max) if "filters" in cfg.diagnostics else 0
+    for (eps, seed), (noise, cache, traces), ritz in _run_cells(prob, decomp, keys, cfg.k_max,
+                                                                cfg.solvers, ritz_depth):
         entries = []
         for solver, trace in traces.items():
             csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
@@ -315,7 +336,7 @@ def run_experiment(cfg):
         cells.extend(entries)
         if cfg.diagnostics:
             diag_name = f"diagnostics_{eps:g}_{seed}.json"
-            text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries)
+            text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz)
             _write_text(os.path.join(cfg.output_dir, diag_name), text)
             diag_files.append(diag_name)
             manifest.append(diag_name)
@@ -492,7 +513,7 @@ def reproduce_figure(figure_id, out_dir, n=None):
     for pname, eps_list in fig.problems:
         prob, _ = _build_problem(pname, n, *(fig.blur or ()))
         decomp = _decompose(prob.a) if _SPECTRAL_WRITERS & set(fig.writers) else None
-        cells = {eps: cell for (eps, _), cell in _run_cells(
+        cells = {eps: cell for (eps, _), cell, _ in _run_cells(
             prob, decomp, [(eps, 1) for eps in eps_list], k_max, fig.solvers)}
         panels.append(_Panel(pname, prob, decomp, k_max, cells))
     _make_output_dir(out_dir)

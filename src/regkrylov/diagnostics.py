@@ -7,13 +7,17 @@ approximation, principal angles between Krylov and dominant eigenspaces
 coupling-matrix formula), coefficient decay profiles, and the stopping
 heuristics used by the experiment harness.
 
-The rank-k errors of a factorization are matrix-free Golub-Kahan builds,
-one per k, that run in batches: each batch is one `krylov.lockstep` build
-that multiplies the vectors of all its live k's as one block, shares one
+The harmonic Ritz values of several projections, such as the cells of a
+run's block, are taken together (`harmonic_ritz_block`): one stacked
+LAPACK call per head order and one Newton polish for every root.  The
+rank-k errors of a factorization are matrix-free Golub-Kahan builds, one
+per k, that run in batches: each batch is one `krylov.lockstep` build that
+multiplies the vectors of all its live k's as one block, shares one
 product with the factorization's basis among them, and takes one stacked
 SVD of their bidiagonals per step.  The coupling-matrix formula reads its
 Lagrange products, which depend on the eigenvalues alone, from the
-decomposition, where they are computed once per k.
+decomposition, where they are computed once per k, and `formula_sines`
+takes the sines of every k from one projection of b.
 """
 
 import math
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng, solvers
-from .exceptions import ContractViolation, NumericalError
+from .exceptions import ContractViolation, NumericalError, RegKrylovError
 from .krylov import lockstep
 from .linalg import EPS, spectral_norm
 
@@ -54,54 +58,99 @@ def harmonic_ritz(tridiag):
     the filtered expansion amplifies that by the spread of the roots: pass
     the np.longdouble tridiagonal of
     `lanczos(a.astype(np.longdouble), START_RESIDUAL, b, k)` when the
-    filter factors must reproduce the iterate.  This is the one-head case
-    of `harmonic_ritz_heads`.
+    filter factors must reproduce the iterate.
     """
-    return _refine_pencil_roots(tridiag, [_pencil_guesses(tridiag.dense())])[0]
+    [guess] = _pencil_guesses(tridiag.dense()[None])
+    if isinstance(guess, NumericalError):
+        raise guess
+    return _polish_heads([tridiag], [[guess]])[0][0]
 
 
 def harmonic_ritz_heads(tridiag):
     """harmonic_ritz(tridiag.head(k)) for k = 1, 2, ..., up to the first
-    head that is numerically rank deficient.
+    head that is numerically rank deficient: the one-tridiagonal case of
+    `harmonic_ritz_block`."""
+    return harmonic_ritz_block([tridiag])[0]
 
-    Each head takes its double guesses as `harmonic_ritz` does.  The
-    recurrence of head k is a prefix of the deepest head's, so the roots of
-    every head are polished in one `_refine_pencil_roots` pass, each read
-    off at its own order, bit for bit as head by head.
+
+def harmonic_ritz_block(tridiags):
+    """harmonic_ritz_heads(t) for every tridiagonal t, bit for bit.
+
+    For each head order k, one stacked LAPACK SVD and one stacked
+    eigensolve give the double guesses of the k-th head of every
+    tridiagonal that reaches it (`_pencil_guesses`), and a tridiagonal
+    stops at its first refused head.  The recurrence of head k is a prefix
+    of the deepest head's, so the roots of every head of every tridiagonal
+    are polished in one `_refine_pencil_roots` pass, each read off at its
+    own order.  A stacked LAPACK call treats each matrix as a call of its
+    own, and the polish is elementwise, so each root has the bits it would
+    have alone.
     """
-    guesses = []
-    for k in range(1, tridiag.k + 1):
-        try:
-            guesses.append(_pencil_guesses(tridiag.head(k).dense()))
-        except NumericalError:
+    guesses = [[] for _ in tridiags]
+    live = list(range(len(tridiags)))
+    for k in range(1, max((t.k for t in tridiags), default=0) + 1):
+        live = [i for i in live if tridiags[i].k >= k]
+        if not live:
             break
-    return _refine_pencil_roots(tridiag, guesses)
+        heads = _pencil_guesses(np.stack([tridiags[i].head(k).dense() for i in live]))
+        kept = [(i, g) for i, g in zip(live, heads) if not isinstance(g, NumericalError)]
+        for i, g in kept:
+            guesses[i].append(g)
+        live = [i for i, _ in kept]
+    return _polish_heads(tridiags, guesses)
 
 
-def _pencil_guesses(t):
-    """Double guesses of the pencil roots of a (k+1, k) tridiagonal;
-    NumericalError where T or its square block is numerically singular."""
-    k = t.shape[1]
-    t_dbl = t.astype(float)
-    _, s, vt = np.linalg.svd(t_dbl, full_matrices=False)
-    if s[-1] <= k * EPS * s[0]:
-        raise NumericalError("projected matrix is numerically rank deficient")
-    # C = S^{-1} V^T T_sq V S^{-1}; eigenvalues of C are 1/theta
-    c = (vt @ t_dbl[:k, :] @ vt.T) / np.outer(s, s)
-    mus = np.linalg.eigvalsh(0.5 * (c + c.T))
-    if np.any(np.abs(mus) <= k * EPS * np.abs(mus).max()):
-        raise NumericalError("projected square block is numerically singular")
-    return 1.0 / mus
+def _pencil_guesses(ts):
+    """Double guesses of the pencil roots of each (k+1, k) tridiagonal in
+    the stack ts, from one stacked SVD and one stacked eigensolve; where T
+    or its square block is numerically singular, the NumericalError that
+    refuses it instead."""
+    k = ts.shape[-1]
+    ts = ts.astype(float)
+    _, s, vt = np.linalg.svd(ts, full_matrices=False)
+    out = [NumericalError("projected matrix is numerically rank deficient")] * len(ts)
+    regular = np.flatnonzero(~(s[:, -1] <= k * EPS * s[:, 0]))
+    if regular.size:
+        s, vt = s[regular], vt[regular]
+        # C = S^{-1} V^T T_sq V S^{-1}; eigenvalues of C are 1/theta
+        c = (vt @ ts[regular, :k, :] @ vt.transpose(0, 2, 1)) / (s[:, :, None] * s[:, None, :])
+        mus = np.linalg.eigvalsh(0.5 * (c + c.transpose(0, 2, 1)))
+        mags = np.abs(mus)
+        singular = np.any(mags <= k * EPS * mags.max(axis=1, keepdims=True), axis=1)
+        for i, mu, refused in zip(regular, mus, singular):
+            out[i] = (NumericalError("projected square block is numerically singular")
+                      if refused else 1.0 / mu)
+    return out
 
 
-def _refine_pencil_roots(tridiag, guesses):
-    """Newton-polish, in extended precision, the roots of
-    h(theta) = det(T^T T - theta T_sq) for heads T of a tridiagonal.
+def _polish_heads(tridiags, guesses):
+    """The polished roots of the heads of each tridiagonal, |theta|
+    descending: guesses[i] holds the double guesses of the heads of
+    tridiags[i], each of the order of its size."""
+    sizes = [g.size for heads in guesses for g in heads]
+    if not sizes:
+        return [[] for _ in guesses]
+    # every tridiagonal's entries as a np.longdouble row, zero past its depth
+    alpha, beta = np.zeros((2, len(tridiags), max(t.k for t in tridiags)), dtype=np.longdouble)
+    for i, t in enumerate(tridiags):
+        alpha[i, : t.k], beta[i, : t.k] = t.alpha, t.beta
+    owner = np.repeat(np.arange(len(guesses)), [sum(g.size for g in heads) for heads in guesses])
+    roots = _refine_pencil_roots(alpha[owner], beta[owner] ** 2,
+                                 np.concatenate([g for heads in guesses for g in heads]),
+                                 np.repeat(sizes, sizes))
+    polished = iter(np.split(roots, np.cumsum(sizes)[:-1]))
+    return [[p[np.argsort(-np.abs(p), kind="stable")] for p in (next(polished) for _ in heads)]
+            for heads in guesses]
 
-    guesses[h] holds the double guesses of the roots of the head of order
-    guesses[h].size; returns the polished roots of each head, |theta|
-    descending.  With chi_j the characteristic polynomial of T's leading
-    j-by-j block and D_j = (chi_j(theta) - chi_j(0)) / theta,
+
+def _refine_pencil_roots(alpha, beta2, thetas, order):
+    """Newton-polish, in extended precision, each double guess thetas[r]
+    of a root of h(theta) = det(T^T T - theta T_sq) for the head of order
+    order[r] of the tridiagonal whose entries alpha[r] and squared
+    off-diagonals beta2[r] (np.longdouble rows, zero past its depth) give;
+    returns the polished roots in double, in the order given.  With chi_j
+    the characteristic polynomial of T's leading j-by-j block and
+    D_j = (chi_j(theta) - chi_j(0)) / theta,
 
         chi_j = (alpha_j - theta) chi_{j-1} - beta_{j-1}^2 chi_{j-2},
         D_j = alpha_j D_{j-1} - chi_{j-1}(theta) - beta_{j-1}^2 D_{j-2},
@@ -111,21 +160,13 @@ def _refine_pencil_roots(tridiag, guesses):
     so h and h' follow in O(k) from T's own entries, in np.longdouble,
     without the squared cond(T) of the pencil.  That delivers the
     theta - lambda differences a few ulp above double rounding that the
-    filter factors need.  Every root runs the deepest head's recurrence and
-    is read off at its own order; the arithmetic is elementwise, so its
-    bits are those of its head polished alone.  A non-finite or wild step
-    is refused and the root keeps its last value; a root also stops after a
-    step below 1e-20 relative.
+    filter factors need.  Every root runs the recurrence of its own row up
+    to the deepest order and is read off at its own; the arithmetic is
+    elementwise, so its bits are those of its head polished alone.  A
+    non-finite or wild step is refused and the root keeps its last value;
+    a root also stops after a step below 1e-20 relative.
     """
-    if not guesses:
-        return []
-    ld = np.longdouble
-    alpha = tridiag.alpha.astype(ld)
-    beta2 = tridiag.beta.astype(ld) ** 2
-    orders = [g.size for g in guesses]
-    order_of = np.repeat(orders, orders)
-    thetas = np.concatenate(guesses)
-    th = thetas.astype(ld)
+    th = thetas.astype(np.longdouble)
     # guesses are already ~1e-12 relative; refuse wild steps that would hop
     # to a different root
     max_step = 1e-6 * np.abs(thetas)
@@ -133,31 +174,31 @@ def _refine_pencil_roots(tridiag, guesses):
     for _ in range(PENCIL_NEWTON_STEPS):
         if active.size == 0:
             break
-        delta = _pencil_newton_step(alpha, beta2, th[active], order_of[active])
+        delta = _pencil_newton_step(alpha[active], beta2[active], th[active], order[active])
         with np.errstate(invalid="ignore"):
             step = np.abs(delta) <= max_step[active]  # False where not finite
         active, delta = active[step], delta[step]
         th[active] += delta
         active = active[np.abs(delta) > 1e-20 * np.abs(th[active])]
-    polished = np.split(th.astype(float), np.cumsum(orders)[:-1])
-    return [p[np.argsort(-np.abs(p), kind="stable")] for p in polished]
+    return th.astype(float)
 
 
 def _pencil_newton_step(alpha, beta2, th, order):
-    """-h/h' at each th for the head of its order, by the recurrences of
-    `_refine_pencil_roots` on (value, theta-derivative) pairs."""
+    """-h/h' at each th for the head of its order of its row's tridiagonal,
+    by the recurrences of `_refine_pencil_roots` on (value,
+    theta-derivative) pairs."""
     chi1 = np.zeros((2, th.size), dtype=th.dtype)  # chi_{j-1}
     chi1[0] = 1
     chi2 = d1 = d2 = h = np.zeros_like(chi1)  # chi_{j-2}, D_{j-1}, D_{j-2}
     z1, z2 = 1, 0  # chi_{j-1}(0), chi_{j-2}(0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(order.max()):
-            a, b2 = alpha[j], beta2[j - 1] if j else 0
+            a, b2 = alpha[:, j], beta2[:, j - 1] if j else 0
             chi = (a - th) * chi1 - b2 * chi2
             chi[1] -= chi1[0]
             d = a * d1 - chi1 - b2 * d2
             z = a * z1 - b2 * z2
-            h = np.where(order == j + 1, z * chi + beta2[j] * (z * d1 - z1 * d), h)
+            h = np.where(order == j + 1, z * chi + beta2[:, j] * (z * d1 - z1 * d), h)
             chi1, chi2, d1, d2, z1, z2 = chi, chi1, d, d1, z, z1
         return -h[0] / h[1]
 
@@ -205,21 +246,31 @@ def lowrank_error_sequence(a, fact):
 
     Matrix-free, so dense and Kronecker operators take the same path, and
     every k starts from the same pseudo-random vector.  The k's run in
-    batches of at most `solvers.builds_per_block(a, fact.k, 1)`, each one
-    `krylov.lockstep` build (`_rank_k_steps`).
+    batches, each one `krylov.lockstep` build (`_rank_k_steps`), of at most
+    `solvers.builds_per_block(a, fact.k, 1)` k's and at most n // 16, so
+    that a batch's first bases, 16 vectors a k, fit in n^2 doubles.  That
+    rule counts k_max + 1 vectors a k, but a k's build holds as many as it
+    takes steps, up to 2 (n - k), so `_rank_k_steps` also bounds a batch as
+    it grows: its bases hold at most n^2 doubles, the old and the grown
+    arrays together, unless the batch is down to one k.  A k that a growth
+    sends back runs again, from its start, in a later batch.
     """
     q = fact.basis
     n = q.shape[0]
     ks = np.arange(1, min(fact.k, q.shape[1]) + 1)
     start = rng.normal(LOWRANK_START_SEED, n)
     errors = np.zeros(ks.size)  # zero where Q_k spans everything, k = n
-    open_ks = ks[ks < n]
-    cap = solvers.builds_per_block(a, fact.k, 1)
-    for lo in range(0, open_ks.size, cap):
-        batch = open_ks[lo : lo + cap]
+    pending = list(ks[ks < n])
+    cap = max(1, min(solvers.builds_per_block(a, fact.k, 1), n // (2 * _FIRST_ROWS)))
+    while pending:
+        batch, pending, evicted = np.array(pending[:cap]), pending[cap:], []
         [errors[batch - 1]] = lockstep(
-            a, [_rank_k_steps(q, batch, start, fact.norm_estimate)])
+            a, [_rank_k_steps(q, batch, start, fact.norm_estimate, evicted)])
+        pending = sorted(evicted + pending)
     return errors
+
+
+_FIRST_ROWS = 8  # the v's and the u's a rank-k build first holds, each
 
 
 def _row_norms(rows):
@@ -228,11 +279,12 @@ def _row_norms(rows):
     return np.sqrt((rows[:, None] @ rows[:, :, None])[:, 0, 0])
 
 
-def _rank_k_steps(q, ks, start, norm_a):
+def _rank_k_steps(q, ks, start, norm_a, evicted):
     """||A (I - Q_k Q_k^T)|| for every k in ks, ascending and each below n,
     with Q_k the first k columns of the orthonormal q and norm_a ~ ||A||: a
     `lockstep` build that yields the (live, n) block of its live k's
-    vectors.
+    vectors.  A k it sends back instead is appended to `evicted` and its
+    value is NaN.
 
     For each k, Golub-Kahan on B = A (I - P), P = Q_k Q_k^T, from `start`
     projected off Q_k: u = A v, then v = (I - P) A u.  Each v is
@@ -249,7 +301,9 @@ def _rank_k_steps(q, ks, start, norm_a):
     product's rounding; an absolute 1e-13 * norm_a would stop early near
     the round-off floor), at a zero alpha, or when the complement of Q_k
     is exhausted, and leaves the block before its next product: its rows
-    are moved out of the bases in place.
+    are moved out of the bases in place.  The bases grow by half when
+    full; where the old arrays and the grown ones would hold more than n^2
+    doubles, the deepest live k's are sent back first, down to one k.
     """
     n, width = q.shape
     count = ks.size
@@ -258,7 +312,8 @@ def _rank_k_steps(q, ks, start, norm_a):
     masks = (np.arange(width) < ks[:, None]).astype(float)
     last = n - 1 - ks  # the step at which each slot's complement is exhausted
     lead = ks[0] if count == 1 else 0  # rows of Q in front of each slot's v's
-    vs, us = np.empty((count, lead + 8, n)), np.empty((count, 8, n))  # each slot's v's and u's
+    # each slot's v's and u's
+    vs, us = np.empty((count, lead + _FIRST_ROWS, n)), np.empty((count, _FIRST_ROWS, n))
     vs[:, :lead] = q[:, :lead].T
     alphas, betas = np.empty((2, count, n))
 
@@ -334,6 +389,12 @@ def _rank_k_steps(q, ks, start, norm_a):
             m = live.size
         if j + 1 == us.shape[1]:
             extra = us.shape[1] // 2
+            per_slot = (vs.shape[1] + us.shape[1] + 2 * extra) * n
+            keep = max(1, min(m, (n * n - vs.size - us.size) // per_slot))
+            if keep < m:
+                evicted.extend(ks[live[keep:]].tolist())
+                w, beta = close(np.arange(m) >= keep, np.full(m, np.nan), w, beta)
+                m = keep
             vs, us = grown(vs, m, extra), grown(us, m, extra)
         v = np.divide(w, beta[:, None], out=vs[:m, lead + j + 1])
     return errors
@@ -351,20 +412,22 @@ def tail_coupling(decomp, b, k):
     leading eigenvalues, evaluated in product form.  The spectral norm of
     this matrix determines the largest principal angle.
     """
+    return _coupling(decomp, decomp.project(b), float(np.linalg.norm(b)), k)
+
+
+def _coupling(decomp, c, nb, k):
+    """`tail_coupling` of a b with spectral coefficients c and norm nb."""
     if k > COUPLING_K_CAP:
         raise ContractViolation(
             f"coupling matrix requested for k={k} above the cap {COUPLING_K_CAP}; "
             "Lagrange products are not reliable this deep"
         )
     lams = decomp.eigenvalues
-    n = lams.size
-    if not 1 <= k <= n - 1:
+    if not 1 <= k <= lams.size - 1:
         raise ContractViolation("need 1 <= k <= n - 1")
     if np.unique(lams[: k + 1]).size != k + 1:
         raise ContractViolation("leading eigenvalues must be distinct")
-    c = decomp.project(b)
     d = lams * c
-    nb = float(np.linalg.norm(b))
     if np.any(np.abs(c[:k]) <= 1e3 * EPS * nb):
         raise NumericalError(
             "a leading spectral coefficient of b is at noise level; "
@@ -419,9 +482,26 @@ def angle_sine(decomp, k, mode="direct", fact=None, b=None):
     if mode == "formula":
         if b is None:
             raise ContractViolation("formula mode needs b")
-        d = spectral_norm(tail_coupling(decomp, b, k))
-        return float(d / math.hypot(1.0, d))
+        return _formula_sine(tail_coupling(decomp, b, k))
     raise ContractViolation(f"unknown mode {mode!r}")
+
+
+def _formula_sine(delta):
+    d = spectral_norm(delta)
+    return float(d / math.hypot(1.0, d))
+
+
+def formula_sines(decomp, b, count):
+    """angle_sine(decomp, k, mode="formula", b=b) for k = 1..count, bit for
+    bit, and None for each k it refuses, from one projection of b."""
+    c, nb = decomp.project(b), float(np.linalg.norm(b))
+    sines = []
+    for k in range(1, count + 1):
+        try:
+            sines.append(_formula_sine(_coupling(decomp, c, nb, k)))
+        except RegKrylovError:
+            sines.append(None)
+    return sines
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,10 @@ def builds_per_block(a, k_max, bases):
     least one.  A Kronecker operator multiplies one vector at a time, so
     its cap is one: one build's bases, (k_max + 1) * bases * m^2 doubles,
     always exceed its factor's m^2.  The rank-k error diagnostic batches
-    its k's by this rule with one basis and the factorization's order."""
+    its k's by this rule with one basis and the factorization's order; its
+    builds hold as many vectors as they take steps, not k_max + 1, so it
+    also bounds each batch's bases by n^2 doubles as they grow
+    (`diagnostics.lowrank_error_sequence`)."""
     if a.is_kronecker:
         return 1
     return max(1, a.n // ((k_max + 1) * bases))

@@ -463,6 +463,62 @@ def test_filters_depth_stops_at_the_extended_breakdown(tmp_path):
     assert doc["harmonic_ritz_values"] == [[pytest.approx(math.exp(-50.0), rel=1e-12)]]
 
 
+def test_a_failing_extended_build_stops_after_the_same_files(tmp_path, monkeypatch):
+    """A block builds the extended projections of all its cells before
+    their traces, but a build that fails is raised where its cell's
+    filters are computed: the run exits 3 after the first cell's files and
+    the second cell's traces, as a cell-by-cell pass does."""
+    calls = []
+
+    def fails_on_second_cell(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("injected failure")
+        return lanczos(*args)
+
+    monkeypatch.setattr(cli, "lanczos", fails_on_second_cell)
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(
+        out, seeds=[1, 2, 3], solvers=["minres", "tsvd"], diagnostics=["filters"])))
+    assert solvers.cells_per_block(problems.generate("shaw", 96).a, 10, ["minres"]) >= 3
+    result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: injected failure" in result.output
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics_0.001_1.json", "trace_minres_0.001_1.csv", "trace_minres_0.001_2.csv",
+        "trace_tsvd_0.001_1.csv", "trace_tsvd_0.001_2.csv"]
+
+
+def test_filters_block_pass_peak_is_no_higher_than_cell_by_cell(tmp_path, monkeypatch):
+    """The block casts the operator to np.longdouble once and releases the
+    cast before its traces run, so a filters run's traced peak is no higher
+    than a cell-by-cell pass's, which casts it in each cell's diagnostics,
+    beside that cell's traces; the two write the same bytes."""
+    n = 256
+    peaks, written = {}, {}
+    for mode in ("block", "cell"):
+        if mode == "cell":
+            run_cells, cell_diagnostics = cli._run_cells, cli._cell_diagnostics
+
+            def cell_by_cell(cfg, prob, decomp, noise, cache, entries, ritz):
+                extended = prob.a.astype(np.longdouble)
+                tridiag = lanczos(extended, START_RESIDUAL, noise.b, min(10, cfg.k_max)).tridiag
+                ritz = diagnostics.harmonic_ritz_heads(tridiag)
+                return cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz)
+
+            monkeypatch.setattr(cli, "_run_cells", lambda *args: run_cells(*args[:5]))
+            monkeypatch.setattr(cli, "_cell_diagnostics", cell_by_cell)
+        cfg = cli.ExperimentConfig.from_dict(small_config(
+            tmp_path / mode, n=n, k_max=30, seeds=list(range(1, 9)),
+            solvers=["minres", "mr2", "tsvd"], diagnostics=["filters"]))
+        peaks[mode] = traced_peak_n2(lambda: cli.run_experiment(cfg), n)
+        written[mode] = {p.name: p.read_bytes() for p in Path(cfg.output_dir).iterdir()
+                         if p.name != "summary.json"}
+    assert written["block"] == written["cell"]
+    assert peaks["block"] <= peaks["cell"]
+
+
 def test_dense_limit_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_EIG_LIMIT", 16)
     cfg_path = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from regkrylov import diagnostics, problems, rng, solvers
 from regkrylov.diagnostics import LCurvePoint
-from regkrylov.exceptions import ContractViolation, NumericalError
+from regkrylov.exceptions import ContractViolation, NumericalError, RegKrylovError
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
 from regkrylov.linalg import SpectralDecomposition, SymmetricMatrix, TridiagonalRect, symmetric_eig
 
@@ -113,6 +113,30 @@ def test_harmonic_ritz_heads_stop_at_a_rank_deficient_head():
     assert diagnostics.harmonic_ritz_heads(TridiagonalRect([0.0, 1.0], [0.0, 1.0])) == []
 
 
+def test_harmonic_ritz_block_equals_each_tridiagonal_alone(get_problem):
+    """One block of mixed depths: a clean-data projection that breaks down
+    at step 1, depth-10 projections of noisy data, and a tridiagonal that
+    stops at a rank-deficient third head.  Each gets the heads it gets
+    alone, bit for bit, and in the block's order."""
+    prob, _ = problems.generate_synthetic(problems.SyntheticSpec(n=12, alpha=50.0))
+    broken = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, prob.b_hat, 6)
+    assert broken.breakdown_step == 1
+    shaw = get_problem("shaw", 128)
+    deep = [lanczos(shaw.a.astype(np.longdouble), START_RESIDUAL,
+                    problems.add_noise(shaw, eps, seed=seed).b, 10).tridiag
+            for eps, seed in ((1e-3, 1), (1e-2, 2), (1e-4, 3))]
+    deficient = TridiagonalRect([2.0, 1.0, 0.0, 1.5, 1.0], [0.5, 0.0, 0.0, 0.7, 0.3])
+    tridiags = [deep[0], broken.tridiag, deficient, deep[1], deep[2]]
+    got = diagnostics.harmonic_ritz_block(tridiags)
+    assert [len(heads) for heads in got] == [10, 1, 2, 10, 10]
+    for heads, tridiag in zip(got, tridiags):
+        want = _heads_one_by_one(tridiag)
+        assert [h.tobytes() for h in heads] == [h.tobytes() for h in want]
+        assert [h.tobytes() for h in heads] == [
+            h.tobytes() for h in diagnostics.harmonic_ritz_heads(tridiag)]
+    assert diagnostics.harmonic_ritz_block([]) == []
+
+
 def _pencil_roots_mp(tridiag, digits=60):
     """Roots of det(T^T T - theta T_sq) from the exact entries of T, by
     mpmath at the given number of digits, |theta| descending."""
@@ -150,7 +174,7 @@ def test_wild_newton_step_keeps_the_guess(get_problem):
     good = diagnostics.harmonic_ritz(tridiag)
     guesses = good.copy()
     guesses[2] *= 1.0 + 1e-4
-    got = diagnostics._refine_pencil_roots(tridiag, [guesses])[0]
+    got = diagnostics._polish_heads([tridiag], [[guesses]])[0][0]
     assert got[2] == guesses[2]
     assert np.abs(np.delete(got - good, 2)).max() <= 1e-14 * np.abs(good).max()
 
@@ -348,16 +372,41 @@ def test_lowrank_error_batch_rule():
     assert solvers.builds_per_block(problems.generate("blur", 32).a, 20, 1) == 1
 
 
-@pytest.mark.parametrize("name", ["phillips", "deriv2"])
-def test_lowrank_error_memory_stays_within_twice_the_operator(name):
+@pytest.mark.parametrize("name", ["phillips", "deriv2", "mild"])
+def test_lowrank_error_memory_stays_within_twice_the_operator(name, monkeypatch):
     """The batched builds keep their bases in the slots they were given
-    (finished k's are moved out in place, and the bases grow by half), so
-    the diagnostic's traced peak at n = 512, k_max 40 (12 k's a batch)
-    stays within 2 n^2 doubles."""
+    (finished k's are moved out in place, and the bases grow by half), and
+    a growth that would take a batch's bases past n^2 doubles sends its
+    deepest k's back to a later batch, so the diagnostic's traced peak at
+    n = 512, k_max 40 (12 k's a batch) stays within 2 n^2 doubles.  On a
+    mild spectrum (sigma_j = 1 / j) the k's converge slowly, their batches
+    send k's back (2.3 n^2 without that), and every value still agrees
+    with its k built alone."""
     n = 512
-    prob = problems.generate(name, n)
+    if name == "mild":
+        prob, _ = problems.generate_synthetic(
+            problems.SyntheticSpec(n=n, decay="mild", basis="random", seed=1))
+    else:
+        prob = problems.generate(name, n)
     fact = lanczos(prob.a, START_FILTERED, problems.add_noise(prob, 1e-3, seed=1).b, 40)
-    assert traced_peak_n2(lambda: diagnostics.lowrank_error_sequence(prob.a, fact), n) <= 2.0
+    batches = []
+    rank_k_steps = diagnostics._rank_k_steps
+
+    def counted(q, ks, *args):
+        batches.append(ks.size)
+        return rank_k_steps(q, ks, *args)
+
+    monkeypatch.setattr(diagnostics, "_rank_k_steps", counted)
+    got = []
+    assert traced_peak_n2(lambda: got.append(diagnostics.lowrank_error_sequence(prob.a, fact)),
+                          n) <= 2.0
+    if name == "mild":
+        assert len(batches) > -(-fact.k // solvers.builds_per_block(prob.a, fact.k, 1))
+    batches.clear()
+    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: 1)
+    alone = diagnostics.lowrank_error_sequence(prob.a, fact)
+    assert batches == [1] * fact.k
+    assert np.abs(got[0] - alone).max() <= 1e-14 * alone[0]
 
 
 def test_lowrank_error_lower_bound(get_problem, get_decomp):
@@ -498,6 +547,40 @@ def test_formula_sines_do_not_depend_on_the_order_of_the_ks():
                     for k in (7, 2, 12, 1, 9, 4, 11, 3, 6, 10, 5, 8)}
     fresh = {k: diagnostics.angle_sine(_fresh_shaw()[1], k, mode="formula", b=b) for k in ks}
     assert in_order == out_of_order == fresh
+
+
+def _sines_one_by_one(decomp, b, count):
+    out = []
+    for k in range(1, count + 1):
+        try:
+            out.append(diagnostics.angle_sine(decomp, k, mode="formula", b=b))
+        except RegKrylovError:
+            out.append(None)
+    return out
+
+
+def test_formula_sines_equal_angle_sine_for_every_k():
+    """One projection of b gives every k's sine with angle_sine's bits, and
+    None where angle_sine refuses the k: a leading coefficient at noise
+    level (k >= 3 here) and k >= n."""
+    _, decomp, b = _fresh_shaw()
+    count = diagnostics.COUPLING_K_CAP
+    want = _sines_one_by_one(decomp, b, count)
+    assert None not in want
+    assert diagnostics.formula_sines(_fresh_shaw()[1], b, count) == want
+    spec = problems.SyntheticSpec(n=8, decay="severe", alpha=1.0, beta=1.0)
+    _, small = problems.generate_synthetic(spec)
+    coeffs = np.zeros(8)
+    coeffs[:2], coeffs[3:] = [1.0, 0.5], 0.1  # the third at noise level
+    b = small.lincomb(coeffs)
+    want = _sines_one_by_one(small, b, count)
+    assert None not in want[:2] and want[2:] == [None] * (count - 2)
+    assert diagnostics.formula_sines(small, b, count) == want
+    coeffs[2] = 0.3
+    b = small.lincomb(coeffs)
+    want = _sines_one_by_one(small, b, count)
+    assert None not in want[:7] and want[7:] == [None] * (count - 7)  # k >= n = 8
+    assert diagnostics.formula_sines(small, b, count) == want
 
 
 def test_repeated_eigenvalues_are_refused_on_every_call():

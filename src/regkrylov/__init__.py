@@ -51,7 +51,6 @@ from .diagnostics import (
     filter_factors,
     filtered_solution,
     harmonic_ritz,
-    harmonic_ritz_heads,
     lanczos_decay_table,
     lcurve_corner,
     lcurve_points,

@@ -1,8 +1,10 @@
 """Command-line experiment harness.
 
 `regkrylov run` executes a JSON-configured solver sweep and emits per-trace
-CSV files, diagnostics JSON and a summary JSON.  `regkrylov reproduce`
-regenerates the data series behind the canonical experiment figures.
+CSV files, per-cell diagnostics JSON, the run's spectrum JSON (once, when a
+diagnostic reads the eigendecomposition) and a summary JSON.
+`regkrylov reproduce` regenerates the data series behind the canonical
+experiment figures.
 `regkrylov generate` exports a test problem to the portable JSON container.
 All outputs are byte-deterministic for a fixed configuration on one machine
 with a fixed BLAS thread count.
@@ -229,13 +231,6 @@ def _block_ritz(a, noises, depth):
     return [t if isinstance(t, RegKrylovError) else next(heads) for t in tridiags]
 
 
-def _lowrank_series(prob, decomp, fact):
-    """The rank-k errors of A against fact's basis and the magnitudes of
-    the next eigenvalues."""
-    gam = diagnostics.lowrank_error_sequence(prob.a, fact)
-    return gam, decomp.sigmas[1 : len(gam) + 1]
-
-
 def _cell_summary(solver, eps, seed, trace, csv_name):
     best_k, best_err = trace.best()
     corner = diagnostics.lcurve_corner(
@@ -258,7 +253,9 @@ def _cell_summary(solver, eps, seed, trace, csv_name):
 def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
     """The diagnostics document of one cell as JSON text, keyed by quantity
     name; arrays are k-indexed from 1 and an unrequested quantity has no
-    key.  `entries` are the cell's summary entries, whose L-curve corners
+    key.  What the run's spectrum determines (filter factors, next
+    eigenvalue magnitudes, clean coefficients) is left to `_spectrum_text`.
+    `entries` are the cell's summary entries, whose L-curve corners
     and best k it repeats.  The Lanczos factorization of K_k(A, Ab) comes
     from the cell's `cache`, built there on first use whichever solvers ran.
     `ritz` is the cell's entry from `_block_ritz` when filters is on."""
@@ -269,15 +266,11 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
     if toggles & {"lowrank", "decay", "angles"}:
         fact = cache.get(solvers.KINDS["mr2"])
     if "lowrank" in toggles or "decay" in toggles:
-        gam, sigma_next = _lowrank_series(prob, decomp, fact)
+        gam = diagnostics.lowrank_error_sequence(prob.a, fact)
         doc["lowrank_error"] = gam.tolist()
-        doc["sigma_next"] = sigma_next.tolist()
         if "decay" in toggles:
             rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
-            doc["decay_rows"] = [
-                [r.k, r.offdiag_next, r.diag_next, r.lowrank_error, r.sigma_next]
-                for r in rows
-            ]
+            doc["decay_rows"] = [[r.k, r.offdiag_next, r.diag_next] for r in rows]
             doc["decay_violations"] = len(violations)
     if "angles" in toggles:
         count = min(cfg.k_max, diagnostics.COUPLING_K_CAP)
@@ -288,18 +281,24 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
         if isinstance(ritz, RegKrylovError):
             raise ritz
         doc["harmonic_ritz_values"] = [theta.tolist() for theta in ritz]
-        doc["filter_factor_rows"] = [
-            diagnostics.filter_factors(theta, decomp.eigenvalues).tolist() for theta in ritz
-        ]
     if "picard" in toggles:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
-        doc["picard_clean"] = profile.clean.tolist()
         doc["picard_noise"] = profile.noise.tolist()
         doc["picard_noisy"] = profile.noisy.tolist()
         doc["tail_head_ratio"] = [
             x if math.isfinite(x) else None for x in profile.tail_head_ratio.tolist()
         ]
         doc["transition_index"] = problems.transition_index(decomp, prob.b_hat, noise.e)
+    return problems.json_text(doc)
+
+
+def _spectrum_text(prob, decomp, toggles):
+    """The run's spectrum document as JSON text: the signed eigenvalues in
+    decomposition order and, with picard, the clean coefficient magnitudes
+    |v_j^T b_hat|, the numbers every cell's diagnostics share."""
+    doc = {"eigenvalues": decomp.eigenvalues.tolist()}
+    if "picard" in toggles:
+        doc["picard_clean"] = np.abs(decomp.project(prob.b_hat)).tolist()
     return problems.json_text(doc)
 
 
@@ -312,7 +311,8 @@ def run_experiment(cfg):
     for eps in cfg.noise_levels:
         problems.check_noise_level(eps, prob.b_hat, ConfigError)
     # tsvd and every diagnostic but lcurve read the eigendecomposition
-    if decomp is None and ("tsvd" in cfg.solvers or set(cfg.diagnostics) - {"lcurve"}):
+    spectral = set(cfg.diagnostics) - {"lcurve"}
+    if decomp is None and ("tsvd" in cfg.solvers or spectral):
         decomp = _decompose(prob.a)
     _make_output_dir(cfg.output_dir)
     # summary.json marks a complete run: a rerun that stops partway must
@@ -340,6 +340,10 @@ def run_experiment(cfg):
             _write_text(os.path.join(cfg.output_dir, diag_name), text)
             diag_files.append(diag_name)
             manifest.append(diag_name)
+    if spectral:
+        _write_text(os.path.join(cfg.output_dir, "spectrum.json"),
+                    _spectrum_text(prob, decomp, spectral))
+        manifest.append("spectrum.json")
     summary = {
         "config": asdict(cfg),
         "cells": cells,
@@ -428,13 +432,12 @@ def _lcurves(out_dir, tag, panel):
 def _rank_k_errors(out_dir, tag, panel):
     files = []
     for eps, (_, cache, _) in panel.cells.items():
-        fact = cache.get(solvers.KINDS["mr2"])
-        gam, sigma_next = _lowrank_series(panel.prob, panel.decomp, fact)
+        gam = diagnostics.lowrank_error_sequence(panel.prob.a, cache.get(solvers.KINDS["mr2"]))
         name = f"{tag}_lowrank_{panel.pname}_{eps:g}.csv"
         _write_series_csv(
             os.path.join(out_dir, name),
             ["k", "lowrank_error", "next_eigenvalue_magnitude"],
-            [list(range(1, len(gam) + 1)), list(gam), list(sigma_next)],
+            [list(range(1, len(gam) + 1)), list(gam), list(panel.decomp.sigmas[1 : len(gam) + 1])],
         )
         files.append((name, [(2, "rank-k error"), (3, "|next eigenvalue|")]))
     return files

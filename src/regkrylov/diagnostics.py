@@ -66,15 +66,9 @@ def harmonic_ritz(tridiag):
     return _polish_heads([tridiag], [[guess]])[0][0]
 
 
-def harmonic_ritz_heads(tridiag):
-    """harmonic_ritz(tridiag.head(k)) for k = 1, 2, ..., up to the first
-    head that is numerically rank deficient: the one-tridiagonal case of
-    `harmonic_ritz_block`."""
-    return harmonic_ritz_block([tridiag])[0]
-
-
 def harmonic_ritz_block(tridiags):
-    """harmonic_ritz_heads(t) for every tridiagonal t, bit for bit.
+    """For every tridiagonal t, [harmonic_ritz(t.head(k)) for k = 1, 2, ...]
+    up to its first head that is numerically rank deficient, bit for bit.
 
     For each head order k, one stacked LAPACK SVD and one stacked
     eigensolve give the double guesses of the k-th head of every
@@ -541,7 +535,6 @@ class DecayRow:
     offdiag_next: float  # beta_{k+1}
     diag_next: float  # |alpha_{k+2}|
     lowrank_error: float
-    sigma_next: float  # sigma_{k+1}
 
 
 def lanczos_decay_table(fact, lowrank_errors, sigmas):
@@ -567,7 +560,6 @@ def lanczos_decay_table(fact, lowrank_errors, sigmas):
             offdiag_next=float(beta[k]),
             diag_next=float(abs(alpha[k + 1])),
             lowrank_error=float(lowrank_errors[k - 1]),
-            sigma_next=float(sigmas[k]),
         )
         rows.append(row)
         if max(row.offdiag_next, row.diag_next, row.lowrank_error) <= floor:

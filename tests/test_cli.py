@@ -88,7 +88,7 @@ def test_filters_diagnostic_uses_extended_projection(tmp_path):
     b = problems.add_noise(prob, 1e-3, 1).b
     tridiag = lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, b, 10).tridiag
     assert tridiag.alpha.dtype == np.longdouble
-    assert len(doc["harmonic_ritz_values"]) == len(doc["filter_factor_rows"]) == 10
+    assert len(doc["harmonic_ritz_values"]) == 10
     for k, got in enumerate(doc["harmonic_ritz_values"], start=1):
         assert got == diagnostics.harmonic_ritz(tridiag.head(k)).tolist()
 
@@ -108,6 +108,8 @@ def test_lowrank_and_decay_run_above_the_dense_limit(tmp_path):
     doc = json.loads((Path(cfg.output_dir) / summary["diagnostics_files"][0]).read_text())
     assert len(doc["lowrank_error"]) == 3 and len(doc["decay_rows"]) == 1
     assert doc["decay_violations"] == 0
+    spectrum = json.loads((Path(cfg.output_dir) / "spectrum.json").read_text())
+    assert len(spectrum["eigenvalues"]) == len(spectrum["picard_clean"]) == cfg.n**2
 
 
 @pytest.mark.parametrize("solver_list", [["tsvd"], ["mr2"], ["minres"]],
@@ -124,7 +126,7 @@ def test_diagnostics_do_not_depend_on_the_solver_list(tmp_path, solver_list):
 
     got = diagnostics_doc(tmp_path / "got", solver_list)
     want = diagnostics_doc(tmp_path / "want", ["minres", "mr2"])
-    assert got["angle_direct"] and got["filter_factor_rows"]
+    assert got["angle_direct"] and got["harmonic_ritz_values"]
     # only the entries keyed by solver differ
     for key in ("semiconvergence", "corner_index"):
         assert set(got.pop(key)) == set(solver_list)
@@ -504,7 +506,7 @@ def test_filters_block_pass_peak_is_no_higher_than_cell_by_cell(tmp_path, monkey
             def cell_by_cell(cfg, prob, decomp, noise, cache, entries, ritz):
                 extended = prob.a.astype(np.longdouble)
                 tridiag = lanczos(extended, START_RESIDUAL, noise.b, min(10, cfg.k_max)).tridiag
-                ritz = diagnostics.harmonic_ritz_heads(tridiag)
+                ritz = diagnostics.harmonic_ritz_block([tridiag])[0]
                 return cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz)
 
             monkeypatch.setattr(cli, "_run_cells", lambda *args: run_cells(*args[:5]))
@@ -846,13 +848,12 @@ def test_every_cell_draws_its_noise_through_add_noise(tmp_path, monkeypatch):
 
 # the keys each diagnostics toggle writes
 TOGGLE_KEYS = {
-    "lowrank": {"lowrank_error", "sigma_next"},
-    "decay": {"lowrank_error", "sigma_next", "decay_rows", "decay_violations"},
+    "lowrank": {"lowrank_error"},
+    "decay": {"lowrank_error", "decay_rows", "decay_violations"},
     "angles": {"angle_direct", "angle_formula"},
-    "filters": {"harmonic_ritz_values", "filter_factor_rows"},
+    "filters": {"harmonic_ritz_values"},
     "lcurve": {"corner_index"},
-    "picard": {"picard_clean", "picard_noise", "picard_noisy", "tail_head_ratio",
-               "transition_index"},
+    "picard": {"picard_noise", "picard_noisy", "tail_head_ratio", "transition_index"},
 }
 
 
@@ -867,11 +868,63 @@ def test_unrequested_quantities_have_no_key(tmp_path, solver_list, toggles):
     cfg = cli.ExperimentConfig.from_dict(
         small_config(tmp_path / "out", solvers=solver_list, diagnostics=toggles)
     )
-    cli.run_experiment(cfg)
+    summary = cli.run_experiment(cfg)
     doc = json.loads((Path(cfg.output_dir) / "diagnostics_0.001_1.json").read_text())
     assert set(doc) == {"semiconvergence"}.union(*(TOGGLE_KEYS[t] for t in toggles))
     if "lcurve" in toggles:
         assert doc["corner_index"]
+    # the run's spectrum comes with a toggle that reads the decomposition,
+    # not with tsvd's decomposition alone
+    spectrum = Path(cfg.output_dir) / "spectrum.json"
+    assert spectrum.exists() == ("spectrum.json" in summary["manifest"]) == bool(
+        set(toggles) - {"lcurve"})
+    if spectrum.exists():
+        assert set(json.loads(spectrum.read_text())) == (
+            {"eigenvalues", "picard_clean"} if "picard" in toggles else {"eigenvalues"})
+
+
+def test_dropped_arrays_rebuild_from_the_spectrum_bit_for_bit(tmp_path):
+    """The arrays a diagnostics file once repeated in every cell, rebuilt
+    from the kept outputs and spectrum.json as README's recipes say, have
+    the bits of the per-cell formulas that used to write them:
+    filter_factor_rows, sigma_next, picard_clean and the lowrank_error and
+    sigma_next columns of decay_rows."""
+    cfg = cli.ExperimentConfig.from_dict(
+        small_config(tmp_path / "out", diagnostics=list(cli.DIAG_NAMES)))
+    cli.run_experiment(cfg)
+    doc = json.loads((Path(cfg.output_dir) / "diagnostics_0.001_1.json").read_text())
+    spectrum = json.loads((Path(cfg.output_dir) / "spectrum.json").read_text())
+    lams = np.array(spectrum["eigenvalues"])
+    gam = doc["lowrank_error"]
+    rebuilt = {
+        "filter_factor_rows": [regkrylov.filter_factors(theta, lams).tolist()
+                               for theta in doc["harmonic_ritz_values"]],
+        "sigma_next": np.abs(lams[1 : len(gam) + 1]).tolist(),
+        "picard_clean": spectrum["picard_clean"],
+        "decay_rows": [row + [gam[row[0] - 1], abs(lams[row[0]])] for row in doc["decay_rows"]],
+    }
+
+    prob = problems.generate("shaw", 96)
+    decomp = linalg.symmetric_eig(prob.a)
+    assert lams.tobytes() == decomp.eigenvalues.tobytes()
+    noise = problems.add_noise(prob, 1e-3, 1)
+    ritz = diagnostics.harmonic_ritz_block(
+        [lanczos(prob.a.astype(np.longdouble), START_RESIDUAL, noise.b, 10).tridiag])[0]
+    fact = solvers.LanczosCache(prob.a, noise.b, 10).get(solvers.KINDS["mr2"])
+    want_gam = diagnostics.lowrank_error_sequence(prob.a, fact)
+    rows, _ = diagnostics.lanczos_decay_table(fact, want_gam, decomp.sigmas)
+    want = {
+        "filter_factor_rows": [diagnostics.filter_factors(theta, decomp.eigenvalues).tolist()
+                               for theta in ritz],
+        "sigma_next": decomp.sigmas[1 : len(want_gam) + 1].tolist(),
+        "picard_clean": diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e).clean.tolist(),
+        "decay_rows": [[r.k, r.offdiag_next, r.diag_next, r.lowrank_error,
+                        float(decomp.sigmas[r.k])] for r in rows],
+    }
+    assert rebuilt["decay_rows"] and len(rebuilt["filter_factor_rows"]) == 10
+    # the JSON text of a double is its shortest round-trip form: equal text
+    # is equal bits
+    assert problems.json_text(rebuilt) == problems.json_text(want)
 
 
 def test_picard_writes_the_coefficient_profile(tmp_path):
@@ -889,7 +942,8 @@ def test_picard_writes_the_coefficient_profile(tmp_path):
     decomp = linalg.symmetric_eig(prob.a)
     e = problems.add_noise(prob, 1e-3, 1).e
     profile = diagnostics.coefficient_profile(decomp, prob.b_hat, e)
-    assert doc["picard_clean"] == list(profile.clean)
+    spectrum = json.loads((Path(cfg.output_dir) / "spectrum.json").read_text())
+    assert spectrum["picard_clean"] == list(profile.clean)
     assert doc["picard_noise"] == list(profile.noise)
     assert doc["picard_noisy"] == list(profile.noisy)
     assert doc["tail_head_ratio"] == [

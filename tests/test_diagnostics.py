@@ -79,7 +79,7 @@ def _heads_one_by_one(tridiag):
 
 
 def _assert_heads_bitwise(tridiag, count):
-    got = diagnostics.harmonic_ritz_heads(tridiag)
+    got = diagnostics.harmonic_ritz_block([tridiag])[0]
     want = _heads_one_by_one(tridiag)
     assert len(got) == len(want) == count
     assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
@@ -110,7 +110,7 @@ def test_harmonic_ritz_heads_stop_at_a_rank_deficient_head():
         diagnostics.harmonic_ritz(tridiag.head(3))
     _assert_heads_bitwise(tridiag, 2)
     # a rank-deficient first head leaves no heads at all
-    assert diagnostics.harmonic_ritz_heads(TridiagonalRect([0.0, 1.0], [0.0, 1.0])) == []
+    assert diagnostics.harmonic_ritz_block([TridiagonalRect([0.0, 1.0], [0.0, 1.0])]) == [[]]
 
 
 def test_harmonic_ritz_block_equals_each_tridiagonal_alone(get_problem):
@@ -133,7 +133,7 @@ def test_harmonic_ritz_block_equals_each_tridiagonal_alone(get_problem):
         want = _heads_one_by_one(tridiag)
         assert [h.tobytes() for h in heads] == [h.tobytes() for h in want]
         assert [h.tobytes() for h in heads] == [
-            h.tobytes() for h in diagnostics.harmonic_ritz_heads(tridiag)]
+            h.tobytes() for h in diagnostics.harmonic_ritz_block([tridiag])[0]]
     assert diagnostics.harmonic_ritz_block([]) == []
 
 

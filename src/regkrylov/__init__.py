@@ -45,7 +45,6 @@ from .solvers import (
 )
 from .diagnostics import (
     CoefficientProfile,
-    LCurvePoint,
     angle_sine,
     coefficient_profile,
     filter_factors,

@@ -419,12 +419,11 @@ def _lcurves(out_dir, tag, panel):
     [(_, _, traces)] = panel.cells.values()
     files = []
     for sname in ("minres", "mr2"):
-        pts = diagnostics.lcurve_points(traces[sname].residual_norms,
-                                        traces[sname].solution_norms)
+        xs, ys = diagnostics.lcurve_points(traces[sname].residual_norms,
+                                           traces[sname].solution_norms)
         name = f"{tag}_lcurve_{sname}.csv"
-        fields = ["k", "log_residual", "log_solution_norm"]
-        _write_series_csv(os.path.join(out_dir, name), fields,
-                          [[getattr(p, f) for p in pts] for f in fields])
+        _write_series_csv(os.path.join(out_dir, name), ["k", "log_residual", "log_solution_norm"],
+                          [range(1, len(xs) + 1), xs, ys])
         files.append((name, [(3, f"lcurve {sname}")]))
     return files
 

@@ -504,17 +504,17 @@ def formula_sines(decomp, b, count):
 
 @dataclass(frozen=True)
 class CoefficientProfile:
-    """Spectral coefficients of the clean, noise and noisy right-hand sides,
-    plus the tail-to-head ratio max_{j>k}|c_j| / min_{j<=k}|c_j|."""
+    """Spectral coefficient magnitudes of the noise and the noisy right-hand
+    side, plus the tail-to-head ratio max_{j>k}|c_j| / min_{j<=k}|c_j| of
+    the noisy ones.  Those of b_hat are the same in every cell of a run and
+    are taken once, as `decomp.project(b_hat)`."""
 
-    clean: np.ndarray
     noise: np.ndarray
     noisy: np.ndarray
     tail_head_ratio: np.ndarray
 
 
 def coefficient_profile(decomp, b_hat, e):
-    clean = np.abs(decomp.project(b_hat))
     noise = np.abs(decomp.project(e))
     noisy = np.abs(decomp.project(b_hat + e))
     n = noisy.size
@@ -522,7 +522,7 @@ def coefficient_profile(decomp, b_hat, e):
     suffix_max = np.maximum.accumulate(noisy[::-1])[::-1]
     head = prefix_min[: n - 1]
     ratio = np.where(head > 0.0, suffix_max[1:] / np.where(head > 0.0, head, 1.0), np.inf)
-    return CoefficientProfile(clean=clean, noise=noise, noisy=noisy, tail_head_ratio=ratio)
+    return CoefficientProfile(noise=noise, noisy=noisy, tail_head_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -573,25 +573,19 @@ def lanczos_decay_table(fact, lowrank_errors, sigmas):
 # stopping heuristics
 
 
-@dataclass(frozen=True)
-class LCurvePoint:
-    log_residual: float
-    log_solution_norm: float
-    k: int
-
-
 def lcurve_points(residual_norms, solution_norms):
-    """L-curve points of a family indexed k = 1, 2, ..., from its residual
-    and solution norms (residual stagnation wiggles kept; the corner
-    detector prunes).  Norms are clamped at 1e-300 before the log."""
-    return [
-        LCurvePoint(math.log(max(float(r), 1e-300)), math.log(max(float(s), 1e-300)), k)
-        for k, (r, s) in enumerate(zip(residual_norms, solution_norms), start=1)
-    ]
+    """The discrete L-curve of a family indexed k = 1, 2, ...: the log
+    residual norms and the log solution norms, as two lists whose entry
+    k - 1 belongs to member k (residual stagnation wiggles kept; the corner
+    detector prunes).  Norms are clamped at 1e-300 before the log, which
+    `math.log` takes element by element."""
+    return ([math.log(max(float(r), 1e-300)) for r in residual_norms],
+            [math.log(max(float(s), 1e-300)) for s in solution_norms])
 
 
 def lcurve_corner(points):
-    """Iteration index at the corner of a discrete L-curve, or None.
+    """Iteration index k at the corner of a discrete L-curve given as
+    `lcurve_points` returns it, or None.
 
     Points whose residual is not below every earlier kept residual are
     dropped, as are exact duplicates; the corner maximizes the
@@ -601,33 +595,25 @@ def lcurve_corner(points):
     because one log-axis extent is below LCURVE_FLAT_ASPECT times the other,
     have no corner to find.
     """
-    if len(points) < 3:
+    log_residuals, log_norms = points
+    if len(log_residuals) < 3:
         return None
-    kept = []
-    for p in points:
-        if kept and p.log_residual > kept[-1].log_residual:
+    xs, ys, ks = [], [], []
+    for k, (x, y) in enumerate(zip(log_residuals, log_norms), start=1):
+        if xs and (x > xs[-1] or abs(x - xs[-1]) + abs(y - ys[-1]) <= 1e-12):
             continue
-        if kept and (
-            abs(p.log_residual - kept[-1].log_residual)
-            + abs(p.log_solution_norm - kept[-1].log_solution_norm)
-            <= 1e-12
-        ):
-            continue
-        kept.append(p)
-    if len(kept) < 3:
+        xs.append(x)
+        ys.append(y)
+        ks.append(k)
+    if len(ks) < 3:
         return None
-    xs = [p.log_residual for p in kept]
-    ys = [p.log_solution_norm for p in kept]
     rx = max(xs) - min(xs)
     ry = max(ys) - min(ys)
     if ry <= LCURVE_FLAT_ASPECT * rx or rx <= LCURVE_FLAT_ASPECT * ry:
         return None
     best_k = None
     best_curv = 0.0
-    for a, b, c in zip(kept, kept[1:], kept[2:]):
-        x1, y1 = a.log_residual, a.log_solution_norm
-        x2, y2 = b.log_residual, b.log_solution_norm
-        x3, y3 = c.log_residual, c.log_solution_norm
+    for x1, y1, x2, y2, x3, y3, k in zip(xs, ys, xs[1:], ys[1:], xs[2:], ys[2:], ks[1:]):
         cross = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
         d12 = math.hypot(x2 - x1, y2 - y1)
         d23 = math.hypot(x3 - x2, y3 - y2)
@@ -637,7 +623,7 @@ def lcurve_corner(points):
         curv = -2.0 * cross / (d12 * d23 * d13)
         if curv > best_curv:
             best_curv = curv
-            best_k = b.k
+            best_k = k
     return best_k
 
 

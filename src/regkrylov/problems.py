@@ -9,6 +9,10 @@ A 1-D kernel is built from 1-D node values by outer ufuncs and in-place
 updates, and `SymmetricMatrix` keeps one symmetrized copy of it, never the
 array it was given; generation peaks at about 2 n**2 doubles, below the
 dense eigensolve (about 5 n**2 with LAPACK's workspace).
+
+Every JSON output of the package goes through `json_text`, the standard
+encoder with keys sorted and an indent of one; a problem's arrays travel in
+its container as base64 little-endian doubles.
 """
 
 import base64
@@ -373,47 +377,15 @@ def _dec(text):
     return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8").copy()
 
 
-_JSON_SCALARS = (str, int, float, type(None))  # bool is an int
-_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
-
-
 def json_text(doc):
     """A document as JSON text, keys sorted and indented by one; a numpy
-    number is written as the plain number it holds.
-
-    The bytes are those of json.dumps(doc, sort_keys=True, indent=1), whose
-    indented layout only the pure-Python encoder writes.  So a non-empty
-    list, or dict of string keys, whose members are all plain scalars (of
-    the built-in types themselves) goes to the C encoder whole, with the item separator carrying the newline
-    and indent of its members, and only the containers around such flat
-    ones are walked here.
-    """
+    number is written as the plain number it holds."""
     def plain(x):
         if isinstance(x, (np.integer, np.floating)):
             return x.item()
         raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
-    def write(x, pad):
-        if isinstance(x, _JSON_SCALARS):
-            return json.dumps(x)
-        inner = pad + " "
-        sep = ",\n" + inner
-        is_list = isinstance(x, (list, tuple))
-        if not (is_list or isinstance(x, dict) and {str}.issuperset(map(type, x))) or not x:
-            # a numpy number, an empty container or a dict with a key that
-            # is not a string; JSON text holds no raw newline outside its
-            # layout
-            return json.dumps(x, sort_keys=True, indent=1, default=plain).replace("\n", "\n" + pad)
-        if _PLAIN_TYPES.issuperset(map(type, x if is_list else x.values())):
-            body = json.dumps(x, sort_keys=True, separators=(sep, ": "))[1:-1]
-        elif is_list:
-            body = sep.join(write(v, inner) for v in x)
-        else:
-            body = sep.join(f"{json.dumps(k)}: {write(x[k], inner)}" for k in sorted(x))
-        opening, closing = "[]" if is_list else "{}"
-        return f"{opening}\n{inner}{body}\n{pad}{closing}"
-
-    return write(doc, "")
+    return json.dumps(doc, sort_keys=True, indent=1, default=plain)
 
 
 def problem_to_json(problem):

@@ -316,8 +316,8 @@ _JSON_DOCS = st.recursive(
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(_JSON_DOCS)
 def test_json_text_writes_the_bytes_of_the_standard_encoder(doc):
-    """json_text sends flat lists and dicts to the C encoder and walks the
-    rest; its text is that of json.dumps(doc, sort_keys=True, indent=1)."""
+    """json_text writes the text of json.dumps(doc, sort_keys=True, indent=1),
+    with numpy numbers as the plain numbers they hold, whatever the nesting."""
     assert problems.json_text(doc) == _stdlib_json(doc)
 
 

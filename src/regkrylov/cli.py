@@ -250,7 +250,7 @@ def _cell_summary(solver, eps, seed, trace, csv_name):
     }
 
 
-def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
+def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz, clean):
     """The diagnostics document of one cell as JSON text, keyed by quantity
     name; arrays are k-indexed from 1 and an unrequested quantity has no
     key.  What the run's spectrum determines (filter factors, next
@@ -258,7 +258,8 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
     `entries` are the cell's summary entries, whose L-curve corners
     and best k it repeats.  The Lanczos factorization of K_k(A, Ab) comes
     from the cell's `cache`, built there on first use whichever solvers ran.
-    `ritz` is the cell's entry from `_block_ritz` when filters is on."""
+    `ritz` is the cell's entry from `_block_ritz` when filters is on, and
+    `clean` the run's |v_j^T b_hat| when picard is."""
     toggles = set(cfg.diagnostics)
     doc = {"semiconvergence": {e["solver"]: e["semiconvergence_index"] for e in entries}}
     if "lcurve" in toggles:
@@ -270,11 +271,11 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
         doc["lowrank_error"] = gam.tolist()
         if "decay" in toggles:
             rows, violations = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
-            doc["decay_rows"] = [[r.k, r.offdiag_next, r.diag_next] for r in rows]
+            doc["decay_rows"] = rows
             doc["decay_violations"] = len(violations)
     if "angles" in toggles:
         count = min(cfg.k_max, diagnostics.COUPLING_K_CAP)
-        doc["angle_direct"] = [diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
+        doc["angle_direct"] = [diagnostics.angle_sine(decomp, k, fact)
                                for k in range(1, min(count, fact.basis.shape[1]) + 1)]
         doc["angle_formula"] = diagnostics.formula_sines(decomp, noise.b, count)
     if "filters" in toggles:
@@ -288,17 +289,17 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz):
         doc["tail_head_ratio"] = [
             x if math.isfinite(x) else None for x in profile.tail_head_ratio.tolist()
         ]
-        doc["transition_index"] = problems.transition_index(decomp, prob.b_hat, noise.e)
+        doc["transition_index"] = problems.transition_index(clean, profile.noise)
     return problems.json_text(doc)
 
 
-def _spectrum_text(prob, decomp, toggles):
+def _spectrum_text(decomp, clean):
     """The run's spectrum document as JSON text: the signed eigenvalues in
-    decomposition order and, with picard, the clean coefficient magnitudes
-    |v_j^T b_hat|, the numbers every cell's diagnostics share."""
+    decomposition order and, with picard, `clean`, the magnitudes
+    |v_j^T b_hat| that every cell's diagnostics share."""
     doc = {"eigenvalues": decomp.eigenvalues.tolist()}
-    if "picard" in toggles:
-        doc["picard_clean"] = np.abs(decomp.project(prob.b_hat)).tolist()
+    if clean is not None:
+        doc["picard_clean"] = clean.tolist()
     return problems.json_text(doc)
 
 
@@ -325,6 +326,8 @@ def run_experiment(cfg):
     diag_files = []
     keys = [(eps, seed) for eps in cfg.noise_levels for seed in cfg.seeds]
     ritz_depth = min(10, cfg.k_max) if "filters" in cfg.diagnostics else 0
+    # the clean coefficients are the same in every cell: one projection
+    clean = np.abs(decomp.project(prob.b_hat)) if "picard" in spectral else None
     for (eps, seed), (noise, cache, traces), ritz in _run_cells(prob, decomp, keys, cfg.k_max,
                                                                 cfg.solvers, ritz_depth):
         entries = []
@@ -336,13 +339,13 @@ def run_experiment(cfg):
         cells.extend(entries)
         if cfg.diagnostics:
             diag_name = f"diagnostics_{eps:g}_{seed}.json"
-            text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz)
+            text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz, clean)
             _write_text(os.path.join(cfg.output_dir, diag_name), text)
             diag_files.append(diag_name)
             manifest.append(diag_name)
     if spectral:
         _write_text(os.path.join(cfg.output_dir, "spectrum.json"),
-                    _spectrum_text(prob, decomp, spectral))
+                    _spectrum_text(decomp, clean))
         manifest.append("spectrum.json")
     summary = {
         "config": asdict(cfg),

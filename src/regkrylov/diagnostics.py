@@ -17,7 +17,8 @@ product with the factorization's basis among them, and takes one stacked
 SVD of their bidiagonals per step.  The coupling-matrix formula reads its
 Lagrange products, which depend on the eigenvalues alone, from the
 decomposition, where they are computed once per k, and `formula_sines`
-takes the sines of every k from one projection of b.
+takes the sines of every k from one projection of b.  The module reaches
+the Krylov builders through `krylov` alone and imports no solver.
 """
 
 import math
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng, solvers
+from . import krylov, rng
 from .exceptions import ContractViolation, NumericalError, RegKrylovError
-from .krylov import lockstep
 from .linalg import EPS, spectral_norm
 
 COUPLING_K_CAP = 12  # deepest k of the coupling-matrix formula
@@ -241,7 +241,7 @@ def lowrank_error_sequence(a, fact):
     Matrix-free, so dense and Kronecker operators take the same path, and
     every k starts from the same pseudo-random vector.  The k's run in
     batches, each one `krylov.lockstep` build (`_rank_k_steps`), of at most
-    `solvers.builds_per_block(a, fact.k, 1)` k's and at most n // 16, so
+    `krylov.builds_per_block(a, fact.k, 1)` k's and at most n // 16, so
     that a batch's first bases, 16 vectors a k, fit in n^2 doubles.  That
     rule counts k_max + 1 vectors a k, but a k's build holds as many as it
     takes steps, up to 2 (n - k), so `_rank_k_steps` also bounds a batch as
@@ -255,10 +255,10 @@ def lowrank_error_sequence(a, fact):
     start = rng.normal(LOWRANK_START_SEED, n)
     errors = np.zeros(ks.size)  # zero where Q_k spans everything, k = n
     pending = list(ks[ks < n])
-    cap = max(1, min(solvers.builds_per_block(a, fact.k, 1), n // (2 * _FIRST_ROWS)))
+    cap = max(1, min(krylov.builds_per_block(a, fact.k, 1), n // (2 * _FIRST_ROWS)))
     while pending:
         batch, pending, evicted = np.array(pending[:cap]), pending[cap:], []
-        [errors[batch - 1]] = lockstep(
+        [errors[batch - 1]] = krylov.lockstep(
             a, [_rank_k_steps(q, batch, start, fact.norm_estimate, evicted)])
         pending = sorted(evicted + pending)
     return errors
@@ -456,43 +456,31 @@ def _lagrange_on_tail(decomp, k):
     return l_vals
 
 
-def angle_sine(decomp, k, mode="direct", fact=None, b=None):
+def angle_sine(decomp, k, fact):
     """Sine of the largest principal angle between the k-dimensional dominant
-    eigenspace and the k-dimensional Krylov subspace K_k(A, Ab).
-
-    direct: the top singular value of (I - V_k V_k^T) Q_k, clipped at 1, for
-    the eigenbasis V and the factorization's basis Q, orthonormal as built.
-    formula: ||Delta|| / sqrt(1 + ||Delta||^2) from the coupling matrix.
+    eigenspace and the k-dimensional Krylov subspace K_k(A, Ab): the top
+    singular value of (I - V_k V_k^T) Q_k, clipped at 1, for the eigenbasis
+    V and the factorization's basis Q, orthonormal as built.
     """
-    if mode == "direct":
-        if fact is None:
-            raise ContractViolation("direct mode needs a Lanczos factorization")
-        if k > fact.basis.shape[1]:
-            raise ContractViolation("factorization is too short for this k")
-        v_k = decomp.columns(k)
-        q_k = fact.basis[:, :k]
-        z = q_k - v_k @ (v_k.T @ q_k)
-        return min(float(np.linalg.svd(z, compute_uv=False)[0]), 1.0)
-    if mode == "formula":
-        if b is None:
-            raise ContractViolation("formula mode needs b")
-        return _formula_sine(tail_coupling(decomp, b, k))
-    raise ContractViolation(f"unknown mode {mode!r}")
-
-
-def _formula_sine(delta):
-    d = spectral_norm(delta)
-    return float(d / math.hypot(1.0, d))
+    if k > fact.basis.shape[1]:
+        raise ContractViolation("factorization is too short for this k")
+    v_k = decomp.columns(k)
+    q_k = fact.basis[:, :k]
+    z = q_k - v_k @ (v_k.T @ q_k)
+    return min(float(np.linalg.svd(z, compute_uv=False)[0]), 1.0)
 
 
 def formula_sines(decomp, b, count):
-    """angle_sine(decomp, k, mode="formula", b=b) for k = 1..count, bit for
-    bit, and None for each k it refuses, from one projection of b."""
+    """The same sine from the coupling matrix, ||Delta|| / sqrt(1 +
+    ||Delta||^2) with Delta = tail_coupling(decomp, b, k), for k =
+    1..count, and None for each k the matrix refuses, from one projection
+    of b."""
     c, nb = decomp.project(b), float(np.linalg.norm(b))
     sines = []
     for k in range(1, count + 1):
         try:
-            sines.append(_formula_sine(_coupling(decomp, c, nb, k)))
+            d = spectral_norm(_coupling(decomp, c, nb, k))
+            sines.append(float(d / math.hypot(1.0, d)))
         except RegKrylovError:
             sines.append(None)
     return sines
@@ -506,8 +494,9 @@ def formula_sines(decomp, b, count):
 class CoefficientProfile:
     """Spectral coefficient magnitudes of the noise and the noisy right-hand
     side, plus the tail-to-head ratio max_{j>k}|c_j| / min_{j<=k}|c_j| of
-    the noisy ones.  Those of b_hat are the same in every cell of a run and
-    are taken once, as `decomp.project(b_hat)`."""
+    the noisy ones.  Those of b_hat are the same in every cell of a run:
+    the CLI takes them once, as np.abs(decomp.project(b_hat)), and gives
+    them with `noise` to `problems.transition_index`."""
 
     noise: np.ndarray
     noisy: np.ndarray
@@ -529,22 +518,15 @@ def coefficient_profile(decomp, b_hat, e):
 # decay of the Lanczos entries
 
 
-@dataclass(frozen=True)
-class DecayRow:
-    k: int
-    offdiag_next: float  # beta_{k+1}
-    diag_next: float  # |alpha_{k+2}|
-    lowrank_error: float
-
-
 def lanczos_decay_table(fact, lowrank_errors, sigmas):
     """Row-by-row comparison of the Lanczos entries against the rank-k error,
     given the operator's singular values `sigmas`, non-increasing.
 
-    Returns (rows, violations): above the round-off floor
-    `roundoff_floor(n, sigma_1)` every row must satisfy beta_{k+1} <=
-    lowrank_error_k + tol and |alpha_{k+2}| <= lowrank_error_k + tol, with
-    tol = DECAY_TOL * sigma_1; rows violating either land in `violations`.
+    Returns (rows, violations): rows[k-1] is [k, beta_{k+1}, |alpha_{k+2}|]
+    as floats, and above the round-off floor `roundoff_floor(n, sigma_1)`
+    every row must satisfy beta_{k+1} <= lowrank_error_k + tol and
+    |alpha_{k+2}| <= lowrank_error_k + tol, with tol = DECAY_TOL * sigma_1;
+    `violations` lists the k of each row that breaks either.
     """
     alpha = fact.tridiag.alpha
     beta = fact.tridiag.beta
@@ -553,19 +535,12 @@ def lanczos_decay_table(fact, lowrank_errors, sigmas):
     tol = DECAY_TOL * sig1
     rows = []
     violations = []
-    count = min(len(lowrank_errors), fact.k - 2)
-    for k in range(1, count + 1):
-        row = DecayRow(
-            k=k,
-            offdiag_next=float(beta[k]),
-            diag_next=float(abs(alpha[k + 1])),
-            lowrank_error=float(lowrank_errors[k - 1]),
-        )
-        rows.append(row)
-        if max(row.offdiag_next, row.diag_next, row.lowrank_error) <= floor:
-            continue
-        if row.offdiag_next > row.lowrank_error + tol or row.diag_next > row.lowrank_error + tol:
-            violations.append(row)
+    for k in range(1, min(len(lowrank_errors), fact.k - 2) + 1):
+        off, diag, err = float(beta[k]), float(abs(alpha[k + 1])), float(lowrank_errors[k - 1])
+        rows.append([k, off, diag])
+        # not <=, so that a NaN entry still meets the bounds
+        if not max(off, diag, err) <= floor and (off > err + tol or diag > err + tol):
+            violations.append(k)
     return rows, violations
 
 

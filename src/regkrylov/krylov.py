@@ -182,6 +182,22 @@ def lockstep(a, builds):
     return results
 
 
+def builds_per_block(a, k_max, bases):
+    """How many Krylov builds of k_max + 1 vectors in each of `bases` bases
+    one lockstep runs side by side: as many as keep their bases within the
+    doubles of the operator's dense storage, n // ((k_max + 1) * bases), at
+    least one.  A Kronecker operator multiplies one vector at a time, so
+    its cap is one: one build's bases, (k_max + 1) * bases * m^2 doubles,
+    always exceed its factor's m^2.  The CLI's blocks of cells
+    (`solvers.cells_per_block`) follow this rule, and so do the rank-k
+    error diagnostic's batches of k's, with one basis; their builds hold as
+    many vectors as they take steps, so that diagnostic also bounds each
+    batch's bases by n^2 doubles (`diagnostics.lowrank_error_sequence`)."""
+    if a.is_kronecker:
+        return 1
+    return max(1, a.n // ((k_max + 1) * bases))
+
+
 def lanczos(a, start, b, k_max):
     """Up to k_max symmetric Lanczos steps from b, or from A b.
 

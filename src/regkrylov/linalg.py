@@ -227,35 +227,30 @@ class SpectralDecomposition:
 def symmetric_eig(a):
     """Full spectral decomposition of a SymmetricMatrix.
 
-    Dense operators go to LAPACK (`np.linalg.eigh`), followed by an
-    extended-precision Rayleigh polish of the eigenvalues up to order 512.
-    Kronecker operators only decompose the Toeplitz factor; the pair
-    products give the full spectrum exactly.  The output is byte-identical
+    One LAPACK eigensolve (`np.linalg.eigh`) of the dense matrix, or of a
+    Kronecker operator's Toeplitz factor, followed by an extended-precision
+    Rayleigh polish of its eigenvalues up to order 512; a Kronecker
+    operator's pair products then give the full spectrum exactly.  The output is byte-identical
     from run to run on one machine with a fixed BLAS thread count.  An
     eigensolve of order above DENSE_EIG_LIMIT, n or the factor's m, raises
     ResourceLimitError.
     """
-    size = a.m if a.is_kronecker else a.n
+    mat = a.factor if a.is_kronecker else a.dense()
+    size = mat.shape[0]
     if size > DENSE_EIG_LIMIT:
         raise ResourceLimitError(
             f"dense eigensolve of order {size} exceeds limit {DENSE_EIG_LIMIT}"
         )
+    lams, q = np.linalg.eigh(mat)
+    if size <= _RQ_POLISH_LIMIT:
+        lams = _rayleigh_polish(mat, q)
     if not a.is_kronecker:
-        lams, q = np.linalg.eigh(a.dense())
-        if a.n <= _RQ_POLISH_LIMIT:
-            lams = _rayleigh_polish(a.dense(), q)
         order = _eig_order(lams)
         return SpectralDecomposition(lams[order], v=q[:, order])
-    lam_f, vf = np.linalg.eigh(a.factor)
-    if a.m <= _RQ_POLISH_LIMIT:
-        lam_f = _rayleigh_polish(a.factor, vf)
-    m = a.m
-    pair_lam = (lam_f[:, None] * lam_f[None, :]).ravel()
-    li, ri = np.divmod(np.arange(m * m), m)
+    pair_lam = (lams[:, None] * lams[None, :]).ravel()
+    li, ri = np.divmod(np.arange(size * size), size)
     order = _eig_order(pair_lam)
-    return SpectralDecomposition(
-        pair_lam[order], kron=(vf, li[order], ri[order])
-    )
+    return SpectralDecomposition(pair_lam[order], kron=(q, li[order], ri[order]))
 
 
 # ---------------------------------------------------------------------------

@@ -355,11 +355,10 @@ def add_noise(problem, eps, seed):
     return NoiseRealization(e=e, b=b_hat + e)
 
 
-def transition_index(decomp, b_hat, e):
-    """Largest k with |v_j^T b_hat| > |v_j^T e| for every j <= k."""
-    cb = np.abs(decomp.project(b_hat))
-    ce = np.abs(decomp.project(e))
-    ahead = cb > ce
+def transition_index(clean, noise):
+    """Largest k with clean[j] > noise[j] for every j <= k, given the
+    spectral coefficient magnitudes |v_j^T b_hat| and |v_j^T e|."""
+    ahead = clean > noise
     if ahead.all():
         return int(ahead.size)
     return int(np.argmin(ahead))

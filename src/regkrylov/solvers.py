@@ -41,6 +41,7 @@ from .exceptions import ContractViolation
 from .krylov import (
     START_FILTERED,
     START_RESIDUAL,
+    builds_per_block,
     finite_rhs,
     golub_kahan,
     golub_kahan_steps,
@@ -143,22 +144,6 @@ _BATCHED = {START_RESIDUAL: 1, GOLUB_KAHAN: 2}
 
 def _block_kinds(names):
     return sorted({KINDS[name] for name in names if KINDS.get(name) in _BATCHED})
-
-
-def builds_per_block(a, k_max, bases):
-    """How many Krylov builds of k_max + 1 vectors in each of `bases` bases
-    one lockstep runs side by side: as many as keep their bases within the
-    doubles of the operator's dense storage, n // ((k_max + 1) * bases), at
-    least one.  A Kronecker operator multiplies one vector at a time, so
-    its cap is one: one build's bases, (k_max + 1) * bases * m^2 doubles,
-    always exceed its factor's m^2.  The rank-k error diagnostic batches
-    its k's by this rule with one basis and the factorization's order; its
-    builds hold as many vectors as they take steps, not k_max + 1, so it
-    also bounds each batch's bases by n^2 doubles as they grow
-    (`diagnostics.lowrank_error_sequence`)."""
-    if a.is_kronecker:
-        return 1
-    return max(1, a.n // ((k_max + 1) * bases))
 
 
 def cells_per_block(a, k_max, names):

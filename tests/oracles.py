@@ -16,6 +16,9 @@ the bases moved into one row store: Python lists of columns, re-stacked by
 not bit for bit.
 `deflated_norm` is the rank-k error's build of one k as it was before the
 k's ran in batches; a batch of one k must reproduce it bit for bit.
+`formula_sine` is the coupling-matrix sine of one k, from
+`diagnostics.tail_coupling`; the package's `formula_sines`, which takes
+every k from one projection, must reproduce it bit for bit.
 `spectral_twin` rebuilds a problem from its eigenpairs with the
 eigenvalues mapped, as evidence for what the acceptance criteria's misses
 depend on, and `read_trace_csv` parses the package's trace CSVs.
@@ -26,6 +29,7 @@ import math
 
 import numpy as np
 
+from regkrylov.diagnostics import tail_coupling
 from regkrylov.exceptions import ContractViolation
 from regkrylov.krylov import (
     START_FILTERED,
@@ -41,6 +45,7 @@ from regkrylov.linalg import (
     SymmetricMatrix,
     TridiagonalRect,
     least_squares,
+    spectral_norm,
 )
 
 
@@ -414,6 +419,15 @@ def deflated_norm(a, q_k, start, norm_a):
             break
         v /= betas[-1]
     return float(s[0])
+
+
+def formula_sine(decomp, b, k):
+    """Sine of the largest principal angle between the dominant k-dimensional
+    eigenspace and K_k(A, Ab) by the coupling-matrix formula,
+    ||Delta|| / sqrt(1 + ||Delta||^2); raises where `tail_coupling` refuses
+    the k."""
+    d = spectral_norm(tail_coupling(decomp, b, k))
+    return float(d / math.hypot(1.0, d))
 
 
 def spectral_twin(problem, decomp, f):

@@ -18,6 +18,7 @@ from conftest import needs_extended_precision
 from oracles import (
     arnoldi_basis,
     arnoldi_minimizers,
+    formula_sine,
     krylov_residual_minimizer,
     krylov_subspace_minimizer,
     spectral_twin,
@@ -91,7 +92,7 @@ def test_criterion_01_lanczos_entry_bounds(get_problem, get_decomp):
         _, decomp, fact, gam, _ = _decay_sweep(get_problem, get_decomp, name)
         rows, bad = diagnostics.lanczos_decay_table(fact, gam, decomp.sigmas)
         rows_checked += len(rows)
-        violations.extend((name, r.k) for r in bad)
+        violations.extend((name, k) for k in bad)
     _verdict(
         1,
         not violations,
@@ -160,8 +161,8 @@ def test_criterion_04_angle_formula_consistency():
         nz = problems.add_noise(prob, 1e-3, seed=seed)
         fact = lanczos(prob.a, START_FILTERED, nz.b, 8)
         for k in range(1, 9):
-            direct = diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
-            formula = diagnostics.angle_sine(decomp, k, mode="formula", b=nz.b)
+            direct = diagnostics.angle_sine(decomp, k, fact)
+            formula = formula_sine(decomp, nz.b, k)
             worst = max(worst, abs(direct - formula))
     _verdict(4, worst <= 1e-8, "angle formula consistency", f"worst gap {worst:.3e}")
 

@@ -503,11 +503,11 @@ def test_filters_block_pass_peak_is_no_higher_than_cell_by_cell(tmp_path, monkey
         if mode == "cell":
             run_cells, cell_diagnostics = cli._run_cells, cli._cell_diagnostics
 
-            def cell_by_cell(cfg, prob, decomp, noise, cache, entries, ritz):
+            def cell_by_cell(cfg, prob, decomp, noise, cache, entries, ritz, clean):
                 extended = prob.a.astype(np.longdouble)
                 tridiag = lanczos(extended, START_RESIDUAL, noise.b, min(10, cfg.k_max)).tridiag
                 ritz = diagnostics.harmonic_ritz_block([tridiag])[0]
-                return cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz)
+                return cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz, clean)
 
             monkeypatch.setattr(cli, "_run_cells", lambda *args: run_cells(*args[:5]))
             monkeypatch.setattr(cli, "_cell_diagnostics", cell_by_cell)
@@ -918,8 +918,8 @@ def test_dropped_arrays_rebuild_from_the_spectrum_bit_for_bit(tmp_path):
                                for theta in ritz],
         "sigma_next": decomp.sigmas[1 : len(want_gam) + 1].tolist(),
         "picard_clean": np.abs(decomp.project(prob.b_hat)).tolist(),
-        "decay_rows": [[r.k, r.offdiag_next, r.diag_next, r.lowrank_error,
-                        float(decomp.sigmas[r.k])] for r in rows],
+        "decay_rows": [[k, off, diag, float(want_gam[k - 1]), float(decomp.sigmas[k])]
+                       for k, off, diag in rows],
     }
     assert rebuilt["decay_rows"] and len(rebuilt["filter_factor_rows"]) == 10
     # the JSON text of a double is its shortest round-trip form: equal text
@@ -949,12 +949,30 @@ def test_picard_writes_the_coefficient_profile(tmp_path):
     assert doc["tail_head_ratio"] == [
         x if np.isfinite(x) else None for x in profile.tail_head_ratio
     ]
-    assert doc["transition_index"] == problems.transition_index(decomp, prob.b_hat, e)
+    assert doc["transition_index"] == problems.transition_index(
+        np.abs(decomp.project(prob.b_hat)), profile.noise)
 
     traces = {k: v for k, v in read_all_bytes(tmp_path / "plain").items() if k.endswith(".csv")}
     assert traces
     assert traces == {k: v for k, v in read_all_bytes(tmp_path / "picard").items()
                       if k.endswith(".csv")}
+
+
+def test_picard_projects_twice_a_cell_and_the_clean_data_once(tmp_path, monkeypatch):
+    """Without tsvd, a picard run projects onto the eigenbasis twice per
+    cell, the noise and the noisy data, and the clean data once per run."""
+    calls = []
+    project = linalg.SpectralDecomposition.project
+
+    def counted(self, vec):
+        calls.append(vec)
+        return project(self, vec)
+
+    monkeypatch.setattr(linalg.SpectralDecomposition, "project", counted)
+    cfg = cli.ExperimentConfig.from_dict(small_config(
+        tmp_path / "out", noise_levels=[1e-3, 1e-2], seeds=[1, 2], diagnostics=["picard"]))
+    cli.run_experiment(cfg)
+    assert len(calls) == 2 * 4 + 1
 
 
 def test_shared_factorizations_change_no_output(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from regkrylov import diagnostics, problems, rng, solvers
+from regkrylov import diagnostics, krylov, problems, rng, solvers
 from regkrylov.exceptions import ContractViolation, NumericalError, RegKrylovError
 from regkrylov.krylov import START_FILTERED, START_RESIDUAL, lanczos
 from regkrylov.linalg import SpectralDecomposition, SymmetricMatrix, TridiagonalRect, symmetric_eig
@@ -328,6 +328,20 @@ def test_lowrank_error_matches_dense_form_property(system, start):
 DENSE_LOWRANK_CASES = [case for case in LOWRANK_ORACLE_CASES if not case.startswith("blur")]
 
 
+def _counted_batches(monkeypatch):
+    """The size of every batch of k's that `lowrank_error_sequence` runs
+    from now on, in order."""
+    batches = []
+    rank_k_steps = diagnostics._rank_k_steps
+
+    def counted(q, ks, *args):
+        batches.append(ks.size)
+        return rank_k_steps(q, ks, *args)
+
+    monkeypatch.setattr(diagnostics, "_rank_k_steps", counted)
+    return batches
+
+
 @pytest.mark.parametrize("case", DENSE_LOWRANK_CASES)
 @pytest.mark.parametrize("cap", [1, 2])
 def test_lowrank_error_in_small_batches(monkeypatch, case, cap):
@@ -335,14 +349,17 @@ def test_lowrank_error_in_small_batches(monkeypatch, case, cap):
     pairs, in several lockstep batches, and still
     matches the dense form; it agrees with one batch of every k to
     rounding.  Kronecker operators run one k at a time whatever the cap
-    (they have no block product), so the blur cases are left out."""
+    (they have no block product), so the blur cases are left out.  The
+    batches it sees hold the cap's k's, or n // 16 where that is lower."""
     a, b, k_max = LOWRANK_ORACLE_CASES[case]()
     fact = lanczos(a, START_FILTERED, b, k_max)
-    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: a.n)
+    monkeypatch.setattr(krylov, "builds_per_block", lambda a, k_max, bases: a.n)
     whole = diagnostics.lowrank_error_sequence(a, fact)
-    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: cap)
+    batches = _counted_batches(monkeypatch)
+    monkeypatch.setattr(krylov, "builds_per_block", lambda a, k_max, bases: cap)
     got = diagnostics.lowrank_error_sequence(a, fact)
     assert got.size > cap
+    assert len(batches) > 1 and max(batches) == min(cap, max(1, a.n // 16)), batches
     sig1 = np.linalg.norm(a.dense(), 2)
     assert np.abs(got - _dense_lowrank_errors(a, fact)).max() <= 1e-12 * sig1, case
     assert np.abs(got - whole).max() <= 1e-14 * sig1, case
@@ -354,7 +371,7 @@ def test_a_lone_k_writes_the_bytes_of_the_one_k_build(monkeypatch, case):
     is bit for bit that of the k's build alone, `oracles.deflated_norm`."""
     a, b, k_max = LOWRANK_ORACLE_CASES[case]()
     fact = lanczos(a, START_FILTERED, b, k_max)
-    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: 1)
+    monkeypatch.setattr(krylov, "builds_per_block", lambda a, k_max, bases: 1)
     got = diagnostics.lowrank_error_sequence(a, fact)
     start = rng.normal(diagnostics.LOWRANK_START_SEED, a.n)
     want = [oracles.deflated_norm(a, fact.basis[:, :k], start, fact.norm_estimate)
@@ -366,9 +383,9 @@ def test_lowrank_error_batch_rule():
     """A batch of k's holds the builds of one basis of k_max + 1 vectors
     that fit in the operator's storage; a Kronecker operator runs one k at
     a time."""
-    assert solvers.builds_per_block(problems.generate("shaw", 256).a, 30, 1) == 8
-    assert solvers.builds_per_block(problems.generate("shaw", 512).a, 40, 1) == 12
-    assert solvers.builds_per_block(problems.generate("blur", 32).a, 20, 1) == 1
+    assert krylov.builds_per_block(problems.generate("shaw", 256).a, 30, 1) == 8
+    assert krylov.builds_per_block(problems.generate("shaw", 512).a, 40, 1) == 12
+    assert krylov.builds_per_block(problems.generate("blur", 32).a, 20, 1) == 1
 
 
 @pytest.mark.parametrize("name", ["phillips", "deriv2", "mild"])
@@ -388,21 +405,14 @@ def test_lowrank_error_memory_stays_within_twice_the_operator(name, monkeypatch)
     else:
         prob = problems.generate(name, n)
     fact = lanczos(prob.a, START_FILTERED, problems.add_noise(prob, 1e-3, seed=1).b, 40)
-    batches = []
-    rank_k_steps = diagnostics._rank_k_steps
-
-    def counted(q, ks, *args):
-        batches.append(ks.size)
-        return rank_k_steps(q, ks, *args)
-
-    monkeypatch.setattr(diagnostics, "_rank_k_steps", counted)
+    batches = _counted_batches(monkeypatch)
     got = []
     assert traced_peak_n2(lambda: got.append(diagnostics.lowrank_error_sequence(prob.a, fact)),
                           n) <= 2.0
     if name == "mild":
-        assert len(batches) > -(-fact.k // solvers.builds_per_block(prob.a, fact.k, 1))
+        assert len(batches) > -(-fact.k // krylov.builds_per_block(prob.a, fact.k, 1))
     batches.clear()
-    monkeypatch.setattr(solvers, "builds_per_block", lambda a, k_max, bases: 1)
+    monkeypatch.setattr(krylov, "builds_per_block", lambda a, k_max, bases: 1)
     alone = diagnostics.lowrank_error_sequence(prob.a, fact)
     assert batches == [1] * fact.k
     assert np.abs(got[0] - alone).max() <= 1e-14 * alone[0]
@@ -446,7 +456,7 @@ def test_rank_error_sandwiched_by_angle_bound():
     gam = diagnostics.lowrank_error_sequence(prob.a, fact)
     sig1 = decomp.sigmas[0]
     for k in range(1, len(gam) + 1):
-        sine = diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
+        sine = diagnostics.angle_sine(decomp, k, fact)
         assert decomp.sigmas[k] - 1e-10 * sig1 <= gam[k - 1]
         assert gam[k - 1] <= decomp.sigmas[k] + sig1 * sine + 1e-8 * sig1
 
@@ -483,7 +493,7 @@ def test_coupling_zero_tail_gives_zero_angle():
     b = decomp.lincomb(coeffs)
     delta = diagnostics.tail_coupling(decomp, b, 3)
     assert np.all(delta == 0.0)
-    assert diagnostics.angle_sine(decomp, 3, mode="formula", b=b) == 0.0
+    assert oracles.formula_sine(decomp, b, 3) == 0.0
 
 
 def test_coupling_spans_krylov_subspace():
@@ -540,11 +550,11 @@ def test_formula_sines_do_not_depend_on_the_order_of_the_ks():
     in order, out of order, or each on a fresh decomposition."""
     _, decomp, b = _fresh_shaw()
     ks = range(1, diagnostics.COUPLING_K_CAP + 1)
-    in_order = {k: diagnostics.angle_sine(decomp, k, mode="formula", b=b) for k in ks}
+    in_order = {k: oracles.formula_sine(decomp, b, k) for k in ks}
     _, shuffled, _ = _fresh_shaw()
-    out_of_order = {k: diagnostics.angle_sine(shuffled, k, mode="formula", b=b)
+    out_of_order = {k: oracles.formula_sine(shuffled, b, k)
                     for k in (7, 2, 12, 1, 9, 4, 11, 3, 6, 10, 5, 8)}
-    fresh = {k: diagnostics.angle_sine(_fresh_shaw()[1], k, mode="formula", b=b) for k in ks}
+    fresh = {k: oracles.formula_sine(_fresh_shaw()[1], b, k) for k in ks}
     assert in_order == out_of_order == fresh
 
 
@@ -552,16 +562,16 @@ def _sines_one_by_one(decomp, b, count):
     out = []
     for k in range(1, count + 1):
         try:
-            out.append(diagnostics.angle_sine(decomp, k, mode="formula", b=b))
+            out.append(oracles.formula_sine(decomp, b, k))
         except RegKrylovError:
             out.append(None)
     return out
 
 
 def test_formula_sines_equal_angle_sine_for_every_k():
-    """One projection of b gives every k's sine with angle_sine's bits, and
-    None where angle_sine refuses the k: a leading coefficient at noise
-    level (k >= 3 here) and k >= n."""
+    """One projection of b gives every k's sine with the bits of the one-k
+    formula `oracles.formula_sine`, and None where that refuses the k: a
+    leading coefficient at noise level (k >= 3 here) and k >= n."""
     _, decomp, b = _fresh_shaw()
     count = diagnostics.COUPLING_K_CAP
     want = _sines_one_by_one(decomp, b, count)
@@ -602,7 +612,7 @@ def test_angle_formula_monotone_in_coupling_scale():
     prev = -1.0
     for t in (0.1, 1.0, 10.0, 1e8):
         b = decomp.lincomb(np.append(coeffs[:3], t * coeffs[3:]))
-        val = diagnostics.angle_sine(decomp, 3, mode="formula", b=b)
+        val = oracles.formula_sine(decomp, b, 3)
         assert prev < val <= 1.0
         prev = val
 
@@ -614,14 +624,14 @@ def test_angle_direct_vs_formula():
     nz = problems.add_noise(prob, 1e-3, seed=2)
     fact = lanczos(prob.a, START_FILTERED, nz.b, 8)
     for k in range(1, 9):
-        direct = diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
-        formula = diagnostics.angle_sine(decomp, k, mode="formula", b=nz.b)
+        direct = diagnostics.angle_sine(decomp, k, fact)
+        formula = oracles.formula_sine(decomp, nz.b, k)
         assert abs(direct - formula) <= 1e-8, k
 
 
 def test_direct_angle_is_exact_on_an_identity_basis():
     # with V = I the dominant eigenspace is the first k coordinates, so
-    # sin theta_k = ||Q_k[k:, :]||_2; the direct mode keeps it to a few ulps
+    # sin theta_k = ||Q_k[k:, :]||_2; angle_sine keeps it to a few ulps
     # of itself, far below eps absolute when the angle is small
     spec = problems.SyntheticSpec(n=32, decay="severe", alpha=2.0, beta=1.0)
     prob, decomp = problems.generate_synthetic(spec)
@@ -629,7 +639,7 @@ def test_direct_angle_is_exact_on_an_identity_basis():
     fact = lanczos(prob.a, START_FILTERED, nz.b, 8)
     for k in range(1, 9):
         exact = np.linalg.norm(fact.basis[k:, :k], 2)
-        direct = diagnostics.angle_sine(decomp, k, mode="direct", fact=fact)
+        direct = diagnostics.angle_sine(decomp, k, fact)
         assert abs(direct - exact) <= 8 * np.finfo(float).eps * exact, k
 
 
@@ -671,7 +681,8 @@ def test_tail_head_ratio_near_one_past_transition():
                                   basis="random", seed=5)
     prob, decomp = problems.generate_synthetic(spec)
     e = decomp.lincomb(np.full(48, 1e-3))
-    k0 = problems.transition_index(decomp, prob.b_hat, e)
+    k0 = problems.transition_index(np.abs(decomp.project(prob.b_hat)),
+                                   np.abs(decomp.project(e)))
     assert 0 < k0 < 38
     profile = diagnostics.coefficient_profile(decomp, prob.b_hat, e)
     window = profile.tail_head_ratio[k0 : k0 + 10]
@@ -713,11 +724,11 @@ def test_decay_table_lists_exactly_the_violations_above_the_floor():
                                  basis=np.empty((n, 0)), k=len(alpha))
     sigmas = 0.5 ** np.arange(8)
     rows, violations = diagnostics.lanczos_decay_table(fact, gam, sigmas)
-    assert [r.k for r in rows] == [1, 2, 3, 4, 5, 6]
+    assert [r[0] for r in rows] == [1, 2, 3, 4, 5, 6]
     # row 2 breaks the off-diagonal bound, row 3 the diagonal one, row 6 the
     # off-diagonal one just above the floor; row 4 is within the slack and
     # row 5 breaks the off-diagonal bound below the floor
-    assert [r.k for r in violations] == [2, 3, 6]
+    assert violations == [2, 3, 6]
 
 
 def test_phillips_offdiagonal_tracks_sigma(get_problem, get_decomp):

@@ -326,15 +326,15 @@ def test_spectral_norm_clustered_values():
 
 
 # ---------------------------------------------------------------------------
-# principal-angle sine: the direct mode of diagnostics.angle_sine, the sine of
-# the largest angle between the eigenbasis columns and a factorization basis
+# principal-angle sine: diagnostics.angle_sine, the sine of the largest
+# angle between the eigenbasis columns and a factorization basis
 
 
 def _direct_sine(x_full, y):
-    """angle_sine's direct mode between the leading columns of the
+    """angle_sine between the leading columns of the
     orthogonal x_full and the orthonormal columns of y."""
     decomp = SpectralDecomposition(np.arange(x_full.shape[1], 0, -1.0), v=x_full)
-    return diagnostics.angle_sine(decomp, y.shape[1], mode="direct", fact=types.SimpleNamespace(basis=y))
+    return diagnostics.angle_sine(decomp, y.shape[1], fact=types.SimpleNamespace(basis=y))
 
 
 def test_identical_bases_have_zero_angles():

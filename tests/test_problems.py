@@ -268,14 +268,16 @@ def test_noise_entries_pooled_mean(get_problem):
 def test_transition_no_noise_is_full():
     spec = problems.SyntheticSpec(n=8, decay="severe", alpha=1.0, beta=1.0)
     prob, decomp = problems.generate_synthetic(spec)
-    assert problems.transition_index(decomp, prob.b_hat, np.zeros(8)) == 8
+    assert problems.transition_index(np.abs(decomp.project(prob.b_hat)),
+                                    np.abs(decomp.project(np.zeros(8)))) == 8
 
 
 def test_transition_zero_signal():
     spec = problems.SyntheticSpec(n=8, decay="severe", alpha=1.0, beta=1.0)
     prob, decomp = problems.generate_synthetic(spec)
     e = decomp.lincomb(np.full(8, 1e-3))
-    assert problems.transition_index(decomp, np.zeros(8), e) == 0
+    assert problems.transition_index(np.abs(decomp.project(np.zeros(8))),
+                                    np.abs(decomp.project(e))) == 0
 
 
 def test_transition_flat_noise_in_eigenbasis():
@@ -283,7 +285,8 @@ def test_transition_flat_noise_in_eigenbasis():
     spec = problems.SyntheticSpec(n=16, decay="severe", alpha=1.0, beta=0.5)
     prob, decomp = problems.generate_synthetic(spec)
     e = decomp.lincomb(np.full(16, 1e-3))
-    assert problems.transition_index(decomp, prob.b_hat, e) == 4
+    assert problems.transition_index(np.abs(decomp.project(prob.b_hat)),
+                                    np.abs(decomp.project(e))) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_tsvd_best_matches_transition_index_for_eigenbasis_noise():
     spec = problems.SyntheticSpec(n=20, decay="severe", alpha=1.0, beta=1.0)
     prob, decomp = problems.generate_synthetic(spec)
     e = decomp.lincomb(np.full(20, 1e-4))
-    k0 = problems.transition_index(decomp, prob.b_hat, e)
+    k0 = problems.transition_index(np.abs(decomp.project(prob.b_hat)), np.abs(decomp.project(e)))
     tr = tsvd_trace(decomp, prob.b_hat + e, x_true=prob.x_true)
     # brute-force enumeration oracle over all truncation levels
     errs = [np.linalg.norm(s - prob.x_true) for s in tr.solutions]

@@ -14,7 +14,9 @@ blocks (`_run_cells`): a block draws its noise, builds the K_k(A, b)
 Lanczos and Golub-Kahan factorizations of all its cells in one lockstep,
 one block product per round, takes the harmonic Ritz values of the
 `filters` diagnostic for all its cells in one pass (`_block_ritz`), then
-traces and writes one cell at a time.
+traces one cell at a time, keeping its documents but not its traces.  One
+write phase (`_write_files`) after the last cell writes every document,
+so a run or figure that fails writes no file.
 `solvers.blocks` holds the block rule (one cell per block on blur).  The
 K_k(A, Ab) factorization stays per cell (see `solvers.block_caches`).
 Every factorization a diagnostic or figure reads comes from the cell's
@@ -118,23 +120,16 @@ def _csv_field(x):
     return repr(float(x))
 
 
-def _write_series_csv(path, header, columns):
-    """One column per series; a shorter series leaves its last rows empty."""
+def _series_csv(header, columns):
+    """CSV text, one column per series; a shorter series leaves its last rows empty."""
     lines = [",".join(header)]
     for i in range(max(len(c) for c in columns)):
         lines.append(",".join(_csv_field(c[i]) if i < len(c) else "" for c in columns))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_text(path, text):
-    """Write text, built in full before the file is opened, to path."""
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _write_trace_csv(path, trace):
-    _write_series_csv(
-        path,
+def _trace_csv(trace):
+    return _series_csv(
         ["k", "residual_norm", "solution_norm", "relative_error"],
         [
             list(range(1, trace.iterations + 1)),
@@ -179,6 +174,31 @@ def _make_output_dir(path):
         raise ConfigError(f"cannot make output directory {path}: {exc.strerror or exc}") from exc
 
 
+def _write_files(out_dir, files):
+    """Write each (name, document) of files into out_dir: text, or bytes."""
+    for name, data in files:
+        with open(os.path.join(out_dir, name), "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+
+
+def _remove_previous_run(out_dir):
+    """Remove the regular files directly in out_dir that its summary.json
+    lists in its manifest, and the summary itself.  A summary that cannot
+    be read, or whose manifest is not a list of strings, lists nothing."""
+    try:
+        with open(os.path.join(out_dir, "summary.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)["manifest"]
+    except (OSError, ValueError, TypeError, KeyError):
+        manifest = []
+    if not (isinstance(manifest, list) and all(isinstance(n, str) for n in manifest)):
+        manifest = []
+    for name in manifest + ["summary.json"]:
+        path = os.path.join(out_dir, name)
+        # a name with a separator is not directly in out_dir; . and .. are no files
+        if os.path.basename(name) == name and os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+
+
 def _run_cells(prob, decomp, cells, k_max, names, ritz_depth=0):
     """Yield ((noise level, seed), (noise, LanczosCache, traces of the
     named solvers by name in the given order), harmonic Ritz values) for
@@ -214,21 +234,13 @@ def _block_ritz(a, noises, depth):
     The block casts the operator to np.longdouble once, builds each cell's
     projection on it in turn, keeps only the tridiagonals, and releases the
     cast before the block's traces run; `diagnostics.harmonic_ritz_block`
-    then takes the values of every cell together.  A cell whose build fails
-    gets its error instead, which `_cell_diagnostics` raises where that
-    cell's filters are computed, so a failing run stops after the same
-    files as a cell-by-cell pass."""
+    then takes the values of every cell together.  A build that fails
+    raises before the block's traces; no file has been written by then."""
     extended = a.astype(np.longdouble)
-    tridiags = []
-    for noise in noises:
-        try:
-            tridiags.append(lanczos(extended, solvers.KINDS["minres"], noise.b, depth).tridiag)
-        except RegKrylovError as exc:
-            tridiags.append(exc)
+    tridiags = [lanczos(extended, solvers.KINDS["minres"], noise.b, depth).tridiag
+                for noise in noises]
     del extended
-    built = [t for t in tridiags if not isinstance(t, RegKrylovError)]
-    heads = iter(diagnostics.harmonic_ritz_block(built))
-    return [t if isinstance(t, RegKrylovError) else next(heads) for t in tridiags]
+    return diagnostics.harmonic_ritz_block(tridiags)
 
 
 def _cell_summary(solver, eps, seed, trace, csv_name):
@@ -279,8 +291,6 @@ def _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz, clean):
                                for k in range(1, min(count, fact.basis.shape[1]) + 1)]
         doc["angle_formula"] = diagnostics.formula_sines(decomp, noise.b, count)
     if "filters" in toggles:
-        if isinstance(ritz, RegKrylovError):
-            raise ritz
         doc["harmonic_ritz_values"] = [theta.tolist() for theta in ritz]
     if "picard" in toggles:
         profile = diagnostics.coefficient_profile(decomp, prob.b_hat, noise.e)
@@ -305,7 +315,10 @@ def _spectrum_text(decomp, clean):
 
 def run_experiment(cfg):
     """Execute a config; returns the summary dict after writing all files.
-    Every configuration error is raised before the output directory is made."""
+    Every configuration error is raised before the output directory is
+    made, and every document is built before any file is written: then the
+    previous run's files go (`_remove_previous_run`), and the new ones are
+    written, summary.json last.  A run that fails writes no file."""
     prob, decomp = _build_problem(cfg.problem, cfg.n, cfg.band, cfg.sigma, cfg.synthetic)
     if cfg.k_max > prob.a.n:
         raise ConfigError(f"k_max {cfg.k_max} exceeds the problem order {prob.a.n}")
@@ -316,14 +329,7 @@ def run_experiment(cfg):
     if decomp is None and ("tsvd" in cfg.solvers or spectral):
         decomp = _decompose(prob.a)
     _make_output_dir(cfg.output_dir)
-    # summary.json marks a complete run: a rerun that stops partway must
-    # not leave the previous run's summary beside its new files
-    summary_path = os.path.join(cfg.output_dir, "summary.json")
-    if os.path.exists(summary_path):
-        os.remove(summary_path)
-    cells = []
-    manifest = []
-    diag_files = []
+    cells, files = [], []
     keys = [(eps, seed) for eps in cfg.noise_levels for seed in cfg.seeds]
     ritz_depth = min(10, cfg.k_max) if "filters" in cfg.diagnostics else 0
     # the clean coefficients are the same in every cell: one projection
@@ -333,27 +339,22 @@ def run_experiment(cfg):
         entries = []
         for solver, trace in traces.items():
             csv_name = f"trace_{solver}_{eps:g}_{seed}.csv"
-            _write_trace_csv(os.path.join(cfg.output_dir, csv_name), trace)
-            manifest.append(csv_name)
+            files.append((csv_name, _trace_csv(trace)))
             entries.append(_cell_summary(solver, eps, seed, trace, csv_name))
         cells.extend(entries)
         if cfg.diagnostics:
-            diag_name = f"diagnostics_{eps:g}_{seed}.json"
-            text = _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz, clean)
-            _write_text(os.path.join(cfg.output_dir, diag_name), text)
-            diag_files.append(diag_name)
-            manifest.append(diag_name)
+            files.append((f"diagnostics_{eps:g}_{seed}.json",
+                          _cell_diagnostics(cfg, prob, decomp, noise, cache, entries, ritz, clean)))
     if spectral:
-        _write_text(os.path.join(cfg.output_dir, "spectrum.json"),
-                    _spectrum_text(decomp, clean))
-        manifest.append("spectrum.json")
+        files.append(("spectrum.json", _spectrum_text(decomp, clean)))
     summary = {
         "config": asdict(cfg),
         "cells": cells,
-        "diagnostics_files": diag_files,
-        "manifest": manifest,
+        "diagnostics_files": [name for name, _ in files if name.startswith("diagnostics_")],
+        "manifest": [name for name, _ in files],
     }
-    _write_text(summary_path, problems.json_text(summary))
+    _remove_previous_run(cfg.output_dir)
+    _write_files(cfg.output_dir, files + [("summary.json", problems.json_text(summary))])
     return summary
 
 
@@ -361,32 +362,31 @@ def run_experiment(cfg):
 # figure reproduction
 
 
-def _write_pgm(path, image):
+def _pgm(image):
+    """The image as a binary 8-bit PGM, its range stretched to 0..255."""
     lo = float(image.min())
     hi = float(image.max())
     scale = 255.0 / (hi - lo) if hi > lo else 0.0
     pixels = np.round((image - lo) * scale).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    return f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii") + pixels.tobytes()
 
 
-def _gnuplot_script(path, files, title):
+def _gnuplot_script(files, title):
     plots = [f"'{csv_file}' using 1:{idx} with linespoints title '{name}'"
-             for csv_file, cols in files for idx, name in cols]
+             for csv_file, _, cols in files for idx, name in cols]
     lines = ["set datafile separator ','", f"set title '{title}'", "set key outside",
              "set logscale y", "plot " + ", \\\n     ".join(plots)]
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-# Series writers.  Each writes the files of one problem of a figure and
-# returns them as (file name, [(column, plot title), ...]) in file order;
-# a file without columns is not plotted.  A panel holds one problem of the
+# Series writers.  Each builds the files of one problem of a figure and
+# returns them as (file name, document, [(column, plot title), ...]) in
+# file order; a file without columns is not plotted.  A panel holds one problem of the
 # figure and its cells: noise level -> (noise, LanczosCache, traces by solver).
 _Panel = namedtuple("_Panel", "pname prob decomp k_max cells")
 
 
-def _errors(out_dir, tag, panel):
+def _errors(tag, panel):
     """Relative errors per k: one column per solver, or per noise level
     where the figure runs one solver at several."""
     by_eps = len(panel.cells) > 1
@@ -395,81 +395,75 @@ def _errors(out_dir, tag, panel):
         else (name.replace("-", "_"), name, trace)
         for eps, (_, _, traces) in panel.cells.items() for name, trace in traces.items()
     ]
-    name = f"{tag}_errors_{panel.pname}.csv"
-    _write_series_csv(
-        os.path.join(out_dir, name),
+    text = _series_csv(
         ["k"] + [head for head, _, _ in cols],
         [list(range(1, panel.k_max + 1))] + [list(t.relative_errors) for _, _, t in cols],
     )
-    return [(name, [(i + 2, title) for i, (_, title, _) in enumerate(cols)])]
+    return [(f"{tag}_errors_{panel.pname}.csv", text,
+             [(i + 2, title) for i, (_, title, _) in enumerate(cols)])]
 
 
-def _singular_values(out_dir, tag, panel):
+def _singular_values(tag, panel):
     [(_, cache, _)] = panel.cells.values()
-    name = f"{tag}_projected_singular_values_{panel.pname}.csv"
-    _write_series_csv(
-        os.path.join(out_dir, name),
+    text = _series_csv(
         ["j", "minres", "mr2", "operator"],
         [list(range(1, panel.k_max + 1))]
         + [list(linalg._svd_small(cache.get(solvers.KINDS[solver]).tridiag.dense())[0])
            for solver in ("minres", "mr2")]
         + [list(panel.decomp.sigmas[: panel.k_max])],
     )
-    return [(name, [(2, "minres"), (3, "mr2"), (4, "operator")])]
+    return [(f"{tag}_projected_singular_values_{panel.pname}.csv", text,
+             [(2, "minres"), (3, "mr2"), (4, "operator")])]
 
 
-def _lcurves(out_dir, tag, panel):
+def _lcurves(tag, panel):
     [(_, _, traces)] = panel.cells.values()
     files = []
     for sname in ("minres", "mr2"):
         xs, ys = diagnostics.lcurve_points(traces[sname].residual_norms,
                                            traces[sname].solution_norms)
-        name = f"{tag}_lcurve_{sname}.csv"
-        _write_series_csv(os.path.join(out_dir, name), ["k", "log_residual", "log_solution_norm"],
-                          [range(1, len(xs) + 1), xs, ys])
-        files.append((name, [(3, f"lcurve {sname}")]))
+        text = _series_csv(["k", "log_residual", "log_solution_norm"],
+                           [range(1, len(xs) + 1), xs, ys])
+        files.append((f"{tag}_lcurve_{sname}.csv", text, [(3, f"lcurve {sname}")]))
     return files
 
 
-def _rank_k_errors(out_dir, tag, panel):
+def _rank_k_errors(tag, panel):
     files = []
     for eps, (_, cache, _) in panel.cells.items():
         gam = diagnostics.lowrank_error_sequence(panel.prob.a, cache.get(solvers.KINDS["mr2"]))
-        name = f"{tag}_lowrank_{panel.pname}_{eps:g}.csv"
-        _write_series_csv(
-            os.path.join(out_dir, name),
+        text = _series_csv(
             ["k", "lowrank_error", "next_eigenvalue_magnitude"],
             [list(range(1, len(gam) + 1)), list(gam), list(panel.decomp.sigmas[1 : len(gam) + 1])],
         )
-        files.append((name, [(2, "rank-k error"), (3, "|next eigenvalue|")]))
+        files.append((f"{tag}_lowrank_{panel.pname}_{eps:g}.csv", text,
+                      [(2, "rank-k error"), (3, "|next eigenvalue|")]))
     return files
 
 
-def _decay(out_dir, tag, panel):
+def _decay(tag, panel):
     [(_, cache, _)] = panel.cells.values()
     fact = cache.get(solvers.KINDS["mr2"])
     alpha, beta = fact.tridiag.alpha, fact.tridiag.beta
     ks = list(range(2, fact.k))
-    name = f"{tag}_decay_{panel.pname}.csv"
-    _write_series_csv(
-        os.path.join(out_dir, name),
+    text = _series_csv(
         ["k", "offdiag", "diag_next", "sigma"],
         [ks, [beta[k - 2] for k in ks], [abs(alpha[k - 1]) for k in ks],
          [panel.decomp.sigmas[k - 1] for k in ks]],
     )
-    return [(name, [(2, "offdiag"), (3, "next diag"), (4, "sigma")])]
+    return [(f"{tag}_decay_{panel.pname}.csv", text,
+             [(2, "offdiag"), (3, "next diag"), (4, "sigma")])]
 
 
-def _images(out_dir, tag, panel):
+def _images(tag, panel):
     """The true image, the noisy data and hybrid-mr2's best iterate."""
     [(noise, _, traces)] = panel.cells.values()
     hy = traces["hybrid-mr2"]
     restored = hy.solutions[diagnostics.semiconvergence_index(hy) - 1]
     m = panel.prob.a.m
-    names = [f"{tag}_{stem}.pgm" for stem in ("original", "blurred_noisy", "restored")]
-    for name, image in zip(names, (panel.prob.x_true, noise.b, restored)):
-        _write_pgm(os.path.join(out_dir, name), image.reshape((m, m), order="F"))
-    return [(name, []) for name in names]
+    return [(f"{tag}_{stem}.pgm", _pgm(image.reshape((m, m), order="F")), [])
+            for stem, image in zip(("original", "blurred_noisy", "restored"),
+                                   (panel.prob.x_true, noise.b, restored))]
 
 
 _SPECTRAL_WRITERS = {_singular_values, _rank_k_errors, _decay}
@@ -502,10 +496,12 @@ FIGURE_IDS = tuple(FIGURES)
 
 
 def reproduce_figure(figure_id, out_dir, n=None):
-    """Emit the data series (CSV + gnuplot script) for a canonical figure.
+    """Emit the data series (CSV + gnuplot script) for a canonical figure;
+    returns the names of the files written.
 
-    Every cell is computed before the output directory is made, so a
-    configuration error writes nothing."""
+    Every cell is computed and every document built before the output
+    directory is made, so a figure that fails writes nothing.  Files of
+    the same names in out_dir are replaced; other files are kept."""
     if figure_id not in FIGURES:
         raise ConfigError(f"unknown figure id {figure_id!r}; known: {', '.join(FIGURE_IDS)}")
     fig = FIGURES[figure_id]
@@ -521,11 +517,12 @@ def reproduce_figure(figure_id, out_dir, n=None):
         cells = {eps: cell for (eps, _), cell, _ in _run_cells(
             prob, decomp, [(eps, 1) for eps in eps_list], k_max, fig.solvers)}
         panels.append(_Panel(pname, prob, decomp, k_max, cells))
-    _make_output_dir(out_dir)
     files = [entry for write in fig.writers for panel in panels
-             for entry in write(out_dir, figure_id, panel)]
-    _gnuplot_script(os.path.join(out_dir, f"{figure_id}.gp"), files, f"{figure_id} data series")
-    return [f for f, _ in files] + [f"{figure_id}.gp"]
+             for entry in write(figure_id, panel)]
+    files.append((f"{figure_id}.gp", _gnuplot_script(files, f"{figure_id} data series"), []))
+    _make_output_dir(out_dir)
+    _write_files(out_dir, [(name, data) for name, data, _ in files])
+    return [name for name, _, _ in files]
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,8 @@ def test_vanishing_a_b_exits_3_without_a_traceback(tmp_path, extra):
 
 
 def test_failing_diagnostics_leave_no_empty_file(tmp_path, monkeypatch):
-    """A document's text is built before its file is opened."""
+    """Every document is built before any file is written: a failing
+    diagnostic leaves the output directory empty."""
     def fails(*args, **kwargs):
         raise NumericalError("injected failure")
 
@@ -427,8 +428,7 @@ def test_failing_diagnostics_leave_no_empty_file(tmp_path, monkeypatch):
     cfg = cli.ExperimentConfig.from_dict(small_config(out, diagnostics=["decay"]))
     with pytest.raises(NumericalError):
         cli.run_experiment(cfg)
-    assert sorted(p.name for p in out.iterdir()) == ["trace_minres_0.001_1.csv",
-                                                     "trace_mr2_0.001_1.csv"]
+    assert list(out.iterdir()) == []
 
 
 def test_filters_build_no_double_factorization(tmp_path, monkeypatch):
@@ -467,9 +467,9 @@ def test_filters_depth_stops_at_the_extended_breakdown(tmp_path):
 
 def test_a_failing_extended_build_stops_after_the_same_files(tmp_path, monkeypatch):
     """A block builds the extended projections of all its cells before
-    their traces, but a build that fails is raised where its cell's
-    filters are computed: the run exits 3 after the first cell's files and
-    the second cell's traces, as a cell-by-cell pass does."""
+    their traces, and a build that fails raises there: the run exits 3
+    with the failure's message and writes no file, the same files as a
+    cell-by-cell pass, which writes nothing either."""
     calls = []
 
     def fails_on_second_cell(*args):
@@ -487,9 +487,7 @@ def test_a_failing_extended_build_stops_after_the_same_files(tmp_path, monkeypat
     result = CliRunner().invoke(cli.main, ["run", "--config", str(cfg_path)])
     assert result.exit_code == 3, result.output
     assert "numerical failure: injected failure" in result.output
-    assert sorted(p.name for p in out.iterdir()) == [
-        "diagnostics_0.001_1.json", "trace_minres_0.001_1.csv", "trace_minres_0.001_2.csv",
-        "trace_tsvd_0.001_1.csv", "trace_tsvd_0.001_2.csv"]
+    assert list(out.iterdir()) == []
 
 
 def test_filters_block_pass_peak_is_no_higher_than_cell_by_cell(tmp_path, monkeypatch):
@@ -1021,6 +1019,7 @@ def test_failed_rerun_leaves_no_stale_summary(tmp_path, monkeypatch):
     runner = CliRunner()
     assert runner.invoke(cli.main, ["run", "--config", str(cfg_path)]).exit_code == 0
     assert (out / "summary.json").exists()
+    first = read_all_bytes(out)
 
     mr2_trace = solvers.mr2_trace
     calls = []
@@ -1035,7 +1034,74 @@ def test_failed_rerun_leaves_no_stale_summary(tmp_path, monkeypatch):
     result = runner.invoke(cli.main, ["run", "--config", str(cfg_path)])
     assert result.exit_code == 3
     assert "injected failure" in result.output
-    assert not (out / "summary.json").exists()
+    assert read_all_bytes(out) == first
+
+
+def test_a_rerun_with_fewer_seeds_leaves_only_its_manifest(tmp_path):
+    """The files the previous summary lists go before a run writes its
+    own, so no stale trace of a dropped seed stays behind; a file that no
+    manifest lists is kept."""
+    out = tmp_path / "out"
+    cli.run_experiment(cli.ExperimentConfig.from_dict(small_config(out, seeds=[1, 2, 3])))
+    (out / "notes.txt").write_text("kept")
+    summary = cli.run_experiment(cli.ExperimentConfig.from_dict(small_config(out, seeds=[1, 2])))
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        summary["manifest"] + ["notes.txt", "summary.json"])
+    assert "trace_minres_0.001_3.csv" not in summary["manifest"]
+
+
+@pytest.mark.parametrize("manifest", [
+    ["../outside.csv", ".", "..", "sub", "link.csv"],
+    "trace_minres_0.001_1.csv",
+    ["trace_minres_0.001_1.csv", 7],
+], ids=["separator-dots-directory", "not-a-list", "not-all-strings"])
+def test_previous_manifest_removes_only_regular_files_in_the_directory(tmp_path, manifest):
+    """A listed name with a path separator, . and .., a directory and a
+    symbolic link are skipped; a manifest that is not a list of strings
+    lists nothing.  The previous summary goes in every case."""
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (tmp_path / "outside.csv").write_text("outside")
+    (out / "link.csv").symlink_to(tmp_path / "outside.csv")
+    (out / "trace_minres_0.001_1.csv").write_text("kept")
+    (out / "summary.json").write_text(json.dumps({"manifest": manifest}))
+    cli._remove_previous_run(str(out))
+    assert sorted(p.name for p in out.iterdir()) == [
+        "link.csv", "sub", "trace_minres_0.001_1.csv"]
+    assert (tmp_path / "outside.csv").read_text() == "outside"
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", "{}", b"\xff\xfe"],
+                         ids=["not-json", "not-an-object", "no-manifest", "not-utf8"])
+def test_an_unreadable_previous_summary_lists_nothing(tmp_path, text):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "trace_minres_0.001_1.csv").write_text("kept")
+    summary = out / "summary.json"
+    summary.write_bytes(text) if isinstance(text, bytes) else summary.write_text(text)
+    cli._remove_previous_run(str(out))
+    assert [p.name for p in out.iterdir()] == ["trace_minres_0.001_1.csv"]
+
+
+def test_a_failing_figure_writes_no_file(tmp_path, monkeypatch):
+    """reproduce builds every series before it writes any: a rank-k error
+    that fails on the figure's second cell leaves --out without a file."""
+    lowrank = diagnostics.lowrank_error_sequence
+    calls = []
+
+    def fails_on_second_call(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericalError("injected failure")
+        return lowrank(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "lowrank_error_sequence", fails_on_second_call)
+    out = tmp_path / "fig"
+    result = CliRunner().invoke(cli.main, ["reproduce", "fig5", "--n", "48", "--out", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: injected failure" in result.output
+    assert len(calls) == 2
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
